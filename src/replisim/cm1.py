@@ -8,55 +8,9 @@ are deterministic given that choice.
 
 from __future__ import annotations
 
-from .cm0 import Condition, check_writeset
-from .core import (
-    UNDEF,
-    ClockBank,
-    ClusterConfig,
-    ConfigError,
-    NEG_INF,
-    ReplicaStore,
-    hash_fragment,
-    smallest_tick_at_least,
-    tuple_sort_key,
-)
+from .cm0 import check_writeset
+from .core import UNDEF, ClockBank, ClusterConfig, ReplicaStore, freshest, smallest_tick_at_least
 from .messages import ACK, ANSWER, Message, StepEffect, dc_agent
-
-
-def read_answer_rows(
-    replicas: ReplicaStore, cfg: ClusterConfig, rid: str, cond: Condition, selections: dict
-) -> frozenset:
-    """Per fragment, the freshest value of every matching stored key across
-    the selected replicas; tombstones and undefined keys are dropped."""
-    rows = []
-    for j, group in selections.items():
-        keys = set()
-        for (d, node) in group:
-            keys.update(replicas.stored_keys(rid, j, d, node))
-        for k in sorted(keys, key=tuple_sort_key):
-            if not cond.matches(k, cfg, rid):
-                continue
-            t_max = NEG_INF
-            for (d, node) in group:
-                _, t = replicas.peek(rid, j, d, node, k)
-                if t > t_max:
-                    t_max = t
-            if t_max is NEG_INF:
-                continue
-            winners = {
-                v if v is UNDEF else tuple(v)
-                for (d, node) in group
-                for (v, t) in (replicas.peek(rid, j, d, node, k),)
-                if t == t_max
-            }
-            if len(winners) != 1:
-                raise ConfigError(
-                    f"replicas of {rid}{k!r} disagree at the maximal timestamp"
-                )
-            v = winners.pop()
-            if v is not UNDEF:
-                rows.append((k, v))
-    return frozenset(rows)
 
 
 def answer_read_req(
@@ -66,9 +20,16 @@ def answer_read_req(
     msg: Message,
     selections: dict,
 ) -> StepEffect:
+    """Answer with the freshest value of every matching key over each
+    fragment's selected replicas; tombstones are dropped."""
     rid, cond = msg.payload
     cond.check_arity(cfg, rid)
-    rows = read_answer_rows(replicas, cfg, rid, cond, selections)
+    rows = frozenset(
+        (k, v)
+        for j, group in selections.items()
+        for k, (v, _) in freshest(replicas.copies(rid, j, group)).items()
+        if v is not UNDEF and cond.matches(k, cfg, rid)
+    )
     eff = StepEffect()
     eff.consumes.append(msg)
     eff.sends.append(
@@ -92,17 +53,8 @@ def perform_write_req(
     eff = StepEffect()
     t_current = clocks.now(d)  # one timestamp per request
     eff.update(("clock", d), t_current.tick + 1)
-    touched = set()
-    for j, group in selections.items():
-        for (d2, node) in sorted(group):
-            touched.add(d2)
-            for k in sorted(p, key=tuple_sort_key):
-                if hash_fragment(cfg, rid, k) != j:
-                    continue
-                _, t_old = replicas.peek(rid, j, d2, node, k)
-                if t_old < t_current:
-                    eff.update(("rep", rid, j, d2, node, k), (p[k], t_current))
-    for d2 in sorted(touched):
+    eff.updates.update(replicas.conditional_write(rid, selections, p, t_current))
+    for d2 in sorted({d2 for group in selections.values() for d2, _ in group}):
         if clocks.now(d2) < t_current:
             eff.update(
                 ("clock", d2),

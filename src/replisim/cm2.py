@@ -13,16 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cm0 import Condition, check_writeset
+from .cm0 import check_writeset
 from .core import (
     UNDEF,
     ClockBank,
     ClusterConfig,
     ConfigError,
-    NEG_INF,
     ReplicaStore,
     Timestamp,
-    hash_fragment,
+    freshest,
     smallest_tick_at_least,
     tuple_sort_key,
 )
@@ -86,98 +85,50 @@ class DelegateState:
 
 def _local_groups(cfg: ClusterConfig, rid: str, d: int) -> dict:
     rel = cfg.relation(rid)
-    return {j: cfg.alive_local_copies(rid, j, d) for j in range(1, rel.fragments + 1)}
+    return {
+        j: tuple((d, node) for node in cfg.alive_local_copies(rid, j, d))
+        for j in range(1, rel.fragments + 1)
+    }
 
 
-def handle_locally_read(
-    replicas: ReplicaStore,
-    cfg: ClusterConfig,
-    d: int,
-    rid: str,
-    cond: Condition,
-    req: str,
-    eff: StepEffect,
-) -> None:
-    """Evaluate the request over all alive local copies and send the
-    timestamped partial answer to the delegate.
-
-    The local maximum may not be the global one, so timestamps travel with
-    the triples; tombstones are included so a fresher deletion can beat an
-    older value during collection.
-    """
-    groups = _local_groups(cfg, rid, d)
-    triples = []
-    for j, nodes in groups.items():
-        keys = set()
-        for node in nodes:
-            keys.update(replicas.stored_keys(rid, j, d, node))
-        for k in sorted(keys, key=tuple_sort_key):
-            if not cond.matches(k, cfg, rid):
-                continue
-            t_max = NEG_INF
-            for node in nodes:
-                _, t = replicas.peek(rid, j, d, node, k)
-                if t > t_max:
-                    t_max = t
-            if t_max is NEG_INF:
-                continue
-            values = {
-                v if v is UNDEF else tuple(v)
-                for node in nodes
-                for (v, t) in (replicas.peek(rid, j, d, node, k),)
-                if t == t_max
-            }
-            if len(values) != 1:
-                raise ConfigError(f"local replicas of {rid}{k!r} disagree at t_max")
-            triples.append((k, values.pop(), t_max))
-    xs = tuple(len(groups[j]) for j in sorted(groups))
-    eff.sends.append(
-        Message(
-            LOCAL_ANSWER,
-            req,
-            dc_agent(d),
-            delegate_agent(req),
-            payload=(rid, frozenset(triples), xs),
-        )
-    )
-
-
-def handle_locally_write(
+def handle_locally(
     replicas: ReplicaStore,
     clocks: ClockBank,
     cfg: ClusterConfig,
     d: int,
+    kind: str,
     rid: str,
-    pairs: tuple,
+    body,
     req: str,
     t_write: Timestamp,
     eff: StepEffect,
 ) -> None:
-    """Conditionally update all alive local copies; acknowledge with the
-    per-fragment count of alive copies (counted even when the update lost
-    against a newer timestamp)."""
-    if clocks.now(d) < t_write:
-        eff.update(("clock", d), smallest_tick_at_least(d, clocks.ranks[d], t_write))
-    p = dict(pairs)
+    """Handle a request over all alive local copies and report to the
+    delegate, with the per-fragment count of those copies.
+
+    A read sends the local freshest triples.  The local maximum may not be
+    the global one, so timestamps travel with the triples; tombstones are
+    included so a fresher deletion can beat an older value during collection.
+
+    A write conditionally updates the copies at ``t_write`` and is
+    acknowledged even where the update lost against a newer timestamp.
+    """
     groups = _local_groups(cfg, rid, d)
-    for j, nodes in groups.items():
-        for node in nodes:
-            for k in sorted(p, key=tuple_sort_key):
-                if hash_fragment(cfg, rid, k) != j:
-                    continue
-                _, t_old = replicas.peek(rid, j, d, node, k)
-                if t_old < t_write:
-                    eff.update(("rep", rid, j, d, node, k), (p[k], t_write))
     xs = tuple(len(groups[j]) for j in sorted(groups))
-    eff.sends.append(
-        Message(
-            LOCAL_ACK,
-            req,
-            dc_agent(d),
-            delegate_agent(req),
-            payload=(rid, xs),
+    if kind == REQ_READ:
+        triples = frozenset(
+            (k, v, t)
+            for j, group in groups.items()
+            for k, (v, t) in freshest(replicas.copies(rid, j, group)).items()
+            if body.matches(k, cfg, rid)
         )
-    )
+        local_kind, payload = LOCAL_ANSWER, (rid, triples, xs)
+    else:
+        if clocks.now(d) < t_write:
+            eff.update(("clock", d), smallest_tick_at_least(d, clocks.ranks[d], t_write))
+        eff.updates.update(replicas.conditional_write(rid, groups, dict(body), t_write))
+        local_kind, payload = LOCAL_ACK, (rid, xs)
+    eff.sends.append(Message(local_kind, req, dc_agent(d), delegate_agent(req), payload=payload))
 
 
 def delegate_external_req(
@@ -211,10 +162,7 @@ def delegate_external_req(
         counts=CountState.zero(cfg, rid),
     )
     eff.update(("dnew", gid), delegate)
-    if is_read:
-        handle_locally_read(replicas, cfg, d, rid, body, msg.req, eff)
-    else:
-        handle_locally_write(replicas, clocks, cfg, d, rid, body, msg.req, t_current, eff)
+    handle_locally(replicas, clocks, cfg, d, msg.kind, rid, body, msg.req, t_current, eff)
     for d2 in cfg.relation(rid).data_centres:
         if d2 != d:
             eff.sends.append(
@@ -240,26 +188,16 @@ def manage_internal_req(
     """Forwarded-request step at a non-home data centre."""
     inner_kind, rid, body, t_fwd = msg.payload
     eff = StepEffect()
-    if inner_kind == REQ_READ:
-        handle_locally_read(replicas, cfg, d, rid, body, msg.req, eff)
-    else:
-        handle_locally_write(replicas, clocks, cfg, d, rid, body, msg.req, t_fwd, eff)
+    handle_locally(replicas, clocks, cfg, d, inner_kind, rid, body, msg.req, t_fwd, eff)
+    if inner_kind != REQ_READ:
         # Message-passing clock condition holds after processing a write.
         eff.checks.append(("cond3", d, t_fwd))
     eff.consumes.append(msg)
     return eff
 
 
-def _merge_answer(answer: dict, triples) -> dict:
-    merged = dict(answer)
-    for (k, v, t) in sorted(triples, key=lambda kvt: (tuple_sort_key(kvt[0]), kvt[2].key())):
-        if k in merged:
-            _, t_old = merged[k]
-            if t_old < t:
-                merged[k] = (v, t)
-        else:
-            merged[k] = (v, t)
-    return merged
+def _answer_map(triples) -> dict:
+    return {k: (v, t) for k, v, t in triples}
 
 
 def _audit(delegate: DelegateState, counts: CountState, merged: dict, log: tuple) -> None:
@@ -272,29 +210,8 @@ def _audit(delegate: DelegateState, counts: CountState, merged: dict, log: tuple
     for j, total in sums.items():
         if counts.by_fragment[j] != total:
             raise ConfigError(f"delegate {delegate.gid}: count({j}) diverged from its log")
-    best: dict = {}
-    for (_, _, triples) in log:
-        for (k, v, t) in triples:
-            if k not in best or best[k][1] < t:
-                best[k] = (v, t)
-    if merged != best:
+    if merged != freshest(_answer_map(triples) for (_, _, triples) in log):
         raise ConfigError(f"delegate {delegate.gid}: stale triple survived a merge")
-
-
-def collect_respond_read(
-    delegate: DelegateState, cfg: ClusterConfig, read_policy: Policy, msg: Message
-) -> StepEffect:
-    if delegate.kind != "read":
-        raise ConfigError(f"{delegate.gid} does not collect read answers")
-    return collect_respond(delegate, cfg, read_policy, msg)
-
-
-def collect_respond_write(
-    delegate: DelegateState, cfg: ClusterConfig, write_policy: Policy, msg: Message
-) -> StepEffect:
-    if delegate.kind != "write":
-        raise ConfigError(f"{delegate.gid} does not collect write acknowledgements")
-    return collect_respond(delegate, cfg, write_policy, msg)
 
 
 def collect_respond(
@@ -311,7 +228,7 @@ def collect_respond(
         if msg.kind != LOCAL_ANSWER:
             raise ConfigError(f"read delegate {delegate.gid} got {msg.kind}")
         rid, triples, xs = msg.payload
-        merged = _merge_answer(delegate.answer, triples)
+        merged = freshest([delegate.answer, _answer_map(triples)])
         for k, vt in merged.items():
             if delegate.answer.get(k) != vt:
                 eff.update(("dans", delegate.gid, k), vt)

@@ -359,9 +359,23 @@ class ReplicaStore:
             raise ConfigError(f"timestamp regression at {(rid, j, d, node, k)}")
         self.data.setdefault((rid, j, d, node), {})[k] = (v, t)
 
-    def stored_keys(self, rid: str, j: int, d: int, node: int) -> tuple:
-        m = self.data.get((rid, j, d, node), {})
-        return tuple(sorted(m, key=tuple_sort_key))
+    def copies(self, rid: str, j: int, group: Iterable[tuple]) -> list:
+        """The maps key -> (value, timestamp) of the (dc, node) copies in
+        ``group`` of fragment ``j``."""
+        return [self.data.get((rid, j, d, node), {}) for d, node in group]
+
+    def conditional_write(self, rid: str, groups: Mapping, p: Mapping, t: Timestamp) -> dict:
+        """Update set of writing ``p`` at timestamp ``t`` over ``groups``
+        (fragment -> (dc, node) copies): each copy takes each key of its
+        fragment whose stored timestamp is older than ``t``."""
+        fragment = {k: hash_fragment(self.cfg, rid, k) for k in sorted(p, key=tuple_sort_key)}
+        return {
+            ("rep", rid, j, d, node, k): (p[k], t)
+            for j, group in groups.items()
+            for d, node in sorted(group)
+            for k, jk in fragment.items()
+            if jk == j and self.peek(rid, j, d, node, k)[1] < t
+        }
 
     def items(self) -> Iterator[tuple]:
         for loc in sorted(self.data):
@@ -374,6 +388,27 @@ class ReplicaStore:
             (loc, k, v if v is UNDEF else tuple(v), t.key())
             for loc, k, v, t in self.items()
         )
+
+
+def freshest(copies: Iterable[Mapping]) -> dict:
+    """Freshest (value, timestamp) per key over a group of copies, each a
+    mapping key -> (value, timestamp).
+
+    Distinct-offset timestamps mean copies holding a key at the same
+    timestamp hold the same value; a group where they differ raises.
+    """
+    best: dict = {}
+    for copy in copies:
+        for k, (v, t) in copy.items():
+            cur = best.get(k)
+            if cur is None or cur[1] < t:
+                best[k] = (v, t)
+            elif cur[1] == t and cur[0] != v:
+                raise ConfigError(
+                    f"copies of {k!r} hold different values at the maximal timestamp {t}: "
+                    f"{cur[0]!r} vs {v!r}"
+                )
+    return best
 
 
 class FlatStore:

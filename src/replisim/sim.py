@@ -21,13 +21,8 @@ from typing import Callable, Iterable, Optional
 
 from . import cm1
 from .cm0 import db_answer_read
-from .cm2 import (
-    collect_respond_read,
-    collect_respond_write,
-    delegate_external_req,
-    manage_internal_req,
-)
-from .core import UNDEF, ClusterConfig, ConfigError, seed_replicas
+from .cm2 import collect_respond, delegate_external_req, manage_internal_req
+from .core import ClusterConfig, ConfigError, freshest, seed_replicas
 from .messages import (
     ACK,
     ANSWER,
@@ -41,7 +36,7 @@ from .messages import (
     StepEffect,
     dc_agent,
 )
-from .policies import enumerate_compliant_selections
+from .policies import complies, enumerate_compliant_selections
 from .scenario import Scenario
 from .trace import PRINT, REQ, RESP, Trace, TraceEvent
 
@@ -75,52 +70,49 @@ class Move:
     selections: Optional[tuple] = None  # ((j, frozenset of (dc, node)), ...)
 
     def descriptor(self) -> tuple:
-        ident = self.msg.ident() if self.msg is not None else None
-        if self.tag == "deliver":
-            return ("deliver", ident)
-        if self.tag == "send":
-            return ("send", self.agent)
-        if self.tag == "recv":
-            return ("recv", self.agent, ident)
-        if self.tag == "db":
-            return ("db", ident)
-        if self.tag == "dc":
-            sel = None
-            if self.selections is not None:
-                sel = tuple((j, tuple(sorted(group))) for j, group in self.selections)
-            return ("dc", self.agent, ident, sel)
-        if self.tag == "collect":
-            return ("collect", self.agent, ident)
-        raise ConfigError(f"unknown move tag {self.tag}")  # pragma: no cover
+        return (self.tag,) + tuple(_FIELDS[f][0](self) for f in MOVE_KINDS[self.tag].fields)
 
 
 def describe_descriptor(desc: tuple) -> str:
-    tag = desc[0]
-    if tag == "deliver":
-        return f"deliver[{_ident_str(desc[1])}]"
-    if tag == "send":
-        return f"send[{desc[1]}]"
-    if tag == "recv":
-        return f"recv[{desc[1]}|{_ident_str(desc[2])}]"
-    if tag == "db":
-        return f"db[{_ident_str(desc[1])}]"
-    if tag == "dc":
-        sel = desc[3]
-        sel_str = ""
-        if sel is not None:
-            parts = [
-                "j%d={%s}" % (j, ",".join(f"({d},{n})" for d, n in group)) for j, group in sel
-            ]
-            sel_str = "|" + " ".join(parts)
-        return f"dc[{desc[1]}|{_ident_str(desc[2])}{sel_str}]"
-    if tag == "collect":
-        return f"collect[{desc[1]}|{_ident_str(desc[2])}]"
-    return repr(desc)
+    """``tag[field|field...]``, leaving out a ``None`` selection."""
+    kind = MOVE_KINDS.get(desc[0])
+    if kind is None:
+        return repr(desc)
+    parts = (_FIELDS[f][1](v) for f, v in zip(kind.fields, desc[1:]) if v is not None)
+    return f"{desc[0]}[{'|'.join(parts)}]"
 
 
 def _ident_str(ident: tuple) -> str:
     kind, req, sender, receiver = ident
     return f"{kind}:{req}:{sender}>{receiver}"
+
+
+def _sel_str(sel: tuple) -> str:
+    return " ".join("j%d={%s}" % (j, ",".join(f"({d},{n})" for d, n in group)) for j, group in sel)
+
+
+def _sel_field(move: Move) -> Optional[tuple]:
+    if move.selections is None:
+        return None
+    return tuple((j, tuple(sorted(group))) for j, group in move.selections)
+
+
+# Descriptor fields: name -> (value taken from a move, rendering in describe()).
+_FIELDS = {
+    "agent": (lambda move: move.agent, str),
+    "ident": (lambda move: move.msg.ident(), _ident_str),
+    "sel": (_sel_field, _sel_str),
+}
+
+
+@dataclass(frozen=True)
+class MoveKind:
+    """Everything the engine knows about one kind of move."""
+
+    fields: tuple  # descriptor fields after the tag, from _FIELDS
+    find: Callable  # (sim, agent, ident) -> the message, if any; KeyError when not enabled
+    run: Callable  # (sim, move) -> StepEffect
+    rank: dict  # search rank by message kind; None ranks every other kind
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +235,10 @@ class Simulation:
         self.round = 0
         self.answered: set = set()
         self.executed: list = []  # descriptor tuples per round, for replay
+        if checks and self.replicas is not None:
+            self._check_invariants(
+                {(rid, j, k) for (rid, j, _, _), copy in self.replicas.data.items() for k in copy}
+            )
 
     # -- plumbing ----------------------------------------------------------
 
@@ -336,12 +332,9 @@ class Simulation:
                 box = self.mailbox.get(agent, {})
                 for ident in sorted(box):
                     msg = box[ident]
-                    if self.model == "cm1":
-                        if with_selections:
-                            for sel in self.selection_options(msg):
-                                moves.append(Move("dc", agent=agent, msg=msg, selections=sel))
-                        else:
-                            moves.append(Move("dc", agent=agent, msg=msg))
+                    if self.model == "cm1" and with_selections:
+                        for sel in self.selection_options(msg):
+                            moves.append(Move("dc", agent=agent, msg=msg, selections=sel))
                     else:
                         moves.append(Move("dc", agent=agent, msg=msg))
             for gid in sorted(self.delegates):
@@ -388,60 +381,55 @@ class Simulation:
         return Move("dc", agent=move.agent, msg=move.msg, selections=tuple(sel))
 
     def resolve_descriptor(self, desc: tuple) -> Move:
-        tag = desc[0]
+        kind = MOVE_KINDS.get(desc[0])
+        if kind is None or len(desc) != 1 + len(kind.fields):
+            raise ScheduleError(f"unknown move descriptor {desc!r}")
+        fields = dict(zip(kind.fields, desc[1:]))
+        agent = fields.get("agent", "")
         try:
-            if tag == "deliver":
-                return Move("deliver", msg=self.inflight[desc[1]])
-            if tag == "send":
-                a = desc[1]
-                if self.status[a] != ("ready",) or self.pc[a] >= len(self.scenario.programs[a]):
-                    raise KeyError("client cannot send now")
-                return Move("send", agent=a)
-            if tag == "recv":
-                return Move("recv", agent=desc[1], msg=self.mailbox[desc[1]][desc[2]])
-            if tag == "db":
-                return Move("db", msg=self.mailbox[DB_AGENT][desc[1]])
-            if tag == "dc":
-                agent, ident, sel = desc[1], desc[2], desc[3]
-                msg = self.mailbox[agent][ident]
-                selections = None
-                if sel is not None:
-                    selections = tuple((j, frozenset(group)) for j, group in sel)
-                elif self.model == "cm1":
-                    raise ScheduleError(f"cm1 step {describe_descriptor(desc)} needs selections")
-                return Move("dc", agent=agent, msg=msg, selections=selections)
-            if tag == "collect":
-                gid = desc[1]
-                if gid not in self.delegates or not self.delegates[gid].live:
-                    raise KeyError("delegate is not live")
-                return Move("collect", agent=gid, msg=self.mailbox[gid][desc[2]])
+            msg = kind.find(self, agent, fields.get("ident"))
         except KeyError as exc:
             raise ScheduleError(
                 f"move {describe_descriptor(desc)} is not enabled at round {self.round}: {exc}"
             ) from None
-        raise ScheduleError(f"unknown move descriptor {desc!r}")
+        selections = None
+        if "sel" in fields:
+            selections = self._explicit_selections(desc, msg, fields["sel"])
+        return Move(desc[0], agent=agent, msg=msg, selections=selections)
+
+    def _explicit_selections(self, desc: tuple, msg: Message, sel: Optional[tuple]):
+        """A named step's replica selections.  cm1 takes one group per
+        fragment, and each group must comply with the request's policy."""
+        selections = None if sel is None else tuple((j, frozenset(group)) for j, group in sel)
+        if self.model != "cm1":
+            return selections
+        if selections is None:
+            raise ScheduleError(f"cm1 step {describe_descriptor(desc)} needs selections")
+        rid = msg.payload[0]
+        fragments = list(range(1, self.cfg.relation(rid).fragments + 1))
+        if sorted(j for j, _ in selections) != fragments:
+            raise ScheduleError(
+                f"cm1 step {describe_descriptor(desc)} needs one group for each fragment of {rid}"
+            )
+        policy = self._policy_for(msg.kind)
+        for j, group in selections:
+            try:
+                ok = complies(group, policy, self.cfg, rid, j)
+            except ConfigError as exc:
+                raise ScheduleError(f"cm1 step {describe_descriptor(desc)}: {exc}") from None
+            if not ok:
+                raise ScheduleError(
+                    f"cm1 step {describe_descriptor(desc)}: group {j} breaks policy {policy}"
+                )
+        return selections
 
     # -- step execution ------------------------------------------------------
 
     def execute_move(self, move: Move) -> StepEffect:
-        if move.tag == "deliver":
-            return self._deliver(move.msg)
-        if move.tag == "send":
-            return self._client_send(move.agent)
-        if move.tag == "recv":
-            return self._client_recv(move.agent, move.msg)
-        if move.tag == "db":
-            return self._db_step(move.msg)
-        if move.tag == "dc":
-            return self._dc_step(move)
-        if move.tag == "collect":
-            delegate = self.delegates[move.agent]
-            if delegate.kind == "read":
-                return collect_respond_read(delegate, self.cfg, self.scenario.read_policy, move.msg)
-            return collect_respond_write(delegate, self.cfg, self.scenario.write_policy, move.msg)
-        raise ConfigError(f"unknown move {move!r}")  # pragma: no cover
+        return MOVE_KINDS[move.tag].run(self, move)
 
-    def _deliver(self, msg: Message) -> StepEffect:
+    def _deliver(self, move: Move) -> StepEffect:
+        msg = move.msg
         eff = StepEffect()
         eff.updates[("delivered", msg.ident())] = msg
         if msg.kind in REQUEST_KINDS:
@@ -453,7 +441,8 @@ class Simulation:
             eff.events.append((REQ, msg.sender, msg.req, payload))
         return eff
 
-    def _client_send(self, a: str) -> StepEffect:
+    def _client_send(self, move: Move) -> StepEffect:
+        a = move.agent
         step = self.scenario.programs[a][self.pc[a]]
         req = self.req_id(a, self.pc[a])
         eff = StepEffect()
@@ -466,7 +455,8 @@ class Simulation:
         eff.update(("status", a), ("waiting", req))
         return eff
 
-    def _client_recv(self, a: str, msg: Message) -> StepEffect:
+    def _client_recv(self, move: Move) -> StepEffect:
+        a, msg = move.agent, move.msg
         eff = StepEffect()
         eff.consumes.append(msg)
         eff.update(("status", a), ("ready",))
@@ -478,7 +468,8 @@ class Simulation:
             eff.update(("out", a), self.outs[a] + ((step.rid, rows),))
         return eff
 
-    def _db_step(self, msg: Message) -> StepEffect:
+    def _db_step(self, move: Move) -> StepEffect:
+        msg = move.msg
         eff = StepEffect()
         rid = msg.payload[0]
         if msg.kind == REQ_READ:
@@ -506,6 +497,11 @@ class Simulation:
         if msg.kind == FWD:
             return manage_internal_req(self.replicas, self.clocks, self.cfg, d, msg)
         raise ConfigError(f"data centre {d} cannot process {msg.kind}")
+
+    def _collect(self, move: Move) -> StepEffect:
+        delegate = self.delegates[move.agent]
+        policy = self._policy_for(REQ_READ if delegate.kind == "read" else REQ_WRITE)
+        return collect_respond(delegate, self.cfg, policy, move.msg)
 
     # -- applying a global step ----------------------------------------------
 
@@ -565,11 +561,10 @@ class Simulation:
                             f"clock at dc {d} behind {t} after processing its message"
                         )
         if self.checks:
-            self._check_invariants()
+            self._check_invariants({(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"})
 
     def _apply_updates(self, merged: dict) -> None:
-        for loc in sorted(merged, key=repr):
-            value = merged[loc]
+        for loc, value in merged.items():
             tag = loc[0]
             if tag == "flat":
                 _, rid, k = loc
@@ -607,23 +602,16 @@ class Simulation:
             else:  # pragma: no cover
                 raise ConfigError(f"unknown update location {loc!r}")
 
-    def _check_invariants(self) -> None:
-        if self.replicas is None:
-            return
-        freshest: dict = {}
-        for (rid, j, d, node), m in self.replicas.data.items():
-            for k, (v, t) in m.items():
-                cur = freshest.get((rid, k))
-                if cur is None or t > cur[0]:
-                    freshest[(rid, k)] = (t, {v if v is UNDEF else tuple(v)})
-                elif t == cur[0]:
-                    cur[1].add(v if v is UNDEF else tuple(v))
-        for (rid, k), (t, values) in freshest.items():
-            if len(values) != 1:
-                raise SimInvariantError(
-                    f"replicas of {rid}{k!r} hold different values at the maximal "
-                    f"timestamp {t}: {values!r}"
-                )
+    def _check_invariants(self, keys: Iterable[tuple]) -> None:
+        """Copies of each (rid, j, key) in ``keys`` agree on the value at the
+        key's maximal timestamp.  Only ``rep`` updates change a replica, so
+        a round needs to check only the keys it wrote."""
+        for rid, j, k in keys:
+            copies = self.replicas.copies(rid, j, self.cfg.candidates(rid, j))
+            try:
+                freshest({k: copy[k]} for copy in copies if k in copy)
+            except ConfigError as exc:
+                raise SimInvariantError(f"replicas of {rid}: {exc}") from None
 
     # -- run loop --------------------------------------------------------------
 
@@ -639,6 +627,54 @@ class Simulation:
             if self.round >= step_limit:
                 return False
             self.apply_round([moves[0]])
+
+
+# ---------------------------------------------------------------------------
+# Move kinds
+# ---------------------------------------------------------------------------
+
+
+def _in_flight(sim: Simulation, agent: str, ident: tuple) -> Message:
+    return sim.inflight[ident]
+
+
+def _client_can_send(sim: Simulation, agent: str, ident: None) -> None:
+    if sim.status[agent] != ("ready",) or sim.pc[agent] >= len(sim.scenario.programs[agent]):
+        raise KeyError("client cannot send now")
+
+
+def _in_own_box(sim: Simulation, agent: str, ident: tuple) -> Message:
+    return sim.mailbox[agent][ident]
+
+
+def _in_db_box(sim: Simulation, agent: str, ident: tuple) -> Message:
+    return sim.mailbox[DB_AGENT][ident]
+
+
+def _in_live_box(sim: Simulation, gid: str, ident: tuple) -> Message:
+    if gid not in sim.delegates or not sim.delegates[gid].live:
+        raise KeyError("delegate is not live")
+    return sim.mailbox[gid][ident]
+
+
+# Search ranks: client progress and request handling come before internal
+# fan-out, pending writes before reads, and forwarded propagation last:
+# consistency anomalies live where propagation lags behind answers, so the
+# first descents head straight for them.
+_DELIVER_RANK = {
+    ANSWER: (2,), ACK: (2,), LOCAL_ANSWER: (4,), LOCAL_ACK: (4,),
+    REQ_WRITE: (6, 0), REQ_READ: (6, 1), None: (8,),
+}
+_STORE_RANK = {REQ_WRITE: (5, 0), REQ_READ: (5, 1), None: (7,)}
+
+MOVE_KINDS = {
+    "deliver": MoveKind(("ident",), _in_flight, Simulation._deliver, _DELIVER_RANK),
+    "send": MoveKind(("agent",), _client_can_send, Simulation._client_send, {None: (1,)}),
+    "recv": MoveKind(("agent", "ident"), _in_own_box, Simulation._client_recv, {None: (0,)}),
+    "db": MoveKind(("ident",), _in_db_box, Simulation._db_step, _STORE_RANK),
+    "dc": MoveKind(("agent", "ident", "sel"), _in_own_box, Simulation._dc_step, _STORE_RANK),
+    "collect": MoveKind(("agent", "ident"), _in_live_box, Simulation._collect, {None: (3,)}),
+}
 
 
 def run(
@@ -694,35 +730,10 @@ class SearchResult:
 
 def _search_priority(move: Move) -> tuple:
     """Exploration order for the schedule search (not part of the schedule
-    semantics).  Client progress and request handling come before internal
-    fan-out, pending writes before reads, and forwarded propagation last:
-    consistency anomalies live where propagation lags behind answers, so the
-    first descents head straight for them."""
-    desc = move.descriptor()
-    if move.tag == "recv":
-        return (0, desc)
-    if move.tag == "send":
-        return (1, desc)
-    if move.tag == "collect":
-        return (3, desc)
-    if move.tag == "deliver":
-        kind = move.msg.kind
-        if kind in (ANSWER, ACK):
-            return (2, desc)
-        if kind in (LOCAL_ANSWER, LOCAL_ACK):
-            return (4, desc)
-        if kind == REQ_WRITE:
-            return (6, 0, desc)
-        if kind == REQ_READ:
-            return (6, 1, desc)
-        return (8, desc)
-    if move.tag in ("db", "dc"):
-        if move.msg.kind == REQ_WRITE:
-            return (5, 0, desc)
-        if move.msg.kind == REQ_READ:
-            return (5, 1, desc)
-        return (7, desc)
-    return (9, desc)  # pragma: no cover
+    semantics); see the ranks in MOVE_KINDS."""
+    rank = MOVE_KINDS[move.tag].rank
+    msg_kind = move.msg.kind if move.msg is not None else None
+    return rank.get(msg_kind, rank[None]) + (move.descriptor(),)
 
 
 def search_schedules(
@@ -741,11 +752,13 @@ def search_schedules(
     mailboxes, client outputs), so predicates should depend on agents'
     observable payload histories rather than on raw step indices; the bundled
     predicates do.  ``exhausted`` is True when the whole (de-duplicated)
-    schedule space was covered within budget.
+    schedule space was covered within budget, with no branch cut at the
+    step limit.
     """
     root = Simulation(scenario, model, checks=checks, sel_bound=sel_bound)
     visited: set = set()
     explored = 0
+    cut = False  # a branch was skipped at the step limit
     stack = [(root, ())]
     while stack:
         sim, path = stack.pop()
@@ -755,6 +768,7 @@ def search_schedules(
         if sim.clients_done():
             probe = sim.clone()
             if not probe.drain(step_limit):
+                cut = True
                 continue
             trace = probe.trace(_meta(scenario, model, ExplicitSchedule(())))
             if predicate(trace, scenario):
@@ -767,6 +781,7 @@ def search_schedules(
             continue
         visited.add(key)
         if sim.round >= step_limit:
+            cut = True
             continue
         moves = sorted(sim.enumerate_moves(with_selections=True), key=_search_priority)
         for move in reversed(moves):
@@ -776,7 +791,7 @@ def search_schedules(
             except RunDiscarded:
                 continue
             stack.append((child, path + (move.descriptor(),)))
-    return SearchResult(None, None, True, explored)
+    return SearchResult(None, None, not cut, explored)
 
 
 def enumerate_traces(

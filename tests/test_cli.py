@@ -100,6 +100,18 @@ def test_search_budget_exhaustion_exits_3(capsys):
     assert "exhaustive=false" in out
 
 
+def test_search_cut_by_step_limit_is_not_exhaustive(capsys):
+    # Without --steps this search finds a witness; at 3 steps every branch is
+    # cut before the clients finish.
+    code, out, _ = run_cli(
+        ["search", "counterexample", "--model", "cm2", "--predicate", "anomaly-read-stale",
+         "--steps", "3"],
+        capsys,
+    )
+    assert code == 3
+    assert "verdict=NO_WITNESS exhaustive=false" in out
+
+
 def test_exhausted_search_without_witness_exits_0(capsys):
     code, out, _ = run_cli(
         ["search", "anomaly_one_one", "--model", "cm0", "--predicate", "anomaly-read-stale"],

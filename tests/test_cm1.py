@@ -1,5 +1,5 @@
 from replisim.cm0 import Condition
-from replisim.cm1 import answer_read_req, perform_write_req, read_answer_rows
+from replisim.cm1 import answer_read_req, perform_write_req
 from replisim.core import UNDEF, ReplicaStore, Timestamp
 from replisim.messages import ANSWER, REQ_READ, REQ_WRITE, Message
 from test_core import make_cfg
@@ -57,7 +57,8 @@ def test_selection_restricts_view():
     store = setup_store(cfg)
     store.store("x", 1, 1, 1, (0,), (1,), Timestamp(2, 1, 1))
     store.store("x", 1, 2, 1, (0,), (9,), Timestamp(3, 2, 2))
-    rows = read_answer_rows(store, cfg, "x", Condition.true(), {1: frozenset({(1, 1)})})
+    eff = answer_read_req(store, cfg, 1, read_msg(Condition.true()), {1: frozenset({(1, 1)})})
+    rows = eff.sends[0].payload[1]
     assert rows == frozenset({((0,), (1,))})
 
 

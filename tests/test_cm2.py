@@ -5,7 +5,7 @@ from replisim.cm2 import (
     DelegateState,
     collect_respond,
     delegate_external_req,
-    handle_locally_read,
+    handle_locally,
     manage_internal_req,
 )
 from replisim.core import UNDEF, ClockBank, ReplicaStore, Timestamp
@@ -128,12 +128,10 @@ def test_losing_local_write_still_counted():
 
 
 def test_empty_write_set_still_acknowledged():
-    from replisim.cm2 import handle_locally_write
-
     cfg = make_cfg()
     store, clocks = make_state(cfg)
     eff = StepEffect()
-    handle_locally_write(store, clocks, cfg, 2, "x", (), "a1#0", Timestamp(5, 1, 1), eff)
+    handle_locally(store, clocks, cfg, 2, REQ_WRITE, "x", (), "a1#0", Timestamp(5, 1, 1), eff)
     acks = [m for m in eff.sends if m.kind == LOCAL_ACK]
     assert acks and acks[0].payload[1] == (1,)
     assert not any(loc[0] == "rep" for loc in eff.updates)
@@ -145,7 +143,7 @@ def test_local_read_includes_tombstone_triples():
     t = Timestamp(5, 1, 1)
     store.store("x", 1, 1, 1, (0,), UNDEF, t)
     eff = StepEffect()
-    handle_locally_read(store, cfg, 1, "x", Condition.true(), "a1#0", eff)
+    handle_locally(store, clocks, cfg, 1, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
     triples = [m.payload[1] for m in eff.sends if m.kind == LOCAL_ANSWER][0]
     assert triples == frozenset({((0,), UNDEF, t)})
 
@@ -155,7 +153,7 @@ def test_local_read_with_no_alive_copies_sends_empty():
     cfg = type(cfg)(cfg.relations, cfg.offset_ranks, down_nodes=[(2, 1)])
     store, clocks = make_state(cfg)
     eff = StepEffect()
-    handle_locally_read(store, cfg, 2, "x", Condition.true(), "a1#0", eff)
+    handle_locally(store, clocks, cfg, 2, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
     rid, triples, xs = [m for m in eff.sends if m.kind == LOCAL_ANSWER][0].payload
     assert triples == frozenset() and xs == (0,)
 
@@ -166,7 +164,7 @@ def test_local_max_timestamp_wins_between_local_copies():
     store.store("x", 1, 1, 1, (0,), (1,), Timestamp(2, 1, 1))
     store.store("x", 1, 1, 2, (0,), (2,), Timestamp(4, 1, 1))
     eff = StepEffect()
-    handle_locally_read(store, cfg, 1, "x", Condition.true(), "a1#0", eff)
+    handle_locally(store, clocks, cfg, 1, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
     triples = [m for m in eff.sends if m.kind == LOCAL_ANSWER][0].payload[1]
     assert triples == frozenset({((0,), (2,), Timestamp(4, 1, 1))})
 

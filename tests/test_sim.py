@@ -85,6 +85,25 @@ def test_recorded_schedule_replays_identically():
         assert replay.trace.events == r.trace.events
 
 
+def test_cm1_schedule_must_name_policy_compliant_selections():
+    # counterexample writes under ALL over copies (1,1) and (2,1); a schedule
+    # that writes only (1,1) breaks the policy, as do a non-copy node and a
+    # missing fragment group.
+    s = load_scenario("counterexample")
+    steps = run(s, "cm1", SeededSchedule(9)).schedule_steps
+
+    def rewritten(sel):
+        return ExplicitSchedule(tuple(
+            tuple(d[:3] + (sel,) if d[0] == "dc" else d for d in step) for step in steps
+        ))
+
+    for sel in ((((1, ((1, 1),)),)), ((1, ((1, 1), (2, 1), (3, 1))),), ()):
+        with pytest.raises(ScheduleError):
+            run(s, "cm1", rewritten(sel))
+    full = ((1, ((1, 1), (2, 1))),)
+    assert run(s, "cm1", rewritten(full)).completed
+
+
 def test_explicit_schedule_underrun_is_an_error():
     s = load_scenario("counterexample")
     r = run(s, "cm0", SeededSchedule(9))
@@ -218,7 +237,7 @@ def test_freshest_value_guard_fires_on_planted_divergence():
     sim.replicas.data[("x", 1, 1, 1)] = {(0,): ((1,), t)}
     sim.replicas.data[("x", 1, 2, 1)] = {(0,): ((2,), t)}
     with pytest.raises(SimInvariantError):
-        sim._check_invariants()
+        sim._check_invariants([("x", 1, (0,))])
 
 
 def test_local_and_each_quorum_policies_run_end_to_end():
