@@ -79,10 +79,14 @@ def check_writeset(p: WriteSet, cfg: ClusterConfig, rid: str) -> None:
 
 
 def db_answer_read(store: FlatStore, cfg: ClusterConfig, rid: str, cond: Condition) -> frozenset:
-    """Answer set {(k, v)}: defined records whose key satisfies the condition."""
+    """Answer set {(k, v)}: defined records whose key satisfies the condition.
+    Key conditions look their keys up; the others scan the relation."""
     cond.check_arity(cfg, rid)
+    if cond.kind in ("KEY_EQ", "KEY_IN"):
+        keys = (cond.key,) if cond.kind == "KEY_EQ" else cond.keys
+        return frozenset((k, v) for k in keys if (v := store.get(rid, k)) is not UNDEF)
     return frozenset(
-        (k, v) for k, v in store.records(rid) if cond.matches(k, cfg, rid)
+        (k, v) for (r, k), v in store.data.items() if r == rid and cond.matches(k, cfg, rid)
     )
 
 

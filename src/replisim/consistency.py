@@ -53,7 +53,7 @@ class IncompleteTraceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: one object per request per check
 class _ReqInfo:
     req: str
     kind: str  # "read" | "write"
@@ -89,7 +89,7 @@ def _read_values(infos) -> frozenset:
     return frozenset(seen)
 
 
-def _replay_batch(flat: FlatStore, scenario: Scenario, batch: list, skipped: frozenset) -> bool:
+def _replay_batch(flat: FlatStore, scenario: Scenario, batch, skipped: frozenset) -> bool:
     """Replay simultaneous requests: reads evaluate against the shared
     pre-state, then all write sets apply together; conflicting simultaneous
     writes reject the candidate (an inconsistent update set would).
@@ -116,7 +116,7 @@ def _replay_batch(flat: FlatStore, scenario: Scenario, batch: list, skipped: fro
     return True
 
 
-def _waiver_choices(batch: list, read_values: frozenset):
+def _waiver_choices(batch, read_values: frozenset):
     """All ways to leave unread write pairs unapplied, the all-applied
     variant first.  A written value that no agent ever reads does not
     constrain the flattening, so the replay may drop it; deletions are never
@@ -133,6 +133,54 @@ def _waiver_choices(batch: list, read_values: frozenset):
             yield frozenset(combo)
 
 
+_OUT_OF_BUDGET = object()
+
+
+def _search(root, key, expand, done, budget: int):
+    """Depth-first search, with an explicit stack, for a path from ``root``
+    to a state where ``done`` holds.
+
+    ``expand(state)`` yields (step, child) pairs in search order; ``key``
+    names what a state's subtree depends on.  A state whose subtree held no
+    goal is remembered by key for the rest of the call, and a child with a
+    remembered key is skipped without being entered.  ``budget`` bounds the
+    states entered, root included.  Returns (steps from the root to the
+    goal, or None when there is none, or ``_OUT_OF_BUDGET``; states
+    entered)."""
+    nodes = 1
+    if nodes > budget:
+        return _OUT_OF_BUDGET, nodes
+    if done(root):
+        return [], nodes
+    failed = set()
+    path = []  # the steps to the top frame's state
+    stack = [(key(root), expand(root))]
+    while stack:
+        state_key, children = stack[-1]
+        for step, child in children:
+            child_key = key(child)
+            if child_key not in failed:
+                break
+        else:
+            failed.add(state_key)
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            return _OUT_OF_BUDGET, nodes
+        path.append(step)
+        if done(child):
+            return path, nodes
+        stack.append((child_key, expand(child)))
+    return None, nodes
+
+
+def _flat_key(flat: FlatStore) -> frozenset:
+    return frozenset(flat.data.items())
+
+
 def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_000) -> Verdict:
     """Search for one execution point per request, inside its issue/answer
     window, such that replaying the requests in point order against a single
@@ -144,53 +192,52 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
     which case the reads see the shared pre-state.  Returns COMPATIBLE with
     the witness assignment, otherwise INCOMPATIBLE (exhaustive when the
     search space was fully covered).
+
+    A search state is (requests still to place, flat store, last point);
+    ``budget`` bounds the states entered, and ``replays`` reports them.
     """
     infos = _request_infos(trace)
     read_values = _read_values(infos)
-    counter = {"nodes": 0}
 
-    def dfs(remaining: tuple, flat: FlatStore, last_point: int, witness: tuple, waived: frozenset):
-        counter["nodes"] += 1
-        if counter["nodes"] > budget:
-            return "budget"
-        if not remaining:
-            return (witness, waived)
-        order = sorted(remaining, key=lambda i: (i.hi, i.lo, i.req))
+    def expand(state):
+        # ``remaining`` is kept sorted by (hi, lo, req), the order batches
+        # are tried in.  The request with the smallest ``hi`` must be placed
+        # in the batch or after it, so a batch holds only requests issued
+        # before that bound: any other member would push the point past it.
+        remaining, flat, last_point = state
+        bound = remaining[0].hi
+        order = [i for i in remaining if i.lo < bound]
         for size in range(1, len(order) + 1):
             for combo in itertools.combinations(order, size):
                 point = max(last_point + 1, max(i.lo + 1 for i in combo))
                 if any(point > i.hi for i in combo):
                     continue
                 rest = tuple(i for i in remaining if i not in combo)
-                if any(i.hi <= point for i in rest):
+                if rest and rest[0].hi <= point:
                     continue
-                for skipped in _waiver_choices(list(combo), read_values):
+                for skipped in _waiver_choices(combo, read_values):
                     flat2 = flat.clone()
-                    if not _replay_batch(flat2, scenario, list(combo), skipped):
-                        continue
-                    result = dfs(
-                        rest,
-                        flat2,
-                        point,
-                        witness + ((point, tuple(i.req for i in combo)),),
-                        waived | skipped,
-                    )
-                    if result is not None:
-                        return result
-        return None
+                    if _replay_batch(flat2, scenario, combo, skipped):
+                        yield ((point, tuple(i.req for i in combo)), skipped), (rest, flat2, point)
 
-    outcome = dfs(tuple(infos), scenario.initial.clone(), 0, (), frozenset())
-    if outcome == "budget":
-        return Verdict(INCOMPATIBLE, exhaustive=False, replays=counter["nodes"])
-    if outcome is None:
-        return Verdict(INCOMPATIBLE, exhaustive=True, replays=counter["nodes"])
-    witness, waived = outcome
+    root = (tuple(sorted(infos, key=lambda i: (i.hi, i.lo, i.req))), scenario.initial.clone(), 0)
+    steps, nodes = _search(
+        root,
+        key=lambda state: (state[0], _flat_key(state[1]), state[2]),
+        expand=expand,
+        done=lambda state: not state[0],
+        budget=budget,
+    )
+    if steps is _OUT_OF_BUDGET:
+        return Verdict(INCOMPATIBLE, exhaustive=False, replays=nodes)
+    if steps is None:
+        return Verdict(INCOMPATIBLE, exhaustive=True, replays=nodes)
     return Verdict(
         COMPATIBLE,
         exhaustive=True,
-        witness=witness,
-        replays=counter["nodes"],
-        waived=tuple(sorted(waived)),
+        witness=tuple(batch for batch, _ in steps),
+        replays=nodes,
+        waived=tuple(sorted(frozenset().union(*(skipped for _, skipped in steps)))),
     )
 
 
@@ -238,38 +285,37 @@ def view_equivalent(t1: Trace, t2: Trace) -> bool:
 def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_000_000) -> Verdict:
     """Enumerate serial orders of the requests consistent with every agent's
     own order, replaying each through the single-copy oracle; accept when
-    all recorded answers are reproduced."""
+    all recorded answers are reproduced.
+
+    A search state is (requests done per agent, flat store); ``budget``
+    bounds the states entered, and ``replays`` reports them."""
     infos = _request_infos(trace)
     by_agent: dict = {}
     for info in sorted(infos, key=lambda i: i.lo):
         agent = info.req.split("#", 1)[0]
         by_agent.setdefault(agent, []).append(info)
-    counter = {"nodes": 0}
+    queues = [by_agent[a] for a in sorted(by_agent)]
 
-    def dfs(progress: dict, flat: FlatStore, order: tuple):
-        counter["nodes"] += 1
-        if counter["nodes"] > budget:
-            return "budget"
-        if all(progress[a] == len(by_agent[a]) for a in by_agent):
-            return order
-        for agent in sorted(by_agent):
-            if progress[agent] >= len(by_agent[agent]):
+    def expand(state):
+        progress, flat = state
+        for n, queue in enumerate(queues):
+            if progress[n] == len(queue):
                 continue
-            info = by_agent[agent][progress[agent]]
+            info = queue[progress[n]]
             flat2 = flat.clone()
-            if not _replay_batch(flat2, scenario, [info], frozenset()):
-                continue
-            progress2 = dict(progress)
-            progress2[agent] += 1
-            result = dfs(progress2, flat2, order + (info.req,))
-            if result is not None:
-                return result
-        return None
+            if _replay_batch(flat2, scenario, [info], frozenset()):
+                yield info.req, (progress[:n] + (progress[n] + 1,) + progress[n + 1:], flat2)
 
-    progress0 = {a: 0 for a in by_agent}
-    outcome = dfs(progress0, scenario.initial.clone(), ())
-    if outcome == "budget":
-        return Verdict(NOT_SERIALISABLE, exhaustive=False, replays=counter["nodes"])
-    if outcome is None:
-        return Verdict(NOT_SERIALISABLE, exhaustive=True, replays=counter["nodes"])
-    return Verdict(SERIALISABLE, exhaustive=True, witness=outcome, replays=counter["nodes"])
+    total = tuple(len(queue) for queue in queues)
+    steps, nodes = _search(
+        ((0,) * len(queues), scenario.initial.clone()),
+        key=lambda state: (state[0], _flat_key(state[1])),
+        expand=expand,
+        done=lambda state: state[0] == total,
+        budget=budget,
+    )
+    if steps is _OUT_OF_BUDGET:
+        return Verdict(NOT_SERIALISABLE, exhaustive=False, replays=nodes)
+    if steps is None:
+        return Verdict(NOT_SERIALISABLE, exhaustive=True, replays=nodes)
+    return Verdict(SERIALISABLE, exhaustive=True, witness=tuple(steps), replays=nodes)

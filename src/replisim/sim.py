@@ -399,12 +399,17 @@ class Simulation:
 
     def _explicit_selections(self, desc: tuple, msg: Message, sel: Optional[tuple]):
         """A named step's replica selections.  cm1 takes one group per
-        fragment, and each group must comply with the request's policy."""
-        selections = None if sel is None else tuple((j, frozenset(group)) for j, group in sel)
+        fragment, and each group must comply with the request's policy;
+        the other models take none."""
         if self.model != "cm1":
-            return selections
-        if selections is None:
+            if sel is not None:
+                raise ScheduleError(
+                    f"{self.model} step {describe_descriptor(desc)} takes no selections"
+                )
+            return None
+        if sel is None:
             raise ScheduleError(f"cm1 step {describe_descriptor(desc)} needs selections")
+        selections = tuple((j, frozenset(group)) for j, group in sel)
         rid = msg.payload[0]
         fragments = list(range(1, self.cfg.relation(rid).fragments + 1))
         if sorted(j for j, _ in selections) != fragments:

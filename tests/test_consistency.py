@@ -314,3 +314,75 @@ def test_serialisable_implies_compatible_on_appropriate_cm2_runs():
             sv = check_view_serialisable(t, s)
             if sv.kind == "SERIALISABLE" and sv.exhaustive:
                 assert check_view_compatible(t, s).kind == "COMPATIBLE", (name, seed)
+
+
+# ---------------------------------------------------------------------------
+# search cost: failed-state cache, explicit stack, node budget
+# ---------------------------------------------------------------------------
+
+
+# Four agents, five requests each, alternating writes and reads over two
+# relations.  Without a failed-state cache the serialisability search spent
+# its 20,000-node budget on the seed-1 cm0 run of this scenario undecided.
+FOUR_AGENT_PROGRAMS = (
+    (1, "read x key=(0); write y {(1) -> (11)}; read y key=(1); write x {(0) -> (12)}; read x key=(1)"),
+    (2, "write y {(0) -> (21)}; read y key=(0); write x {(0) -> (22)}; read x key=(0); write y {(0) -> (23)}"),
+    (1, "read y key=(0); write x {(1) -> (31)}; read x key=(1); write y {(0) -> (32)}; read y key=(0)"),
+    (2, "write x {(1) -> (41)}; read x key=(0); write y {(0) -> (42)}; read y key=(1); write x {(0) -> (43)}"),
+)
+
+
+@pytest.fixture(scope="module")
+def four_agent_run():
+    s = build(
+        "four_agents",
+        [(f"a{n}", home, program) for n, (home, program) in enumerate(FOUR_AGENT_PROGRAMS, start=1)],
+        relations=("x", "y"),
+        init=("x", "(0) -> (0), (1) -> (1)"),
+    )
+    return s, run(s, "cm0", SeededSchedule(1)).trace
+
+
+def test_long_single_agent_trace_is_decided():
+    # 1,200 requests: deeper than Python's default recursion limit allows a
+    # recursive search to go.
+    program = "; ".join(
+        "read x key=(0)" if n % 2 == 0 else f"write x {{(0) -> ({n})}}" for n in range(1200)
+    )
+    s = build("long", [("a1", 1, program)])
+    t = run(s, "cm0", SeededSchedule(0)).trace
+    vc = check_view_compatible(t, s)
+    vs = check_view_serialisable(t, s)
+    assert (vc.kind, vc.exhaustive) == ("COMPATIBLE", True)
+    assert (vs.kind, vs.exhaustive) == ("SERIALISABLE", True)
+    assert vs.witness == tuple(f"a1#{n}" for n in range(1200))
+
+
+def test_four_agent_trace_is_serialisable_within_budget(four_agent_run):
+    s, t = four_agent_run
+    infos = {i.req: i for i in _request_infos(t)}
+    assert len(infos) == 20
+    v = check_view_serialisable(t, s, budget=20_000)
+    assert (v.kind, v.exhaustive) == ("SERIALISABLE", True)
+    assert v.replays <= 20_000
+    assert sorted(v.witness) == sorted(infos)
+    for agent in ("a1", "a2", "a3", "a4"):
+        own = [req for req in v.witness if req.startswith(agent + "#")]
+        assert own == sorted(own, key=lambda req: infos[req].lo)
+    flat = s.initial.clone()
+    for req in v.witness:
+        info = infos[req]
+        if info.kind == "read":
+            assert db_answer_read(flat, s.cfg, info.rid, info.body) == info.answer
+        else:
+            db_perform_write(flat, s.cfg, info.rid, dict(info.body))
+
+
+@pytest.mark.parametrize("checker", [check_view_compatible, check_view_serialisable])
+@pytest.mark.parametrize("budget", [0, 1, 7])
+def test_budget_stops_the_search_after_budget_plus_one_nodes(four_agent_run, checker, budget):
+    s, t = four_agent_run
+    assert checker(t, s).replays > budget + 1
+    v = checker(t, s, budget=budget)
+    assert not v.exhaustive and not v.ok() and v.witness == ()
+    assert v.replays == budget + 1

@@ -104,6 +104,21 @@ def test_cm1_schedule_must_name_policy_compliant_selections():
     assert run(s, "cm1", rewritten(full)).completed
 
 
+def test_cm2_schedule_must_not_name_selections():
+    # cm2 data-centre steps pick no replica group; a schedule that names one
+    # (here a non-copy node) is refused rather than ignored and echoed.
+    s = load_scenario("counterexample")
+    steps = run(s, "cm2", SeededSchedule(9)).schedule_steps
+    sel = ((1, ((9, 9),)),)
+    rewritten = ExplicitSchedule(tuple(
+        tuple(d[:3] + (sel,) if d[0] == "dc" else d for d in step) for step in steps
+    ))
+    assert any(d[0] == "dc" for step in steps for d in step)
+    with pytest.raises(ScheduleError, match="takes no selections"):
+        run(s, "cm2", rewritten)
+    assert run(s, "cm2", ExplicitSchedule(steps)).completed
+
+
 def test_explicit_schedule_underrun_is_an_error():
     s = load_scenario("counterexample")
     r = run(s, "cm0", SeededSchedule(9))
