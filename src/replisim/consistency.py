@@ -10,6 +10,7 @@ that produced the trace.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .cm0 import db_answer_read, db_perform_write
@@ -62,20 +63,25 @@ class _ReqInfo:
     answer: object  # frozenset of rows for reads, None for writes
     lo: int  # request issued (exclusive window bound)
     hi: int  # response issued (inclusive window bound)
+    index: int  # position in the (hi, lo, req) order
 
 
 def _request_infos(trace: Trace) -> list:
+    """One record per request, in (hi, lo, req) order."""
     if not trace.is_complete():
         raise IncompleteTraceError("checkers need a completed trace (every request answered)")
     reqs, resps = trace.requests(), trace.responses()
-    infos = []
-    for req in sorted(reqs):
+    windows = []
+    for req in reqs:
         r, a = reqs[req], resps[req]
         if not r.idx < a.idx:
             raise IncompleteTraceError(f"request {req} answered no later than it was issued")
-        tag, rid, body = r.payload
-        answer = a.payload[2] if tag == "read" else None
-        infos.append(_ReqInfo(req, tag, rid, body, answer, r.idx, a.idx))
+        windows.append((a.idx, r.idx, req))
+    infos = []
+    for index, (hi, lo, req) in enumerate(sorted(windows)):
+        tag, rid, body = reqs[req].payload
+        answer = resps[req].payload[2] if tag == "read" else None
+        infos.append(_ReqInfo(req, tag, rid, body, answer, lo, hi, index))
     return infos
 
 
@@ -193,39 +199,52 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
     the witness assignment, otherwise INCOMPATIBLE (exhaustive when the
     search space was fully covered).
 
-    A search state is (requests still to place, flat store, last point);
-    ``budget`` bounds the states entered, and ``replays`` reports them.
+    A search state is (placed requests as a bitmask over the (hi, lo, req)
+    order, flat store, last point); ``budget`` bounds the states entered,
+    and ``replays`` reports them.
     """
     infos = _request_infos(trace)
     read_values = _read_values(infos)
+    everything = (1 << len(infos)) - 1
+    lo_from = [math.inf] * (len(infos) + 1)  # lo_from[n]: the smallest lo in infos[n:]
+    for info in reversed(infos):
+        lo_from[info.index] = min(info.lo, lo_from[info.index + 1])
+
+    def first_unplaced(placed: int) -> _ReqInfo:
+        return infos[(~placed & (placed + 1)).bit_length() - 1]
 
     def expand(state):
-        # ``remaining`` is kept sorted by (hi, lo, req), the order batches
-        # are tried in.  The request with the smallest ``hi`` must be placed
-        # in the batch or after it, so a batch holds only requests issued
+        # The unplaced request with the smallest ``hi`` must be placed in
+        # the batch or after it, so a batch holds only requests issued
         # before that bound: any other member would push the point past it.
-        remaining, flat, last_point = state
-        bound = remaining[0].hi
-        order = [i for i in remaining if i.lo < bound]
+        placed, flat, last_point = state
+        first = first_unplaced(placed)
+        bound = first.hi
+        order = []
+        n = first.index
+        while lo_from[n] < bound:
+            if not placed >> n & 1 and infos[n].lo < bound:
+                order.append(infos[n])
+            n += 1
         for size in range(1, len(order) + 1):
             for combo in itertools.combinations(order, size):
                 point = max(last_point + 1, max(i.lo + 1 for i in combo))
                 if any(point > i.hi for i in combo):
                     continue
-                rest = tuple(i for i in remaining if i not in combo)
-                if rest and rest[0].hi <= point:
+                now_placed = placed | sum(1 << i.index for i in combo)
+                if now_placed != everything and first_unplaced(now_placed).hi <= point:
                     continue
                 for skipped in _waiver_choices(combo, read_values):
                     flat2 = flat.clone()
                     if _replay_batch(flat2, scenario, combo, skipped):
-                        yield ((point, tuple(i.req for i in combo)), skipped), (rest, flat2, point)
+                        yield ((point, tuple(i.req for i in combo)), skipped), (now_placed, flat2, point)
 
-    root = (tuple(sorted(infos, key=lambda i: (i.hi, i.lo, i.req))), scenario.initial.clone(), 0)
+    root = (0, scenario.initial.clone(), 0)
     steps, nodes = _search(
         root,
         key=lambda state: (state[0], _flat_key(state[1]), state[2]),
         expand=expand,
-        done=lambda state: not state[0],
+        done=lambda state: state[0] == everything,
         budget=budget,
     )
     if steps is _OUT_OF_BUDGET:

@@ -465,13 +465,17 @@ class Simulation:
         eff = StepEffect()
         eff.consumes.append(msg)
         eff.update(("status", a), ("ready",))
-        index = int(msg.req.split("#", 1)[1])
-        step = self.scenario.programs[a][index]
-        if step.kind == "read" and step.print_answer:
+        step = self._printing_step(move)
+        if step is not None:
             rows = msg.payload[1]
             eff.events.append((PRINT, a, msg.req, ("print", msg.payload[0], rows)))
             eff.update(("out", a), self.outs[a] + ((step.rid, rows),))
         return eff
+
+    def _printing_step(self, move: Move):
+        """The read step whose answer a ``recv`` move prints, or None."""
+        step = self.scenario.programs[move.agent][int(move.msg.req.split("#", 1)[1])]
+        return step if step.kind == "read" and step.print_answer else None
 
     def _db_step(self, move: Move) -> StepEffect:
         msg = move.msg
@@ -799,6 +803,16 @@ def search_schedules(
     return SearchResult(None, None, not cut, explored)
 
 
+def _is_eager(sim: Simulation, move: Move) -> bool:
+    """A move that emits no trace event and commutes with every other move;
+    see ``enumerate_traces``."""
+    if move.tag == "deliver":
+        return move.msg.kind not in REQUEST_KINDS
+    if move.tag == "recv":
+        return sim._printing_step(move) is None
+    return move.tag == "send"
+
+
 def enumerate_traces(
     scenario: Scenario,
     model: str,
@@ -813,41 +827,68 @@ def enumerate_traces(
     trace stands for every run with the same event order; rank compression
     only narrows request windows, which keeps COMPATIBLE verdicts on these
     traces valid for the runs they stand for.
+
+    Where a state has an *eager* move, only the first one is expanded (a
+    persistent set of one move, after Godefroid, LNCS 1032).  Eager moves
+    are a ``deliver`` of a message other than a request, a ``send``, and a
+    ``recv`` whose program step does not print.  Such a move emits no event
+    and touches only its own agent's ``pc``/``status`` or one message's
+    place: in flight, then in a mailbox, or dropped at a dead delegate,
+    which the delegate's final ``dlive`` would also do.  No other enabled
+    move touches the same, the moves it enables (the message's consumer,
+    the client's next step) can only follow it, and nothing disables it.
+    So every completed run from the state either contains the move, and
+    moving it to the front keeps the run's event sequence, or completes
+    without it, and the same run after it gives the same event sequence.
+    The returned set is the unreduced one.  The choice depends only on the
+    state, so suffixes are memoised by ``state_key``; ``max_states`` counts
+    the distinct states of the reduced graph.  The graph is walked with an
+    explicit stack, so no recursion limit caps the length of a run.
     """
+
+    def expand(sim: Simulation) -> list:
+        moves = sim.enumerate_moves(with_selections=True)
+        return next(([move] for move in moves if _is_eager(sim, move)), moves)
+
     memo: dict = {}
     states = 0
+    # A frame is (state key, state, moves still to try, suffixes found so
+    # far, events of the move into the state, the parent's suffixes).  When
+    # its moves are done, its suffix set is memoised and extends the parent's.
+    stack: list = []
 
-    def suffixes(sim: Simulation) -> frozenset:
+    def visit(sim: Simulation, emitted: tuple, parent_out: set) -> None:
         nonlocal states
         if sim.clients_done():
-            return frozenset({()})
+            parent_out.add(emitted)
+            return
         key = sim.state_key(include_round=False)
         cached = memo.get(key)
         if cached is not None:
-            return cached
+            parent_out.update(emitted + suffix for suffix in cached)
+            return
         states += 1
         if states > max_states:
             raise ConfigError(f"trace enumeration exceeded {max_states} states")
-        out = set()
-        for move in sim.enumerate_moves(with_selections=True):
-            child = sim.clone()
-            mark = len(child.events)
-            try:
-                child.apply_round([move])
-            except RunDiscarded:
-                continue
-            emitted = tuple(
-                (e.kind, e.agent, e.req, e.payload) for e in child.events[mark:]
-            )
-            for suffix in suffixes(child):
-                out.add(emitted + suffix)
-        result = frozenset(out)
-        memo[key] = result
-        return result
+        stack.append((key, sim, iter(expand(sim)), set(), emitted, parent_out))
 
-    root = Simulation(scenario, model, checks=checks, sel_bound=sel_bound)
+    bodies: set = set()
+    visit(Simulation(scenario, model, checks=checks, sel_bound=sel_bound), (), bodies)
+    while stack:
+        key, sim, moves, out, emitted, parent_out = stack[-1]
+        move = next(moves, None)
+        if move is None:
+            stack.pop()
+            memo[key] = suffixes = frozenset(out)
+            parent_out.update(emitted + suffix for suffix in suffixes)
+            continue
+        child = sim.clone()
+        mark = len(child.events)
+        child.apply_round([move])  # one move's updates cannot conflict
+        visit(child, tuple((e.kind, e.agent, e.req, e.payload) for e in child.events[mark:]), out)
+
     traces = set()
-    for body in suffixes(root):
+    for body in bodies:
         events = tuple(
             TraceEvent(i, kind, agent, req, payload)
             for i, (kind, agent, req, payload) in enumerate(body, start=1)
