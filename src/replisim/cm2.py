@@ -11,7 +11,7 @@ messages is the only nondeterminism, and the only source of anomalies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cm0 import check_writeset
 from .core import (
@@ -40,9 +40,12 @@ from .messages import (
 from .policies import CountState, Policy, sufficient
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelegateState:
-    """Per-request answer collector, scheduled like any other agent."""
+    """Per-request answer collector, scheduled like any other agent.
+
+    A delegate is a value: each ``collect`` step replaces it with its
+    successor, and the step that answers deletes it."""
 
     gid: str
     req: str
@@ -53,28 +56,11 @@ class DelegateState:
     mediator_dc: int
     counts: CountState
     answer: dict = field(default_factory=dict)  # key -> (value, timestamp)
-    live: bool = True
     log: tuple = ()  # ((sender_dc, xs, triples), ...) for audit checks
-
-    def clone(self) -> "DelegateState":
-        return DelegateState(
-            gid=self.gid,
-            req=self.req,
-            kind=self.kind,
-            rid=self.rid,
-            cond=self.cond,
-            requestor=self.requestor,
-            mediator_dc=self.mediator_dc,
-            counts=self.counts.clone(),
-            answer=dict(self.answer),
-            live=self.live,
-            log=self.log,
-        )
 
     def state_key(self) -> tuple:
         return (
             self.gid,
-            self.live,
             self.counts.state_key(),
             tuple(
                 (k, v if v is UNDEF else tuple(v), t.key())
@@ -161,7 +147,7 @@ def delegate_external_req(
         mediator_dc=d,
         counts=CountState.zero(cfg, rid),
     )
-    eff.update(("dnew", gid), delegate)
+    eff.update(("delegate", gid), delegate)
     handle_locally(replicas, clocks, cfg, d, msg.kind, rid, body, msg.req, t_current, eff)
     for d2 in cfg.relation(rid).data_centres:
         if d2 != d:
@@ -221,7 +207,8 @@ def collect_respond(
     msg: Message,
 ) -> StepEffect:
     """One delegate step: fold in a partial answer, and respond and delete
-    the delegate as soon as the policy is satisfied."""
+    the delegate as soon as the policy is satisfied.  The step writes the
+    delegate's successor, or None once it has answered."""
     eff = StepEffect()
     sender_dc = int(msg.sender[1:])
     if delegate.kind == "read":
@@ -229,9 +216,6 @@ def collect_respond(
             raise ConfigError(f"read delegate {delegate.gid} got {msg.kind}")
         rid, triples, xs = msg.payload
         merged = freshest([delegate.answer, _answer_map(triples)])
-        for k, vt in merged.items():
-            if delegate.answer.get(k) != vt:
-                eff.update(("dans", delegate.gid, k), vt)
     else:
         if msg.kind != LOCAL_ACK:
             raise ConfigError(f"write delegate {delegate.gid} got {msg.kind}")
@@ -240,11 +224,7 @@ def collect_respond(
         merged = delegate.answer
     counts = delegate.counts.clone()
     counts.add(sender_dc, xs)
-    for j, x in enumerate(xs, start=1):
-        eff.update(("dcount", delegate.gid, j), counts.by_fragment[j])
-        eff.update(("dcountd", delegate.gid, j, sender_dc), counts.by_fragment_dc[(j, sender_dc)])
     log = delegate.log + ((sender_dc, xs, triples),)
-    eff.update(("dlog", delegate.gid), log)
     eff.consumes.append(msg)
     if sufficient(counts, policy, cfg, delegate.rid):
         _audit(delegate, counts, merged, log)
@@ -262,5 +242,7 @@ def collect_respond(
                 Message(ACK, delegate.req, mediator, delegate.requestor, payload=(delegate.rid,))
             )
             eff.events.append(("RESP", delegate.requestor, delegate.req, ("ack", delegate.rid)))
-        eff.update(("dlive", delegate.gid), False)
+        eff.update(("delegate", delegate.gid), None)
+    else:
+        eff.update(("delegate", delegate.gid), replace(delegate, counts=counts, answer=merged, log=log))
     return eff

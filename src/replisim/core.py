@@ -431,11 +431,6 @@ class FlatStore:
         else:
             self.data[(rid, k)] = v
 
-    def records(self, rid: str) -> Iterator[tuple]:
-        for (r, k), v in sorted(self.data.items(), key=lambda kv: (kv[0][0], tuple_sort_key(kv[0][1]))):
-            if r == rid:
-                yield k, v
-
     def state_key(self) -> tuple:
         return tuple(sorted(self.data.items(), key=lambda kv: (kv[0][0], tuple_sort_key(kv[0][1]))))
 

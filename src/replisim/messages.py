@@ -37,16 +37,9 @@ class Message:
     def ident(self) -> tuple:
         return (self.kind, self.req, self.sender, self.receiver)
 
-    def describe(self) -> str:
-        return f"{self.kind}:{self.req}:{self.sender}>{self.receiver}"
-
 
 def dc_agent(d: int) -> str:
     return f"d{d}"
-
-
-def agent_dc(agent: str) -> int:
-    return int(agent[1:])
 
 
 def delegate_agent(req: str) -> str:

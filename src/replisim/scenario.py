@@ -56,10 +56,6 @@ class Scenario:
     homes: dict  # agent -> dc
     initial: FlatStore
 
-    def touched_relations(self) -> tuple:
-        rids = {step.rid for prog in self.programs.values() for step in prog}
-        return tuple(sorted(rids))
-
     def with_policies(self, read: Policy, write: Policy) -> "Scenario":
         return Scenario(
             name=self.name,

@@ -227,8 +227,7 @@ class Simulation:
         self.pc = {a: 0 for a in scenario.programs}
         self.status = {a: ("ready",) for a in scenario.programs}
         self.outs = {a: () for a in scenario.programs}
-        self.delegates: dict = {}
-        self.dead_delegates: set = set()
+        self.delegates: dict = {}  # gid -> DelegateState, live delegates only
         self.inflight: dict = {}  # ident -> Message
         self.mailbox: dict = {}  # agent -> {ident: Message}
         self.events: list = []
@@ -252,8 +251,7 @@ class Simulation:
         s.pc = dict(self.pc)
         s.status = dict(self.status)
         s.outs = dict(self.outs)
-        s.delegates = {gid: d.clone() for gid, d in self.delegates.items()}
-        s.dead_delegates = set(self.dead_delegates)
+        s.delegates = dict(self.delegates)  # delegates are values, shared
         s.inflight = dict(self.inflight)
         s.mailbox = {a: dict(m) for a, m in self.mailbox.items()}
         s.events = list(self.events)
@@ -284,11 +282,8 @@ class Simulation:
         boxes = tuple(
             (agent, tuple(sorted(box))) for agent, box in sorted(self.mailbox.items()) if box
         )
-        payloads = tuple(
-            self.inflight[i].payload for i in sorted(self.inflight)
-        ) + tuple(
-            m.payload for _, box in sorted(self.mailbox.items()) for m in
-            (box[i] for i in sorted(box))
+        payloads = tuple(self.inflight[i].payload for i in msgs) + tuple(
+            self.mailbox[agent][i].payload for agent, idents in boxes for i in idents
         )
         stores: tuple
         if self.model == "cm0":
@@ -302,8 +297,7 @@ class Simulation:
             msgs,
             boxes,
             payloads,
-            tuple(sorted((gid, d.state_key()) for gid, d in self.delegates.items() if d.live)),
-            tuple(sorted(self.dead_delegates)),
+            tuple(sorted((gid, d.state_key()) for gid, d in self.delegates.items())),
             tuple(sorted(self.answered)),
         )
 
@@ -338,9 +332,6 @@ class Simulation:
                     else:
                         moves.append(Move("dc", agent=agent, msg=msg))
             for gid in sorted(self.delegates):
-                delegate = self.delegates[gid]
-                if not delegate.live:
-                    continue
                 box = self.mailbox.get(gid, {})
                 for ident in sorted(box):
                     moves.append(Move("collect", agent=gid, msg=box[ident]))
@@ -529,6 +520,12 @@ class Simulation:
                         f"{merged[loc]!r} vs {value!r}"
                     )
                 merged[loc] = value
+        if len(effects) > 1:
+            # e.g. two collects that each complete one delegate: both delete
+            # it, so their updates agree, but both send its response
+            sent = [msg.ident() for eff in effects for msg in eff.sends]
+            if len(set(sent)) < len(sent):
+                raise RunDiscarded(f"round {self.round}: two moves send the same message")
         # messages: consumes first, then deliveries, then fresh sends
         for eff in effects:
             for msg in eff.consumes:
@@ -540,11 +537,8 @@ class Simulation:
                 msg = value
                 del self.inflight[msg.ident()]
                 receiver = msg.receiver
-                if receiver.startswith("g!") and (
-                    receiver in self.dead_delegates or receiver not in self.delegates
-                ):
-                    pass  # late message to a deleted delegate: dropped
-                else:
+                # a late message to a deleted delegate is dropped
+                if not receiver.startswith("g!") or receiver in self.delegates:
                     self.mailbox.setdefault(receiver, {})[msg.ident()] = msg
                 del merged[loc]
         for eff in effects:
@@ -593,21 +587,13 @@ class Simulation:
                 self.status[loc[1]] = value
             elif tag == "out":
                 self.outs[loc[1]] = value
-            elif tag == "dnew":
-                self.delegates[loc[1]] = value.clone()
-            elif tag == "dans":
-                self.delegates[loc[1]].answer[loc[2]] = value
-            elif tag == "dcount":
-                self.delegates[loc[1]].counts.by_fragment[loc[2]] = value
-            elif tag == "dcountd":
-                self.delegates[loc[1]].counts.by_fragment_dc[(loc[2], loc[3])] = value
-            elif tag == "dlog":
-                self.delegates[loc[1]].log = value
-            elif tag == "dlive":
+            elif tag == "delegate":
                 gid = loc[1]
-                self.delegates[gid].live = False
-                self.dead_delegates.add(gid)
-                self.mailbox.pop(gid, None)
+                if value is None:  # answered: the delegate and its mailbox go
+                    del self.delegates[gid]
+                    self.mailbox.pop(gid, None)
+                else:
+                    self.delegates[gid] = value
             else:  # pragma: no cover
                 raise ConfigError(f"unknown update location {loc!r}")
 
@@ -660,12 +646,6 @@ def _in_db_box(sim: Simulation, agent: str, ident: tuple) -> Message:
     return sim.mailbox[DB_AGENT][ident]
 
 
-def _in_live_box(sim: Simulation, gid: str, ident: tuple) -> Message:
-    if gid not in sim.delegates or not sim.delegates[gid].live:
-        raise KeyError("delegate is not live")
-    return sim.mailbox[gid][ident]
-
-
 # Search ranks: client progress and request handling come before internal
 # fan-out, pending writes before reads, and forwarded propagation last:
 # consistency anomalies live where propagation lags behind answers, so the
@@ -682,7 +662,7 @@ MOVE_KINDS = {
     "recv": MoveKind(("agent", "ident"), _in_own_box, Simulation._client_recv, {None: (0,)}),
     "db": MoveKind(("ident",), _in_db_box, Simulation._db_step, _STORE_RANK),
     "dc": MoveKind(("agent", "ident", "sel"), _in_own_box, Simulation._dc_step, _STORE_RANK),
-    "collect": MoveKind(("agent", "ident"), _in_live_box, Simulation._collect, {None: (3,)}),
+    "collect": MoveKind(("agent", "ident"), _in_own_box, Simulation._collect, {None: (3,)}),
 }
 
 
@@ -834,7 +814,7 @@ def enumerate_traces(
     ``recv`` whose program step does not print.  Such a move emits no event
     and touches only its own agent's ``pc``/``status`` or one message's
     place: in flight, then in a mailbox, or dropped at a dead delegate,
-    which the delegate's final ``dlive`` would also do.  No other enabled
+    which the delegate's deletion would also do.  No other enabled
     move touches the same, the moves it enables (the message's consumer,
     the client's next step) can only follow it, and nothing disables it.
     So every completed run from the state either contains the move, and

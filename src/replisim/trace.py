@@ -234,9 +234,6 @@ class Trace:
     def agents(self) -> tuple:
         return tuple(sorted({e.agent for e in self.events}))
 
-    def simultaneous(self, e1: TraceEvent, e2: TraceEvent) -> bool:
-        return e1.idx == e2.idx
-
     def prints(self, agent: Optional[str] = None) -> tuple:
         evs = [e for e in self.events if e.kind == PRINT]
         if agent is not None:

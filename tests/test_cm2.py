@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from replisim.cm0 import Condition
@@ -20,7 +22,7 @@ from replisim.messages import (
     Message,
     StepEffect,
 )
-from replisim.policies import ALL, ONE, CountState
+from replisim.policies import ALL, ONE, THREE, CountState
 from test_core import make_cfg
 
 
@@ -66,7 +68,7 @@ def test_new_delegate_counts_are_zero():
     cfg = make_cfg()
     store, clocks = make_state(cfg)
     eff = delegate_external_req(store, clocks, cfg, 1, read_req())
-    delegate = eff.updates[("dnew", "g!a1#0")]
+    delegate = eff.updates[("delegate", "g!a1#0")]
     assert all(v == 0 for v in delegate.counts.by_fragment.values())
     assert all(v == 0 for v in delegate.counts.by_fragment_dc.values())
     assert delegate.answer == {}
@@ -76,9 +78,9 @@ def test_read_request_spawns_read_collector():
     cfg = make_cfg()
     store, clocks = make_state(cfg)
     eff = delegate_external_req(store, clocks, cfg, 1, read_req())
-    assert eff.updates[("dnew", "g!a1#0")].kind == "read"
+    assert eff.updates[("delegate", "g!a1#0")].kind == "read"
     eff2 = delegate_external_req(store, clocks, cfg, 1, write_req([((0,), (1,))], req="a1#1"))
-    assert eff2.updates[("dnew", "g!a1#1")].kind == "write"
+    assert eff2.updates[("delegate", "g!a1#1")].kind == "write"
 
 
 def test_home_sends_its_own_local_answer_to_the_delegate():
@@ -174,19 +176,26 @@ def test_local_max_timestamp_wins_between_local_copies():
 # ---------------------------------------------------------------------------
 
 
+def seen_once(delegate, sender_dc, answer, triples, xs=(1,)):
+    """The delegate after one partial answer from ``sender_dc``."""
+    counts = delegate.counts.clone()
+    counts.add(sender_dc, xs)
+    return dataclasses.replace(
+        delegate, counts=counts, answer=answer, log=delegate.log + ((sender_dc, xs, triples),)
+    )
+
+
 def local_answer(triples, xs=(1,), sender="d2", req="a1#0"):
     return Message(LOCAL_ANSWER, req, sender, f"g!{req}", payload=("x", frozenset(triples), xs))
 
 
 def test_merge_keeps_fresher_triple():
     cfg = make_cfg()
-    delegate = fresh_delegate(cfg)
     fresher = ((0,), (2,), Timestamp(4, 2, 2))
-    delegate.answer[(0,)] = ((2,), Timestamp(4, 2, 2))
-    delegate.counts.add(2, (1,))
-    delegate.log = ((2, (1,), frozenset({fresher})),)
+    delegate = seen_once(fresh_delegate(cfg), 2, {(0,): ((2,), Timestamp(4, 2, 2))}, frozenset({fresher}))
+    eff = collect_respond(delegate, cfg, THREE, local_answer([((0,), (1,), Timestamp(2, 1, 1))], sender="d1"))
+    assert eff.updates[("delegate", delegate.gid)].answer == delegate.answer  # stale triple ignored
     eff = collect_respond(delegate, cfg, ALL, local_answer([((0,), (1,), Timestamp(2, 1, 1))], sender="d1"))
-    assert ("dans", delegate.gid, (0,)) not in eff.updates  # stale triple ignored
     answers = [m for m in eff.sends if m.kind == ANSWER]
     assert answers and answers[0].payload[1] == frozenset({((0,), (2,))})
 
@@ -199,7 +208,7 @@ def test_read_one_responds_on_first_answer():
     assert len(answers) == 1
     assert answers[0].payload[1] == frozenset({((0,), (5,))})
     assert answers[0].sender == "d1" and answers[0].receiver == "a1"
-    assert eff.updates[("dlive", delegate.gid)] is False
+    assert eff.updates[("delegate", delegate.gid)] is None
 
 
 def test_read_all_waits_for_every_copy():
@@ -207,16 +216,18 @@ def test_read_all_waits_for_every_copy():
     delegate = fresh_delegate(cfg)
     eff = collect_respond(delegate, cfg, ALL, local_answer([((0,), (5,), Timestamp(2, 1, 1))]))
     assert not eff.sends  # gamma = 2, one response so far
-    assert eff.updates[("dcount", delegate.gid, 1)] == 1
+    assert eff.updates[("delegate", delegate.gid)].counts.by_fragment[1] == 1
 
 
 def test_tombstones_dropped_only_at_respond():
     cfg = make_cfg()
-    delegate = fresh_delegate(cfg)
     t_del = Timestamp(7, 2, 2)
-    delegate.answer[(0,)] = ((1,), Timestamp(2, 1, 1))
-    delegate.counts.add(1, (1,))
-    delegate.log = ((1, (1,), frozenset({((0,), (1,), Timestamp(2, 1, 1))})),)
+    delegate = seen_once(
+        fresh_delegate(cfg),
+        1,
+        {(0,): ((1,), Timestamp(2, 1, 1))},
+        frozenset({((0,), (1,), Timestamp(2, 1, 1))}),
+    )
     eff = collect_respond(delegate, cfg, ALL, local_answer([((0,), UNDEF, t_del)], sender="d2"))
     answers = [m for m in eff.sends if m.kind == ANSWER]
     assert answers and answers[0].payload[1] == frozenset()  # deletion dominates
@@ -228,32 +239,26 @@ def test_write_all_acks_when_counts_reach_gamma():
     ack1 = Message(LOCAL_ACK, "a1#0", "d1", "g!a1#0", payload=("x", (1,)))
     eff1 = collect_respond(delegate, cfg, ALL, ack1)
     assert not eff1.sends
-    delegate.counts.add(1, (1,))
-    delegate.log = ((1, (1,), frozenset()),)
+    delegate = eff1.updates[("delegate", delegate.gid)]
     ack2 = Message(LOCAL_ACK, "a1#0", "d2", "g!a1#0", payload=("x", (1,)))
     eff2 = collect_respond(delegate, cfg, ALL, ack2)
     assert [m.kind for m in eff2.sends] == [ACK]
-    assert eff2.updates[("dlive", delegate.gid)] is False
+    assert eff2.updates[("delegate", delegate.gid)] is None
 
 
 def test_ack_order_does_not_change_counts():
     cfg = make_cfg()
 
     def total_after(order):
+        # THREE is not satisfied by two acks, so each step yields a successor
         delegate = fresh_delegate(cfg, kind="write")
         for sender in order:
             msg = Message(LOCAL_ACK, "a1#0", sender, "g!a1#0", payload=("x", (1,)))
-            eff = collect_respond(delegate, cfg, ALL, msg)
-            for loc, v in eff.updates.items():
-                if loc[0] == "dcount":
-                    delegate.counts.by_fragment[loc[2]] = v
-                elif loc[0] == "dcountd":
-                    delegate.counts.by_fragment_dc[(loc[2], loc[3])] = v
-                elif loc[0] == "dlog":
-                    delegate.log = v
+            delegate = collect_respond(delegate, cfg, THREE, msg).updates[("delegate", delegate.gid)]
         return dict(delegate.counts.by_fragment), dict(delegate.counts.by_fragment_dc)
 
     assert total_after(["d1", "d2"]) == total_after(["d2", "d1"])
+    assert total_after(["d1", "d2"])[0] == {1: 2}
 
 
 def test_wrong_message_kind_rejected():

@@ -287,7 +287,7 @@ def test_late_message_to_deleted_delegate_is_dropped():
     do(("dc", "d2", ("req_read", "a2#0", "a2", "d2"), None))
     do(("deliver", ("local_answer", "a2#0", "d2", "g!a2#0")))
     do(("collect", "g!a2#0", ("local_answer", "a2#0", "d2", "g!a2#0")))
-    assert not sim.delegates["g!a2#0"].live
+    assert "g!a2#0" not in sim.delegates
     events_before = len(sim.events)
     # the forwarded read is still pending at d1; processing it and delivering
     # the reply to the dead delegate must be a silent no-op
@@ -297,3 +297,71 @@ def test_late_message_to_deleted_delegate_is_dropped():
     assert len(sim.events) == events_before
     assert not sim.mailbox.get("g!a2#0")
     assert sim.enumerate_moves(False) != [] or sim.clients_done() is False
+
+
+def _cm2_write_with_both_acks_pending():
+    """counterexample under cm2 with a1's write delegate holding both local
+    acks, and the two collects that consume them.  Under write policy ALL
+    over two copies only the second collect answers."""
+    sim = Simulation(load_scenario("counterexample"), "cm2")
+    for desc in [
+        ("send", "a1"),
+        ("deliver", ("req_write", "a1#0", "a1", "d1")),
+        ("dc", "d1", ("req_write", "a1#0", "a1", "d1"), None),
+        ("deliver", ("fwd", "a1#0", "d1", "d2")),
+        ("dc", "d2", ("fwd", "a1#0", "d1", "d2"), None),
+        ("deliver", ("local_ack", "a1#0", "d1", "g!a1#0")),
+        ("deliver", ("local_ack", "a1#0", "d2", "g!a1#0")),
+    ]:
+        sim.apply_round([sim.resolve_descriptor(desc)])
+    return sim, [("collect", "g!a1#0", ("local_ack", "a1#0", d, "g!a1#0")) for d in ("d1", "d2")]
+
+
+def test_clones_share_delegates_safely():
+    # A clone shares the original's delegate objects; a collect on the clone
+    # must replace its delegate, never change the shared one.
+    sim, collects = _cm2_write_with_both_acks_pending()
+    delegate = sim.delegates["g!a1#0"]
+    counts_before = dict(delegate.counts.by_fragment_dc)
+    key_before = sim.state_key()
+    clone = sim.clone()
+    assert clone.delegates["g!a1#0"] is delegate
+    clone.apply_round([clone.resolve_descriptor(collects[0])])
+    assert clone.delegates["g!a1#0"] is not delegate
+    assert sim.delegates["g!a1#0"] is delegate
+    assert delegate.counts.by_fragment_dc == counts_before and delegate.log == ()
+    assert sim.state_key() == key_before
+    clone.apply_round([clone.resolve_descriptor(collects[1])])
+    assert "g!a1#0" not in clone.delegates and "g!a1#0" in sim.delegates
+    for desc in collects:
+        sim.apply_round([sim.resolve_descriptor(desc)])
+    assert sim.events == clone.events
+    assert [e.kind for e in sim.events[-1:]] == [RESP]
+
+
+def test_two_collects_on_one_delegate_discard_the_run():
+    # Each ack alone leaves the write delegate waiting under ALL; with read
+    # policy ONE each local answer alone completes the read delegate.  Either
+    # way one delegate cannot take two steps in one round.
+    sim, collects = _cm2_write_with_both_acks_pending()
+    clone = sim.clone()
+    with pytest.raises(RunDiscarded):
+        clone.apply_round([clone.resolve_descriptor(d) for d in collects])
+    for desc in collects:
+        sim.apply_round([sim.resolve_descriptor(desc)])
+    for desc in [
+        ("send", "a2"),
+        ("deliver", ("req_read", "a2#0", "a2", "d2")),
+        ("dc", "d2", ("req_read", "a2#0", "a2", "d2"), None),
+        ("deliver", ("fwd", "a2#0", "d2", "d1")),
+        ("dc", "d1", ("fwd", "a2#0", "d2", "d1"), None),
+        ("deliver", ("local_answer", "a2#0", "d2", "g!a2#0")),
+        ("deliver", ("local_answer", "a2#0", "d1", "g!a2#0")),
+    ]:
+        sim.apply_round([sim.resolve_descriptor(desc)])
+    collects = [
+        sim.resolve_descriptor(("collect", "g!a2#0", ("local_answer", "a2#0", d, "g!a2#0")))
+        for d in ("d1", "d2")
+    ]
+    with pytest.raises(RunDiscarded):
+        sim.apply_round(collects)
