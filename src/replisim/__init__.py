@@ -27,14 +27,12 @@ from .consistency import (
 from .core import (
     NEG_INF,
     UNDEF,
-    ClockBank,
     ClusterConfig,
     ConfigError,
     FlatStore,
     RelationConfig,
     ReplicaStore,
     Timestamp,
-    compare_ts,
     hash_fragment,
     seed_replicas,
 )

@@ -9,7 +9,7 @@ are deterministic given that choice.
 from __future__ import annotations
 
 from .cm0 import check_writeset
-from .core import UNDEF, ClockBank, ClusterConfig, ReplicaStore, freshest, smallest_tick_at_least
+from .core import UNDEF, ClusterConfig, ReplicaStore, catch_up, freshest, issue
 from .messages import ACK, ANSWER, Message, StepEffect, dc_agent
 
 
@@ -41,7 +41,7 @@ def answer_read_req(
 
 def perform_write_req(
     replicas: ReplicaStore,
-    clocks: ClockBank,
+    ticks: dict,
     cfg: ClusterConfig,
     d: int,
     msg: Message,
@@ -51,15 +51,11 @@ def perform_write_req(
     p = dict(pairs)
     check_writeset(p, cfg, rid)
     eff = StepEffect()
-    t_current = clocks.now(d)  # one timestamp per request
-    eff.update(("clock", d), t_current.tick + 1)
+    t_current, advance = issue(cfg, ticks, d)  # one timestamp per request
+    eff.updates.update(advance)
     eff.updates.update(replicas.conditional_write(rid, selections, p, t_current))
     for d2 in sorted({d2 for group in selections.values() for d2, _ in group}):
-        if clocks.now(d2) < t_current:
-            eff.update(
-                ("clock", d2),
-                smallest_tick_at_least(d2, clocks.ranks[d2], t_current),
-            )
+        eff.updates.update(catch_up(cfg, ticks, d2, t_current))
     eff.consumes.append(msg)
     eff.sends.append(Message(ACK, msg.req, dc_agent(d), msg.sender, payload=(rid,)))
     eff.events.append(("RESP", msg.sender, msg.req, ("ack", rid)))

@@ -16,13 +16,13 @@ from dataclasses import dataclass, field, replace
 from .cm0 import check_writeset
 from .core import (
     UNDEF,
-    ClockBank,
     ClusterConfig,
     ConfigError,
     ReplicaStore,
     Timestamp,
+    catch_up,
     freshest,
-    smallest_tick_at_least,
+    issue,
     tuple_sort_key,
 )
 from .messages import (
@@ -79,7 +79,7 @@ def _local_groups(cfg: ClusterConfig, rid: str, d: int) -> dict:
 
 def handle_locally(
     replicas: ReplicaStore,
-    clocks: ClockBank,
+    ticks: dict,
     cfg: ClusterConfig,
     d: int,
     kind: str,
@@ -110,8 +110,7 @@ def handle_locally(
         )
         local_kind, payload = LOCAL_ANSWER, (rid, triples, xs)
     else:
-        if clocks.now(d) < t_write:
-            eff.update(("clock", d), smallest_tick_at_least(d, clocks.ranks[d], t_write))
+        eff.updates.update(catch_up(cfg, ticks, d, t_write))
         eff.updates.update(replicas.conditional_write(rid, groups, dict(body), t_write))
         local_kind, payload = LOCAL_ACK, (rid, xs)
     eff.sends.append(Message(local_kind, req, dc_agent(d), delegate_agent(req), payload=payload))
@@ -119,7 +118,7 @@ def handle_locally(
 
 def delegate_external_req(
     replicas: ReplicaStore,
-    clocks: ClockBank,
+    ticks: dict,
     cfg: ClusterConfig,
     d: int,
     msg: Message,
@@ -127,8 +126,8 @@ def delegate_external_req(
     """Home data centre step: draw a timestamp, spawn the delegate, handle
     the request locally and forward it to every other data centre."""
     eff = StepEffect()
-    t_current = clocks.now(d)
-    eff.update(("clock", d), t_current.tick + 1)
+    t_current, advance = issue(cfg, ticks, d)
+    eff.updates.update(advance)
     is_read = msg.kind == REQ_READ
     rid = msg.payload[0]
     body = msg.payload[1]
@@ -148,7 +147,7 @@ def delegate_external_req(
         counts=CountState.zero(cfg, rid),
     )
     eff.update(("delegate", gid), delegate)
-    handle_locally(replicas, clocks, cfg, d, msg.kind, rid, body, msg.req, t_current, eff)
+    handle_locally(replicas, ticks, cfg, d, msg.kind, rid, body, msg.req, t_current, eff)
     for d2 in cfg.relation(rid).data_centres:
         if d2 != d:
             eff.sends.append(
@@ -166,7 +165,7 @@ def delegate_external_req(
 
 def manage_internal_req(
     replicas: ReplicaStore,
-    clocks: ClockBank,
+    ticks: dict,
     cfg: ClusterConfig,
     d: int,
     msg: Message,
@@ -174,7 +173,7 @@ def manage_internal_req(
     """Forwarded-request step at a non-home data centre."""
     inner_kind, rid, body, t_fwd = msg.payload
     eff = StepEffect()
-    handle_locally(replicas, clocks, cfg, d, inner_kind, rid, body, msg.req, t_fwd, eff)
+    handle_locally(replicas, ticks, cfg, d, inner_kind, rid, body, msg.req, t_fwd, eff)
     if inner_kind != REQ_READ:
         # Message-passing clock condition holds after processing a write.
         eff.checks.append(("cond3", d, t_fwd))

@@ -7,7 +7,7 @@ owned by exactly one simulation instance.  Nothing does I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 Atom = Union[int, str]
@@ -58,36 +58,22 @@ def tuple_sort_key(t: tuple) -> tuple:
 # Timestamps
 # ---------------------------------------------------------------------------
 
-LT, EQ, GT = -1, 0, 1
 
-
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=True)
 class Timestamp:
     """Logical time ``tick`` plus the issuing data centre's offset rank.
 
-    The pair (tick, rank) is compared lexicographically; ranks are injective
-    per data centre, so timestamps issued by distinct data centres are never
+    Timestamps order and compare on (tick, rank); ranks are injective per
+    data centre, so timestamps issued by distinct data centres are never
     equal.  ``NEG_INF`` (tick 0) sits below every issued timestamp.
     """
 
     tick: int
-    dc: int
+    dc: int = field(compare=False)
     rank: int
 
     def key(self) -> tuple:
         return (self.tick, self.rank)
-
-    def __lt__(self, other: "Timestamp") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "Timestamp") -> bool:
-        return self.key() <= other.key()
-
-    def __gt__(self, other: "Timestamp") -> bool:
-        return self.key() > other.key()
-
-    def __ge__(self, other: "Timestamp") -> bool:
-        return self.key() >= other.key()
 
     def is_neg_inf(self) -> bool:
         return self.tick == 0
@@ -101,65 +87,35 @@ class Timestamp:
 NEG_INF = Timestamp(0, -1, -1)
 
 
-def compare_ts(t1: Timestamp, t2: Timestamp) -> int:
-    """Three-way comparison, one of LT, EQ, GT."""
-    k1, k2 = t1.key(), t2.key()
-    if k1 < k2:
-        return LT
-    if k1 > k2:
-        return GT
-    return EQ
+# ---------------------------------------------------------------------------
+# Logical clocks
+# ---------------------------------------------------------------------------
+
+# A clock is one tick per data centre (``ticks``: dc -> tick), ranked by
+# ``cfg.offset_ranks``.  It advances by one exactly when it issues a
+# timestamp, and jumps forward to catch up with a received future
+# timestamp.  The functions below only compute updates; the engine applies
+# them and checks that ticks never decrease.
+
+START_TICK = 2  # every clock's first tick; seeded replicas carry tick 1
 
 
-class ClockBank:
-    """Per-data-centre logical clocks.
-
-    A clock advances by one exactly when it issues a timestamp, and jumps
-    forward when adjusted to a received future timestamp.  Ticks never
-    decrease.
-    """
-
-    def __init__(self, ranks: Mapping[int, int], start_tick: int = 2):
-        self.ranks = dict(ranks)
-        self.ticks = {d: start_tick for d in ranks}
-
-    def clone(self) -> "ClockBank":
-        c = ClockBank.__new__(ClockBank)
-        c.ranks = self.ranks  # static, shared
-        c.ticks = dict(self.ticks)
-        return c
-
-    def now(self, d: int) -> Timestamp:
-        if d not in self.ticks:
-            raise ConfigError(f"unknown data centre {d}")
-        return Timestamp(self.ticks[d], d, self.ranks[d])
-
-    def fresh_timestamp(self, d: int) -> Timestamp:
-        """Issue the current time at ``d`` and advance the clock by one."""
-        t = self.now(d)
-        self.ticks[d] = t.tick + 1
-        return t
-
-    def adjust_clock(self, d: int, t: Timestamp) -> None:
-        """Jump ``d``'s clock to the smallest local time that is >= ``t``.
-
-        No change when the clock is already at or past ``t``.
-        """
-        if t.is_neg_inf():
-            raise ConfigError("cannot adjust to -inf")
-        if self.now(d) >= t:
-            return
-        self.ticks[d] = smallest_tick_at_least(d, self.ranks[d], t)
-
-    def state_key(self) -> tuple:
-        return tuple(sorted(self.ticks.items()))
+def issue(cfg: "ClusterConfig", ticks: Mapping[int, int], d: int) -> tuple:
+    """The timestamp ``d`` issues now, and the update that advances its
+    clock by one for having issued it."""
+    if d not in ticks:
+        raise ConfigError(f"unknown data centre {d}")
+    t = Timestamp(ticks[d], d, cfg.offset_ranks[d])
+    return t, {("clock", d): t.tick + 1}
 
 
-def smallest_tick_at_least(d: int, rank: int, t: Timestamp) -> int:
-    """Least tick n such that the timestamp (n, d) is >= ``t``."""
-    if Timestamp(t.tick, d, rank) >= t:
-        return t.tick
-    return t.tick + 1
+def catch_up(cfg: "ClusterConfig", ticks: Mapping[int, int], d: int, t: Timestamp) -> dict:
+    """The update that moves ``d``'s clock to the least tick whose timestamp
+    at ``d`` is >= ``t``; empty when the clock is there already."""
+    if d not in ticks:
+        raise ConfigError(f"unknown data centre {d}")
+    least = t.tick if cfg.offset_ranks[d] >= t.rank else t.tick + 1
+    return {("clock", d): least} if ticks[d] < least else {}
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +225,6 @@ class ClusterConfig:
 
     def all_dcs(self) -> tuple:
         return tuple(sorted(self.offset_ranks))
-
-    def make_clock_bank(self) -> ClockBank:
-        return ClockBank(self.offset_ranks)
 
 
 # ---------------------------------------------------------------------------

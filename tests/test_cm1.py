@@ -1,6 +1,6 @@
 from replisim.cm0 import Condition
 from replisim.cm1 import answer_read_req, perform_write_req
-from replisim.core import UNDEF, ReplicaStore, Timestamp
+from replisim.core import UNDEF, ReplicaStore, Timestamp, issue
 from replisim.messages import ANSWER, REQ_READ, REQ_WRITE, Message
 from test_core import make_cfg
 
@@ -62,27 +62,25 @@ def test_selection_restricts_view():
     assert rows == frozenset({((0,), (1,))})
 
 
-def make_clockbank(cfg, start=2):
-    from replisim.core import ClockBank
-
-    return ClockBank(cfg.offset_ranks, start_tick=start)
+def make_ticks(cfg, start=2):
+    return dict.fromkeys(cfg.offset_ranks, start)
 
 
-def apply_updates(store, clocks, eff):
+def apply_updates(store, ticks, eff):
     for loc, value in eff.updates.items():
         if loc[0] == "rep":
             _, rid, j, d, n, k = loc
             store.store(rid, j, d, n, k, value[0], value[1])
         elif loc[0] == "clock":
-            clocks.ticks[loc[1]] = value
+            ticks[loc[1]] = value
 
 
 def test_write_updates_older_replicas():
     cfg = make_cfg()
-    store, clocks = setup_store(cfg), make_clockbank(cfg, start=5)
+    store, ticks = setup_store(cfg), make_ticks(cfg, start=5)
     store.store("x", 1, 1, 1, (0,), (0,), Timestamp(1, 1, 1))
-    eff = perform_write_req(store, clocks, cfg, 1, write_msg([((0,), (1,))]), full_selection(cfg))
-    apply_updates(store, clocks, eff)
+    eff = perform_write_req(store, ticks, cfg, 1, write_msg([((0,), (1,))]), full_selection(cfg))
+    apply_updates(store, ticks, eff)
     v, t = store.lookup("x", 1, 1, 1, (0,))
     assert v == (1,) and (t.tick, t.dc) == (5, 1)
     assert eff.events[0][3] == ("ack", "x")
@@ -90,11 +88,11 @@ def test_write_updates_older_replicas():
 
 def test_newer_timestamp_rejects_the_write():
     cfg = make_cfg()
-    store, clocks = setup_store(cfg), make_clockbank(cfg, start=2)
+    store, ticks = setup_store(cfg), make_ticks(cfg, start=2)
     ahead = Timestamp(9, 2, 2)
     store.store("x", 1, 2, 1, (0,), (9,), ahead)
-    eff = perform_write_req(store, clocks, cfg, 1, write_msg([((0,), (1,))]), full_selection(cfg))
-    apply_updates(store, clocks, eff)
+    eff = perform_write_req(store, ticks, cfg, 1, write_msg([((0,), (1,))]), full_selection(cfg))
+    apply_updates(store, ticks, eff)
     assert store.lookup("x", 1, 2, 1, (0,)) == ((9,), ahead)  # lost update
     # the losing write still updated the replica it could reach
     assert store.lookup("x", 1, 1, 1, (0,))[0] == (1,)
@@ -102,9 +100,9 @@ def test_newer_timestamp_rejects_the_write():
 
 def test_write_all_reaches_every_replica():
     cfg = make_cfg(nodes=2, replication=2)
-    store, clocks = setup_store(cfg), make_clockbank(cfg)
-    eff = perform_write_req(store, clocks, cfg, 1, write_msg([((0,), (4,))]), full_selection(cfg))
-    apply_updates(store, clocks, eff)
+    store, ticks = setup_store(cfg), make_ticks(cfg)
+    eff = perform_write_req(store, ticks, cfg, 1, write_msg([((0,), (4,))]), full_selection(cfg))
+    apply_updates(store, ticks, eff)
     stamps = set()
     for (d, n) in cfg.candidates("x", 1):
         v, t = store.lookup("x", 1, d, n, (0,))
@@ -116,21 +114,21 @@ def test_write_all_reaches_every_replica():
 def test_write_adjusts_lagging_clocks():
     cfg = make_cfg()
     store = setup_store(cfg)
-    clocks = make_clockbank(cfg)
-    clocks.ticks[1] = 10  # writer ahead
-    clocks.ticks[2] = 2
-    eff = perform_write_req(store, clocks, cfg, 1, write_msg([((0,), (1,))]), full_selection(cfg))
-    apply_updates(store, clocks, eff)
+    ticks = make_ticks(cfg)
+    ticks[1] = 10  # writer ahead
+    ticks[2] = 2
+    eff = perform_write_req(store, ticks, cfg, 1, write_msg([((0,), (1,))]), full_selection(cfg))
+    apply_updates(store, ticks, eff)
     # the write carried (10, d1); dc2's clock must now be at least that
-    assert clocks.now(2) >= Timestamp(10, 1, 1)
-    assert clocks.ticks[1] == 11
+    assert issue(cfg, ticks, 2)[0] >= Timestamp(10, 1, 1)
+    assert ticks[1] == 11
 
 
 def test_tombstone_write_propagates():
     cfg = make_cfg()
-    store, clocks = setup_store(cfg), make_clockbank(cfg)
+    store, ticks = setup_store(cfg), make_ticks(cfg)
     store.store("x", 1, 1, 1, (0,), (3,), Timestamp(1, 1, 1))
-    eff = perform_write_req(store, clocks, cfg, 1, write_msg([((0,), UNDEF)]), full_selection(cfg))
-    apply_updates(store, clocks, eff)
+    eff = perform_write_req(store, ticks, cfg, 1, write_msg([((0,), UNDEF)]), full_selection(cfg))
+    apply_updates(store, ticks, eff)
     v, t = store.lookup("x", 1, 1, 1, (0,))
     assert v is UNDEF and t.tick == 2

@@ -10,7 +10,7 @@ from replisim.cm2 import (
     handle_locally,
     manage_internal_req,
 )
-from replisim.core import UNDEF, ClockBank, ReplicaStore, Timestamp
+from replisim.core import UNDEF, ReplicaStore, Timestamp
 from replisim.messages import (
     ACK,
     ANSWER,
@@ -27,7 +27,7 @@ from test_core import make_cfg
 
 
 def make_state(cfg, start=2):
-    return ReplicaStore(cfg), ClockBank(cfg.offset_ranks, start_tick=start)
+    return ReplicaStore(cfg), dict.fromkeys(cfg.offset_ranks, start)
 
 
 def read_req(req="a1#0", home="d1"):
@@ -58,16 +58,16 @@ def fresh_delegate(cfg, kind="read", rid="x"):
 
 def test_forwards_go_to_all_other_data_centres():
     cfg = make_cfg(dcs=(1, 2, 3))
-    store, clocks = make_state(cfg)
-    eff = delegate_external_req(store, clocks, cfg, 1, read_req())
+    store, ticks = make_state(cfg)
+    eff = delegate_external_req(store, ticks, cfg, 1, read_req())
     fwds = [m for m in eff.sends if m.kind == FWD]
     assert sorted(m.receiver for m in fwds) == ["d2", "d3"]
 
 
 def test_new_delegate_counts_are_zero():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
-    eff = delegate_external_req(store, clocks, cfg, 1, read_req())
+    store, ticks = make_state(cfg)
+    eff = delegate_external_req(store, ticks, cfg, 1, read_req())
     delegate = eff.updates[("delegate", "g!a1#0")]
     assert all(v == 0 for v in delegate.counts.by_fragment.values())
     assert all(v == 0 for v in delegate.counts.by_fragment_dc.values())
@@ -76,17 +76,17 @@ def test_new_delegate_counts_are_zero():
 
 def test_read_request_spawns_read_collector():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
-    eff = delegate_external_req(store, clocks, cfg, 1, read_req())
+    store, ticks = make_state(cfg)
+    eff = delegate_external_req(store, ticks, cfg, 1, read_req())
     assert eff.updates[("delegate", "g!a1#0")].kind == "read"
-    eff2 = delegate_external_req(store, clocks, cfg, 1, write_req([((0,), (1,))], req="a1#1"))
+    eff2 = delegate_external_req(store, ticks, cfg, 1, write_req([((0,), (1,))], req="a1#1"))
     assert eff2.updates[("delegate", "g!a1#1")].kind == "write"
 
 
 def test_home_sends_its_own_local_answer_to_the_delegate():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
-    eff = delegate_external_req(store, clocks, cfg, 1, read_req())
+    store, ticks = make_state(cfg)
+    eff = delegate_external_req(store, ticks, cfg, 1, read_req())
     locals_ = [m for m in eff.sends if m.kind == LOCAL_ANSWER]
     assert len(locals_) == 1 and locals_[0].receiver == "g!a1#0"
 
@@ -98,9 +98,9 @@ def test_home_sends_its_own_local_answer_to_the_delegate():
 
 def test_forwarded_read_yields_one_local_answer():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
+    store, ticks = make_state(cfg)
     fwd = Message(FWD, "a1#0", "d1", "d2", payload=(REQ_READ, "x", Condition.true(), Timestamp(2, 1, 1)))
-    eff = manage_internal_req(store, clocks, cfg, 2, fwd)
+    eff = manage_internal_req(store, ticks, cfg, 2, fwd)
     answers = [m for m in eff.sends if m.kind == LOCAL_ANSWER]
     assert len(answers) == 1
     rid, triples, xs = answers[0].payload
@@ -109,10 +109,10 @@ def test_forwarded_read_yields_one_local_answer():
 
 def test_forwarded_write_yields_ack_and_adjusts_clock():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
+    store, ticks = make_state(cfg)
     t_fwd = Timestamp(9, 1, 1)
     fwd = Message(FWD, "a1#0", "d1", "d2", payload=(REQ_WRITE, "x", (((0,), (1,)),), t_fwd))
-    eff = manage_internal_req(store, clocks, cfg, 2, fwd)
+    eff = manage_internal_req(store, ticks, cfg, 2, fwd)
     acks = [m for m in eff.sends if m.kind == LOCAL_ACK]
     assert len(acks) == 1 and acks[0].payload[1] == (1,)
     assert eff.updates[("clock", 2)] == 9  # (9, d2) >= (9, d1) since rank 2 > rank 1
@@ -121,19 +121,19 @@ def test_forwarded_write_yields_ack_and_adjusts_clock():
 
 def test_losing_local_write_still_counted():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
+    store, ticks = make_state(cfg)
     store.store("x", 1, 2, 1, (0,), (9,), Timestamp(9, 2, 2))
     fwd = Message(FWD, "a1#0", "d1", "d2", payload=(REQ_WRITE, "x", (((0,), (1,)),), Timestamp(2, 1, 1)))
-    eff = manage_internal_req(store, clocks, cfg, 2, fwd)
+    eff = manage_internal_req(store, ticks, cfg, 2, fwd)
     assert not any(loc[0] == "rep" for loc in eff.updates)  # update lost
     assert [m.payload[1] for m in eff.sends if m.kind == LOCAL_ACK] == [(1,)]
 
 
 def test_empty_write_set_still_acknowledged():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
+    store, ticks = make_state(cfg)
     eff = StepEffect()
-    handle_locally(store, clocks, cfg, 2, REQ_WRITE, "x", (), "a1#0", Timestamp(5, 1, 1), eff)
+    handle_locally(store, ticks, cfg, 2, REQ_WRITE, "x", (), "a1#0", Timestamp(5, 1, 1), eff)
     acks = [m for m in eff.sends if m.kind == LOCAL_ACK]
     assert acks and acks[0].payload[1] == (1,)
     assert not any(loc[0] == "rep" for loc in eff.updates)
@@ -141,11 +141,11 @@ def test_empty_write_set_still_acknowledged():
 
 def test_local_read_includes_tombstone_triples():
     cfg = make_cfg()
-    store, clocks = make_state(cfg)
+    store, ticks = make_state(cfg)
     t = Timestamp(5, 1, 1)
     store.store("x", 1, 1, 1, (0,), UNDEF, t)
     eff = StepEffect()
-    handle_locally(store, clocks, cfg, 1, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
+    handle_locally(store, ticks, cfg, 1, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
     triples = [m.payload[1] for m in eff.sends if m.kind == LOCAL_ANSWER][0]
     assert triples == frozenset({((0,), UNDEF, t)})
 
@@ -153,20 +153,20 @@ def test_local_read_includes_tombstone_triples():
 def test_local_read_with_no_alive_copies_sends_empty():
     cfg = make_cfg(dcs=(1, 2))
     cfg = type(cfg)(cfg.relations, cfg.offset_ranks, down_nodes=[(2, 1)])
-    store, clocks = make_state(cfg)
+    store, ticks = make_state(cfg)
     eff = StepEffect()
-    handle_locally(store, clocks, cfg, 2, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
+    handle_locally(store, ticks, cfg, 2, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
     rid, triples, xs = [m for m in eff.sends if m.kind == LOCAL_ANSWER][0].payload
     assert triples == frozenset() and xs == (0,)
 
 
 def test_local_max_timestamp_wins_between_local_copies():
     cfg = make_cfg(nodes=2, replication=2)
-    store, clocks = make_state(cfg)
+    store, ticks = make_state(cfg)
     store.store("x", 1, 1, 1, (0,), (1,), Timestamp(2, 1, 1))
     store.store("x", 1, 1, 2, (0,), (2,), Timestamp(4, 1, 1))
     eff = StepEffect()
-    handle_locally(store, clocks, cfg, 1, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
+    handle_locally(store, ticks, cfg, 1, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
     triples = [m for m in eff.sends if m.kind == LOCAL_ANSWER][0].payload[1]
     assert triples == frozenset({((0,), (2,), Timestamp(4, 1, 1))})
 

@@ -1,15 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from replisim.core import (
-    EQ,
-    GT,
-    LT,
     NEG_INF,
     UNDEF,
-    ClockBank,
     ClusterConfig,
     ConfigError,
     FlatStore,
@@ -17,9 +13,10 @@ from replisim.core import (
     ReplicaStore,
     Timestamp,
     atom_sort_key,
-    compare_ts,
+    catch_up,
     hash_fragment,
     hash_key,
+    issue,
     seed_replicas,
 )
 
@@ -68,19 +65,19 @@ def test_atom_rejects_non_atoms():
 
 
 def test_neg_inf_is_minimum():
-    assert compare_ts(NEG_INF, Timestamp(1, 1, 1)) == LT
-    assert compare_ts(NEG_INF, NEG_INF) == EQ
+    assert NEG_INF < Timestamp(1, 1, 1)
+    assert NEG_INF == NEG_INF
 
 
 def test_offset_rank_breaks_tick_ties():
     t1 = Timestamp(3, 1, 1)
     t2 = Timestamp(3, 2, 2)
-    assert compare_ts(t1, t2) == LT
-    assert compare_ts(t2, t1) == GT
+    assert t1 < t2
+    assert t2 > t1
 
 
 def test_tick_dominates_rank():
-    assert compare_ts(Timestamp(2, 2, 2), Timestamp(3, 1, 1)) == LT
+    assert Timestamp(2, 2, 2) < Timestamp(3, 1, 1)
 
 
 ts_strategy = st.one_of(
@@ -92,12 +89,12 @@ ts_strategy = st.one_of(
 
 
 @given(ts_strategy, ts_strategy, ts_strategy)
-def test_compare_ts_is_a_total_order(a, b, c):
-    assert compare_ts(a, b) == -compare_ts(b, a)
-    if compare_ts(a, b) != GT and compare_ts(b, c) != GT:
-        assert compare_ts(a, c) != GT
-    if compare_ts(a, b) == EQ:
-        assert a == b
+def test_timestamp_order_is_total(a, b, c):
+    assert [a < b, a == b, a > b].count(True) == 1
+    if a <= b and b <= c:
+        assert a <= c
+    if a == b:
+        assert a.dc == b.dc and hash(a) == hash(b)
 
 
 @given(
@@ -109,53 +106,41 @@ def test_compare_ts_is_a_total_order(a, b, c):
 def test_distinct_dcs_never_produce_equal_timestamps(n1, n2, dc1, dc2):
     t1, t2 = Timestamp(n1, *dc1), Timestamp(n2, *dc2)
     if dc1 != dc2:
-        assert compare_ts(t1, t2) != EQ
+        assert t1 != t2
 
 
 def test_fresh_timestamp_returns_then_advances():
-    clocks = ClockBank({1: 1, 2: 2}, start_tick=5)
-    t = clocks.fresh_timestamp(1)
+    t, advance = issue(make_cfg(), {1: 5, 2: 5}, 1)
     assert (t.tick, t.dc) == (5, 1)
-    assert clocks.ticks[1] == 6
+    assert advance == {("clock", 1): 6}
 
 
 def test_fresh_timestamps_strictly_increase_and_stay_distinct():
-    clocks = ClockBank({1: 1, 2: 2})
+    cfg, ticks = make_cfg(), {1: 2, 2: 2}
     seen = []
     for _ in range(10):
-        seen.append(clocks.fresh_timestamp(1))
-        seen.append(clocks.fresh_timestamp(2))
+        for d in (1, 2):
+            t, advance = issue(cfg, ticks, d)
+            ticks[d] = advance[("clock", d)]
+            seen.append(t)
     assert all(a < b for a, b in zip(seen[0::2], seen[2::2]))
     assert len(set(seen)) == len(seen)
 
 
 def test_fresh_timestamp_unknown_dc():
-    clocks = ClockBank({1: 1})
     with pytest.raises(ConfigError):
-        clocks.fresh_timestamp(9)
+        issue(make_cfg(dcs=(1,)), {1: 2}, 9)
 
 
-def test_adjust_clock_same_dc_allows_equality():
-    clocks = ClockBank({1: 1}, start_tick=2)
-    clocks.adjust_clock(1, Timestamp(5, 1, 1))
-    assert clocks.ticks[1] == 5
-
-
-def test_adjust_clock_lower_rank_needs_next_tick():
-    # Least n <= 7 with (n, d) >= (5, d') and rank(d) < rank(d') is 6,
-    # by enumerating all candidates (oracle in tests/README note).
-    t = Timestamp(5, 2, 2)
-    least = min(n for n in range(1, 8) if Timestamp(n, 1, 1) >= t)
-    assert least == 6
-    clocks = ClockBank({1: 1, 2: 2}, start_tick=2)
-    clocks.adjust_clock(1, t)
-    assert clocks.ticks[1] == 6
-
-
-def test_adjust_clock_no_change_when_ahead():
-    clocks = ClockBank({1: 1, 2: 2}, start_tick=9)
-    clocks.adjust_clock(1, Timestamp(5, 2, 2))
-    assert clocks.ticks[1] == 9
+@given(st.integers(1, 12), st.sampled_from([1, 2, 3]), ts_strategy)
+@example(2, 1, Timestamp(5, 1, 1))  # same data centre: equality suffices, tick 5
+@example(2, 1, Timestamp(5, 2, 2))  # lower rank needs the next tick, 6
+@example(9, 1, Timestamp(5, 2, 2))  # already past: no update
+def test_catch_up_moves_to_the_least_tick_at_or_past(tick, d, t):
+    # Oracle: enumerate every candidate tick for (n, d) >= t.
+    least = min(n for n in range(1, t.tick + 2) if Timestamp(n, d, d) >= t)
+    update = catch_up(make_cfg(dcs=(1, 2, 3)), {1: tick, 2: tick, 3: tick}, d, t)
+    assert update == ({("clock", d): least} if tick < least else {})
 
 
 # ---------------------------------------------------------------------------

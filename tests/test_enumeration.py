@@ -36,7 +36,7 @@ def reference_traces(scenario, model):
 
     return frozenset(
         Trace(events=tuple(TraceEvent(i, *event) for i, event in enumerate(body, start=1)))
-        for body in suffixes(Simulation(scenario, model, checks=False))
+        for body in suffixes(Simulation(scenario, model))
     )
 
 

@@ -255,6 +255,28 @@ def test_freshest_value_guard_fires_on_planted_divergence():
         sim._check_invariants([("x", 1, (0,))])
 
 
+def test_clock_guards_fire_on_planted_faults(monkeypatch):
+    # White-box: the engine refuses a clock update that moves backwards,
+    # and a data centre still behind a forwarded write after processing it
+    # (the message-passing clock condition).
+    from replisim import SimInvariantError, cm2
+
+    sim = Simulation(load_scenario("counterexample"), "cm2")
+    with pytest.raises(SimInvariantError, match="clock at dc 1 moved backwards"):
+        sim._apply_updates({("clock", 1): 1})
+    for desc in [("send", "a1"), ("deliver", ("req_write", "a1#0", "a1", "d1"))]:
+        sim.apply_round([sim.resolve_descriptor(desc)])
+    sim.ticks[1] = 9  # d1 stamps the write (9, d1), ahead of d2's clock
+    for desc in [
+        ("dc", "d1", ("req_write", "a1#0", "a1", "d1"), None),
+        ("deliver", ("fwd", "a1#0", "d1", "d2")),
+    ]:
+        sim.apply_round([sim.resolve_descriptor(desc)])
+    monkeypatch.setattr(cm2, "catch_up", lambda cfg, ticks, d, t: {})
+    with pytest.raises(SimInvariantError, match="clock at dc 2 behind"):
+        sim.apply_round([sim.resolve_descriptor(("dc", "d2", ("fwd", "a1#0", "d1", "d2"), None))])
+
+
 def test_local_and_each_quorum_policies_run_end_to_end():
     s = build(
         "localpol",
@@ -347,9 +369,14 @@ def test_two_collects_on_one_delegate_discard_the_run():
     clone = sim.clone()
     with pytest.raises(RunDiscarded):
         clone.apply_round([clone.resolve_descriptor(d) for d in collects])
-    for desc in collects:
-        sim.apply_round([sim.resolve_descriptor(desc)])
-    for desc in [
+    with pytest.raises(RunDiscarded):
+        sim.apply_round(_cm2_read_with_both_answers_pending(sim, collects))
+
+
+def _cm2_read_with_both_answers_pending(sim, write_collects):
+    """Finish a1's write, then bring a2's read delegate to holding both
+    local answers; returns the two collects, each of which answers."""
+    for desc in write_collects + [
         ("send", "a2"),
         ("deliver", ("req_read", "a2#0", "a2", "d2")),
         ("dc", "d2", ("req_read", "a2#0", "a2", "d2"), None),
@@ -359,9 +386,23 @@ def test_two_collects_on_one_delegate_discard_the_run():
         ("deliver", ("local_answer", "a2#0", "d1", "g!a2#0")),
     ]:
         sim.apply_round([sim.resolve_descriptor(desc)])
-    collects = [
+    return [
         sim.resolve_descriptor(("collect", "g!a2#0", ("local_answer", "a2#0", d, "g!a2#0")))
         for d in ("d1", "d2")
     ]
-    with pytest.raises(RunDiscarded):
-        sim.apply_round(collects)
+
+
+def test_a_discarded_round_leaves_the_simulation_unchanged():
+    # Both discard checks run before the round counts: conflicting updates
+    # (two write-delegate collects) and one response sent twice (two
+    # read-delegate collects).  The error names the refused round.
+    sim, collects = _cm2_write_with_both_acks_pending()
+
+    def refused(moves, reason):
+        before = (sim.round, list(sim.executed), sim.state_key())
+        with pytest.raises(RunDiscarded, match=f"round {sim.round + 1}: {reason}"):
+            sim.apply_round(moves)
+        assert (sim.round, sim.executed, sim.state_key()) == before
+
+    refused([sim.resolve_descriptor(d) for d in collects], "conflicting updates")
+    refused(_cm2_read_with_both_answers_pending(sim, collects), "two moves send the same message")
