@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from replisim.core import (
     NEG_INF,
@@ -132,10 +132,26 @@ def test_fresh_timestamp_unknown_dc():
         issue(make_cfg(dcs=(1,)), {1: 2}, 9)
 
 
+def test_adjust_clock_same_dc_allows_equality():
+    update = catch_up(make_cfg(dcs=(1,)), {1: 2}, 1, Timestamp(5, 1, 1))
+    assert update == {("clock", 1): 5}
+
+
+def test_adjust_clock_lower_rank_needs_next_tick():
+    # Least n <= 7 with (n, d) >= (5, d') and rank(d) < rank(d') is 6,
+    # by enumerating all candidates.
+    t = Timestamp(5, 2, 2)
+    least = min(n for n in range(1, 8) if Timestamp(n, 1, 1) >= t)
+    assert least == 6
+    update = catch_up(make_cfg(), {1: 2, 2: 2}, 1, t)
+    assert update == {("clock", 1): 6}
+
+
+def test_adjust_clock_no_change_when_ahead():
+    assert catch_up(make_cfg(), {1: 9, 2: 9}, 1, Timestamp(5, 2, 2)) == {}
+
+
 @given(st.integers(1, 12), st.sampled_from([1, 2, 3]), ts_strategy)
-@example(2, 1, Timestamp(5, 1, 1))  # same data centre: equality suffices, tick 5
-@example(2, 1, Timestamp(5, 2, 2))  # lower rank needs the next tick, 6
-@example(9, 1, Timestamp(5, 2, 2))  # already past: no update
 def test_catch_up_moves_to_the_least_tick_at_or_past(tick, d, t):
     # Oracle: enumerate every candidate tick for (n, d) >= t.
     least = min(n for n in range(1, t.tick + 2) if Timestamp(n, d, d) >= t)
