@@ -42,9 +42,7 @@ print()
 
 print("collection-time sufficiency for EACH_QUORUM(1/2) (per-dc majorities):")
 for d1_count, d2_count in itertools.product(range(4), repeat=2):
-    counts = CountState.zero(cfg, "x")
-    counts.add(1, (d1_count,))
-    counts.add(2, (d2_count,))
+    counts = CountState.zero(cfg, "x").add(1, (d1_count,)).add(2, (d2_count,))
     if sufficient(counts, each_quorum(HALF), cfg, "x"):
         print(f"   counts d1={d1_count} d2={d2_count}: sufficient")
 print()

@@ -28,10 +28,11 @@ EXIT_EXHAUSTED = 3
 
 
 def default_budget() -> int:
+    text = os.environ.get("REPLISIM_BUDGET", "1000000")
     try:
-        return int(os.environ.get("REPLISIM_BUDGET", "1000000"))
+        return int(text)
     except ValueError:
-        return 1_000_000
+        raise ValueError(f"REPLISIM_BUDGET must be an integer, not {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,6 @@ from .core import (
     catch_up,
     freshest,
     issue,
-    tuple_sort_key,
 )
 from .messages import (
     ACK,
@@ -57,16 +56,6 @@ class DelegateState:
     counts: CountState
     answer: dict = field(default_factory=dict)  # key -> (value, timestamp)
     log: tuple = ()  # ((sender_dc, xs, triples), ...) for audit checks
-
-    def state_key(self) -> tuple:
-        return (
-            self.gid,
-            self.counts.state_key(),
-            tuple(
-                (k, v if v is UNDEF else tuple(v), t.key())
-                for k, (v, t) in sorted(self.answer.items(), key=lambda kv: tuple_sort_key(kv[0]))
-            ),
-        )
 
 
 def _local_groups(cfg: ClusterConfig, rid: str, d: int) -> dict:
@@ -221,8 +210,7 @@ def collect_respond(
         rid, xs = msg.payload
         triples = frozenset()
         merged = delegate.answer
-    counts = delegate.counts.clone()
-    counts.add(sender_dc, xs)
+    counts = delegate.counts.add(sender_dc, xs)
     log = delegate.log + ((sender_dc, xs, triples),)
     eff.consumes.append(msg)
     if sufficient(counts, policy, cfg, delegate.rid):

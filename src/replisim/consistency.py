@@ -183,10 +183,6 @@ def _search(root, key, expand, done, budget: int):
     return None, nodes
 
 
-def _flat_key(flat: FlatStore) -> frozenset:
-    return frozenset(flat.data.items())
-
-
 def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_000) -> Verdict:
     """Search for one execution point per request, inside its issue/answer
     window, such that replaying the requests in point order against a single
@@ -242,7 +238,7 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
     root = (0, scenario.initial.clone(), 0)
     steps, nodes = _search(
         root,
-        key=lambda state: (state[0], _flat_key(state[1]), state[2]),
+        key=lambda state: (state[0], state[1].state_key(), state[2]),
         expand=expand,
         done=lambda state: state[0] == everything,
         budget=budget,
@@ -328,7 +324,7 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
     total = tuple(len(queue) for queue in queues)
     steps, nodes = _search(
         ((0,) * len(queues), scenario.initial.clone()),
-        key=lambda state: (state[0], _flat_key(state[1])),
+        key=lambda state: (state[0], state[1].state_key()),
         expand=expand,
         done=lambda state: state[0] == total,
         budget=budget,

@@ -8,7 +8,7 @@ owned by exactly one simulation instance.  Nothing does I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 Atom = Union[int, str]
 KeyTuple = tuple  # tuple of atoms, length = relation arity
@@ -71,9 +71,6 @@ class Timestamp:
     tick: int
     dc: int = field(compare=False)
     rank: int
-
-    def key(self) -> tuple:
-        return (self.tick, self.rank)
 
     def is_neg_inf(self) -> bool:
         return self.tick == 0
@@ -330,17 +327,8 @@ class ReplicaStore:
             if jk == j and self.peek(rid, j, d, node, k)[1] < t
         }
 
-    def items(self) -> Iterator[tuple]:
-        for loc in sorted(self.data):
-            for k in sorted(self.data[loc], key=tuple_sort_key):
-                v, t = self.data[loc][k]
-                yield loc, k, v, t
-
-    def state_key(self) -> tuple:
-        return tuple(
-            (loc, k, v if v is UNDEF else tuple(v), t.key())
-            for loc, k, v, t in self.items()
-        )
+    def state_key(self) -> frozenset:
+        return frozenset((loc, k, vt) for loc, copy in self.data.items() for k, vt in copy.items())
 
 
 def freshest(copies: Iterable[Mapping]) -> dict:
@@ -384,16 +372,16 @@ class FlatStore:
         else:
             self.data[(rid, k)] = v
 
-    def state_key(self) -> tuple:
-        return tuple(sorted(self.data.items(), key=lambda kv: (kv[0][0], tuple_sort_key(kv[0][1]))))
+    def state_key(self) -> frozenset:
+        return frozenset(self.data.items())
 
 
 def seed_replicas(cfg: ClusterConfig, flat: FlatStore) -> ReplicaStore:
     """Copy initial flat records onto every replica with one shared timestamp.
 
     The seeding timestamp is tick 1 at the lowest-offset data centre, below
-    any timestamp a clock bank will ever issue, so all replicas agree on the
-    initial state.
+    any timestamp a clock issues (clocks start at ``START_TICK``), so all
+    replicas agree on the initial state.
     """
     store = ReplicaStore(cfg)
     d0 = cfg.lowest_offset_dc()

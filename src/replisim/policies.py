@@ -128,9 +128,11 @@ def complies(selection, policy: Policy, cfg: ClusterConfig, rid: str, j: int) ->
     raise ConfigError(f"unknown policy kind {kind}")  # pragma: no cover
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountState:
-    """Responses seen so far: per fragment, and per fragment and data centre."""
+    """Responses seen so far: per fragment, and per fragment and data centre.
+
+    A value: ``add`` returns the successor and leaves this one as it is."""
 
     by_fragment: dict  # j -> int
     by_fragment_dc: dict  # (j, d) -> int
@@ -142,19 +144,12 @@ class CountState:
         by_jd = {(j, d): 0 for j in by_j for d in rel.data_centres}
         return cls(by_j, by_jd)
 
-    def add(self, d: int, xs) -> None:
+    def add(self, d: int, xs) -> "CountState":
+        by_j, by_jd = dict(self.by_fragment), dict(self.by_fragment_dc)
         for j, x in enumerate(xs, start=1):
-            self.by_fragment[j] += x
-            self.by_fragment_dc[(j, d)] += x
-
-    def state_key(self) -> tuple:
-        return (
-            tuple(sorted(self.by_fragment.items())),
-            tuple(sorted(self.by_fragment_dc.items())),
-        )
-
-    def clone(self) -> "CountState":
-        return CountState(dict(self.by_fragment), dict(self.by_fragment_dc))
+            by_j[j] += x
+            by_jd[(j, d)] += x
+        return CountState(by_j, by_jd)
 
 
 def sufficient(counts: CountState, policy: Policy, cfg: ClusterConfig, rid: str) -> bool:

@@ -90,7 +90,7 @@ class Scenario:
                             xs = [0] * rel.fragments
                             for jj in range(1, rel.fragments + 1):
                                 xs[jj - 1] = len(self.cfg.alive_local_copies(rid, jj, d))
-                            counts.add(d, xs)
+                            counts = counts.add(d, xs)
                         if not sufficient(counts, policy, self.cfg, rid):
                             problems.append(
                                 (0, f"{label} policy {policy} can never become sufficient on {rid}")

@@ -276,26 +276,40 @@ class Simulation:
         return Trace(events=tuple(self.events), meta=meta)
 
     def state_key(self, include_round: bool = True) -> tuple:
-        msgs = tuple(sorted(self.inflight))
-        boxes = tuple(
-            (agent, tuple(sorted(box))) for agent, box in sorted(self.mailbox.items()) if box
-        )
-        payloads = tuple(self.inflight[i].payload for i in msgs) + tuple(
-            self.mailbox[agent][i].payload for agent, idents in boxes for i in idents
-        )
-        stores: tuple
-        if self.model == "cm0":
-            stores = ("flat", self.flat.state_key())
-        else:
-            stores = ("rep", self.replicas.state_key(), tuple(sorted(self.ticks.items())))
+        """The state as a tuple of its own hashable values: two states get
+        equal keys exactly when they hold the same values.
+
+        The per-agent maps, the ticks and a delegate's counts keep the order
+        they were built in (``__init__``, ``CountState.zero``), and steps
+        only update existing keys, so they need no sort.  A message's
+        receiver is part of its ident, so the mailboxes key as one
+        ident-sorted tuple.  A delegate's per-fragment counts are the sums
+        of its per-(fragment, dc) counts, so only the latter count.
+
+        ``round`` is not a function of the rest: under ``LOCAL_ONE`` a
+        partial answer is either collected (two rounds) or, when the
+        delegate has already answered, dropped (one round), and the two
+        runs meet one round apart.  So ``search_schedules`` keeps it: the
+        traces its predicates see carry real rounds, and a state reached
+        past the step limit must not stand for the same state reached
+        before it.  ``enumerate_traces`` leaves it out, since it squeezes
+        idle rounds out of its traces.
+        """
+        store = self.flat.state_key() if self.model == "cm0" else self.replicas.state_key()
+        boxed = sorted(item for box in self.mailbox.values() for item in box.items())
         return (
             (self.round,) if include_round else (),
-            tuple(sorted((a, self.pc[a], self.status[a], self.outs[a]) for a in self.pc)),
-            stores,
-            msgs,
-            boxes,
-            payloads,
-            tuple(sorted((gid, d.state_key()) for gid, d in self.delegates.items())),
+            tuple(self.pc.values()),
+            tuple(self.status.values()),
+            tuple(self.outs.values()),
+            tuple(self.ticks.values()) if self.ticks is not None else (),
+            store,
+            tuple(msg for _, msg in sorted(self.inflight.items())),
+            tuple(msg for _, msg in boxed),
+            tuple(
+                (gid, tuple(d.counts.by_fragment_dc.values()), frozenset(d.answer.items()))
+                for gid, d in sorted(self.delegates.items())
+            ),
             tuple(sorted(self.answered)),
         )
 

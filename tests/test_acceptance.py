@@ -309,7 +309,7 @@ def test_criterion_7_policy_truth_tables():
                 by_dc = dict(zip(dcs, counts))
                 cs = CountState.zero(cfg, "x")
                 for d, n in by_dc.items():
-                    cs.add(d, (n,))
+                    cs = cs.add(d, (n,))
                 got = sufficient(cs, policy, cfg, "x")
                 want = _brute_force_sufficient(by_dc, policy, candidates, dcs)
                 assert got == want, (dcs, repl, str(policy), by_dc)
@@ -319,8 +319,7 @@ def test_criterion_7_policy_truth_tables():
         cfg = make_cfg(dcs=(1,), nodes=m, replication=m)
         need = (m + 2) // 2
         for c in range(m + 1):
-            cs = CountState.zero(cfg, "x")
-            cs.add(1, (c,))
+            cs = CountState.zero(cfg, "x").add(1, (c,))
             assert sufficient(cs, quorum(HALF), cfg, "x") == (c >= need)
     elapsed = time.time() - t0
     _passed(7, f"{compared} complies/sufficient cases match the brute-force oracle in {elapsed:.1f}s")

@@ -146,6 +146,16 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+def test_malformed_budget_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("REPLISIM_BUDGET", "1e5")
+    code, out, err = run_cli(
+        ["search", "counterexample", "--model", "cm0", "--predicate", "anomaly-read-stale"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "REPLISIM_BUDGET" in err and "'1e5'" in err
+
+
 def test_cli_subprocess_smoke(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "replisim", "run", "counterexample", "--model", "cm2", "--seed", "1"],

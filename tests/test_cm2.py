@@ -178,10 +178,11 @@ def test_local_max_timestamp_wins_between_local_copies():
 
 def seen_once(delegate, sender_dc, answer, triples, xs=(1,)):
     """The delegate after one partial answer from ``sender_dc``."""
-    counts = delegate.counts.clone()
-    counts.add(sender_dc, xs)
     return dataclasses.replace(
-        delegate, counts=counts, answer=answer, log=delegate.log + ((sender_dc, xs, triples),)
+        delegate,
+        counts=delegate.counts.add(sender_dc, xs),
+        answer=answer,
+        log=delegate.log + ((sender_dc, xs, triples),),
     )
 
 

@@ -31,7 +31,7 @@ def counts_from(cfg, rid, per_dc):
     """CountState for a single-fragment relation, per_dc = {dc: responses}."""
     cs = CountState.zero(cfg, rid)
     for d, n in per_dc.items():
-        cs.add(d, (n,))
+        cs = cs.add(d, (n,))
     return cs
 
 
@@ -85,15 +85,20 @@ def test_sufficient_one_needs_a_response():
     assert sufficient(counts_from(cfg, "x", {1: 1}), ONE, cfg, "x")
 
 
+def test_count_state_add_returns_the_successor():
+    cfg = make_cfg(fragments=2, nodes=2, replication=2)
+    zero = CountState.zero(cfg, "x")
+    counts = zero.add(1, (2, 1))
+    assert zero == CountState.zero(cfg, "x")
+    assert counts.by_fragment == {1: 2, 2: 1}
+    assert counts.by_fragment_dc == {(1, 1): 2, (2, 1): 1, (1, 2): 0, (2, 2): 0}
+
+
 def test_sufficient_all_needs_gamma_everywhere():
     cfg = make_cfg(fragments=2, nodes=2, replication=2)  # gamma = 4 per fragment
-    cs = CountState.zero(cfg, "x")
-    cs.add(1, (2, 2))
-    cs.add(2, (2, 2))
+    cs = CountState.zero(cfg, "x").add(1, (2, 2)).add(2, (2, 2))
     assert sufficient(cs, ALL, cfg, "x")
-    cs2 = CountState.zero(cfg, "x")
-    cs2.add(1, (2, 2))
-    cs2.add(2, (2, 1))
+    cs2 = CountState.zero(cfg, "x").add(1, (2, 2)).add(2, (2, 1))
     assert not sufficient(cs2, ALL, cfg, "x")
 
 
@@ -216,7 +221,7 @@ def test_compliant_selection_counts_are_sufficient():
             for g in enumerate_compliant_selections(cfg, "x", 1, policy, 64):
                 cs = CountState.zero(cfg, "x")
                 for d in cfg.relation("x").data_centres:
-                    cs.add(d, (sum(1 for (d2, _) in g if d2 == d),))
+                    cs = cs.add(d, (sum(1 for (d2, _) in g if d2 == d),))
                 assert sufficient(cs, policy, cfg, "x"), (policy, g)
 
 
