@@ -27,12 +27,27 @@ EXIT_VALIDATION = 2
 EXIT_EXHAUSTED = 3
 
 
+def _not_negative(name: str, value: int) -> int:
+    """A budget or step limit; zero is legal, a negative value is not."""
+    if value < 0:
+        raise ValueError(f"{name} must be 0 or more, not {value}")
+    return value
+
+
 def default_budget() -> int:
     text = os.environ.get("REPLISIM_BUDGET", "1000000")
     try:
-        return int(text)
+        budget = int(text)
     except ValueError:
         raise ValueError(f"REPLISIM_BUDGET must be an integer, not {text!r}") from None
+    return _not_negative("REPLISIM_BUDGET", budget)
+
+
+def _budget(args) -> int:
+    """``--budget`` if given, else ``REPLISIM_BUDGET``, else 1,000,000."""
+    if args.budget is None:
+        return default_budget()
+    return _not_negative("--budget", args.budget)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    steps = _not_negative("--steps", args.steps)
     scenario = load_scenario(args.scenario)
-    result = run(scenario, args.model, SeededSchedule(args.seed), step_limit=args.steps)
+    result = run(scenario, args.model, SeededSchedule(args.seed), step_limit=steps)
     text = result.trace.to_text()
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -90,10 +106,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    budget, steps = _budget(args), _not_negative("--steps", args.steps)
     scenario = load_scenario(args.scenario)
     predicate = load_predicate(args.predicate)
-    budget = args.budget if args.budget is not None else default_budget()
-    result = search_schedules(scenario, args.model, predicate, budget=budget, step_limit=args.steps)
+    result = search_schedules(scenario, args.model, predicate, budget=budget, step_limit=steps)
     if result.witness is not None:
         print(f"verdict=WITNESS exhaustive=false witness={result.witness.describe()}")
         if args.trace:
@@ -108,10 +124,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    budget = _budget(args)
     scenario = load_scenario(args.scenario)
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = Trace.from_text(fh.read())
-    budget = args.budget if args.budget is not None else default_budget()
     if args.property == "compatible":
         verdict = check_view_compatible(trace, scenario, budget=budget)
     else:

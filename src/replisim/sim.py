@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from . import cm1
@@ -71,6 +72,11 @@ class Move:
     selections: Optional[tuple] = None  # ((j, frozenset of (dc, node)), ...)
 
     def descriptor(self) -> tuple:
+        return self._descriptor
+
+    @cached_property
+    def _descriptor(self) -> tuple:
+        # computed once: a search ranks a move by it and its round records it
         return (self.tag,) + tuple(_FIELDS[f][0](self) for f in MOVE_KINDS[self.tag].fields)
 
 
@@ -114,6 +120,7 @@ class MoveKind:
     find: Callable  # (sim, agent, ident) -> the message, if any; KeyError when not enabled
     run: Callable  # (sim, move) -> StepEffect
     rank: dict  # search rank by message kind; None ranks every other kind
+    footprint: Callable  # move -> (tokens written, tokens only read); see independent()
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +145,6 @@ class ExplicitSchedule:
     executed simultaneously (singletons for an interleaving schedule)."""
 
     steps: tuple
-
-    @classmethod
-    def of_moves(cls, descriptors: Iterable[tuple]) -> "ExplicitSchedule":
-        return cls(tuple((d,) for d in descriptors))
 
     def make_picker(self) -> "Picker":
         return _ExplicitPicker(self.steps)
@@ -669,14 +672,69 @@ _DELIVER_RANK = {
 }
 _STORE_RANK = {REQ_WRITE: (5, 0), REQ_READ: (5, 1), None: (7,)}
 
+# Footprint tokens: a message's ident, a client or delegate name, a relation
+# as ("rel", rid), and STORE, which stands for the replicas, the clocks and
+# the delegate table that every dc and collect move may read and write.
+STORE = ("store",)
+
+
+def _deliver_footprint(move: Move) -> tuple:
+    # a message to a delegate is dropped once the delegate has answered
+    receiver = move.msg.receiver
+    return (move.msg.ident(),), ((receiver,) if receiver.startswith("g!") else ())
+
+
+def _send_footprint(move: Move) -> tuple:
+    return (move.agent,), ()
+
+
+def _recv_footprint(move: Move) -> tuple:
+    return (move.agent, move.msg.ident()), ()
+
+
+def _db_footprint(move: Move) -> tuple:
+    relation = ("rel", move.msg.payload[0])
+    if move.msg.kind == REQ_READ:
+        return (move.msg.ident(),), (relation,)
+    return (move.msg.ident(), relation), ()
+
+
+def _dc_footprint(move: Move) -> tuple:
+    return (move.msg.ident(), STORE), ()
+
+
+def _collect_footprint(move: Move) -> tuple:
+    return (move.msg.ident(), move.agent, STORE), ()
+
+
 MOVE_KINDS = {
-    "deliver": MoveKind(("ident",), _in_flight, Simulation._deliver, _DELIVER_RANK),
-    "send": MoveKind(("agent",), _client_can_send, Simulation._client_send, {None: (1,)}),
-    "recv": MoveKind(("agent", "ident"), _in_own_box, Simulation._client_recv, {None: (0,)}),
-    "db": MoveKind(("ident",), _in_db_box, Simulation._db_step, _STORE_RANK),
-    "dc": MoveKind(("agent", "ident", "sel"), _in_own_box, Simulation._dc_step, _STORE_RANK),
-    "collect": MoveKind(("agent", "ident"), _in_own_box, Simulation._collect, {None: (3,)}),
+    "deliver": MoveKind(("ident",), _in_flight, Simulation._deliver, _DELIVER_RANK,
+                        _deliver_footprint),
+    "send": MoveKind(("agent",), _client_can_send, Simulation._client_send, {None: (1,)},
+                     _send_footprint),
+    "recv": MoveKind(("agent", "ident"), _in_own_box, Simulation._client_recv, {None: (0,)},
+                     _recv_footprint),
+    "db": MoveKind(("ident",), _in_db_box, Simulation._db_step, _STORE_RANK, _db_footprint),
+    "dc": MoveKind(("agent", "ident", "sel"), _in_own_box, Simulation._dc_step, _STORE_RANK,
+                   _dc_footprint),
+    "collect": MoveKind(("agent", "ident"), _in_own_box, Simulation._collect, {None: (3,)},
+                        _collect_footprint),
 }
+
+
+def footprint(move: Move) -> tuple:
+    """The tokens ``move`` writes and the tokens it touches, as two frozensets."""
+    writes, reads = MOVE_KINDS[move.tag].footprint(move)
+    return frozenset(writes), frozenset(writes + reads)
+
+
+def independent(a: tuple, b: tuple) -> bool:
+    """Whether two moves with footprints ``a`` and ``b`` are independent:
+    neither writes a token the other touches.  Two independent moves enabled
+    in one state stay enabled after each other, and both orders reach states
+    with equal ``state_key()`` (``tests/test_independence.py``).  Their
+    events may come in either order, which a state key leaves out."""
+    return a[0].isdisjoint(b[1]) and b[0].isdisjoint(a[1])
 
 
 def run(
@@ -736,6 +794,15 @@ def _search_priority(move: Move) -> tuple:
     return rank.get(msg_kind, rank[None]) + (move.descriptor(),)
 
 
+def _finishes_clients(sim: Simulation, move: Move) -> bool:
+    """Whether ``move`` leaves every client done.  Only a ``recv`` makes a
+    waiting client ready, so only a ``recv`` can complete the run."""
+    return move.tag == "recv" and all(
+        (a == move.agent or sim.status[a] == ("ready",)) and sim.pc[a] >= len(steps)
+        for a, steps in sim.scenario.programs.items()
+    )
+
+
 def search_schedules(
     scenario: Scenario,
     model: str,
@@ -752,17 +819,34 @@ def search_schedules(
     predicates do.  ``exhausted`` is True when the whole (de-duplicated)
     schedule space was covered within budget, with no branch cut at the
     step limit.
+
+    Sleep sets (after Godefroid, LNCS 1032) predict which children the
+    de-duplication would throw away.  A state's sleep set holds its earlier
+    siblings and its parent's sleep set, each kept only if ``independent``
+    of the move into the state.  A child reached by a sleeping move equals,
+    with the two moves swapped, a state below an earlier sibling, whose
+    subtree the search has finished, at the same depth: so its key, round
+    included, is visited already, unless it lies past the step limit, where
+    a branch has already been cut.  Such a child is stacked as a placeholder
+    that counts in ``explored`` when popped but is never cloned, applied or
+    keyed.  A child that completes the run is never skipped, so the
+    predicate sees the same traces in the same order.  ``explored``,
+    ``exhausted`` and the witness are what the search without sleep sets
+    returns.
     """
     root = Simulation(scenario, model)
     visited: set = set()
     explored = 0
     cut = False  # a branch was skipped at the step limit
-    stack = [(root, ())]
+    # (state, sleep set as descriptor -> footprint); a placeholder is (None, None)
+    stack = [(root, {})]
     while stack:
-        sim, path = stack.pop()
+        sim, sleep = stack.pop()
         explored += 1
         if explored > budget:
             return SearchResult(None, None, False, explored)
+        if sim is None:
+            continue
         if sim.clients_done():
             probe = sim.clone()
             if not probe.drain(step_limit):
@@ -770,7 +854,7 @@ def search_schedules(
                 continue
             trace = probe.trace(_meta(scenario, model, ExplicitSchedule(())))
             if predicate(trace, scenario):
-                witness = ExplicitSchedule.of_moves(path)
+                witness = ExplicitSchedule(tuple(sim.executed))
                 trace = probe.trace(_meta(scenario, model, witness))
                 return SearchResult(witness, trace, False, explored)
             continue
@@ -781,14 +865,18 @@ def search_schedules(
         if sim.round >= step_limit:
             cut = True
             continue
-        moves = sorted(sim.enumerate_moves(with_selections=True), key=_search_priority)
-        for move in reversed(moves):
-            child = sim.clone()
-            try:
-                child.apply_round([move])
-            except RunDiscarded:
-                continue
-            stack.append((child, path + (move.descriptor(),)))
+        children = []
+        covered = dict(sleep)  # the sleep set plus the siblings before the move
+        for move in sorted(sim.enumerate_moves(with_selections=True), key=_search_priority):
+            desc, fp = move.descriptor(), footprint(move)
+            if desc in sleep and not _finishes_clients(sim, move):
+                children.append((None, None))
+            else:
+                child = sim.clone()
+                child.apply_round([move])  # one move's updates cannot conflict
+                children.append((child, {d: f for d, f in covered.items() if independent(f, fp)}))
+            covered[desc] = fp
+        stack.extend(reversed(children))
     return SearchResult(None, None, not cut, explored)
 
 

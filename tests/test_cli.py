@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from replisim.cli import main
 from replisim.trace import Trace
 
@@ -154,6 +156,42 @@ def test_malformed_budget_env_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "REPLISIM_BUDGET" in err and "'1e5'" in err
+
+
+@pytest.mark.parametrize(
+    "args, env, named",
+    (
+        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair",
+          "--budget", "-5"], None, "--budget"),
+        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair"],
+         "-3", "REPLISIM_BUDGET"),
+        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair",
+          "--steps", "-1"], None, "--steps"),
+        (["run", "counterexample", "--model", "cm0", "--steps", "-1"], None, "--steps"),
+        (["check", "counterexample", "compatible", "--trace", "unread.log", "--budget", "-2"],
+         None, "--budget"),
+    ),
+    ids=("search-budget", "budget-env", "search-steps", "run-steps", "check-budget"),
+)
+def test_negative_budget_or_step_limit_exits_2(args, env, named, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("REPLISIM_BUDGET", env)
+    code, out, err = run_cli(args, capsys)
+    value = env if env is not None else args[-1]
+    assert code == 2
+    assert out == ""
+    assert named in err and value in err
+
+
+def test_zero_budget_and_step_limit_stay_legal(capsys):
+    code, out, _ = run_cli(
+        ["search", "counterexample", "--model", "cm0", "--predicate", "print-pair",
+         "--budget", "0"], capsys)
+    assert code == 3
+    assert "verdict=NO_WITNESS exhaustive=false" in out
+    code, out, _ = run_cli(["run", "counterexample", "--model", "cm0", "--steps", "0"], capsys)
+    assert code == 3
+    assert "completed=false" in out
 
 
 def test_cli_subprocess_smoke(tmp_path):
