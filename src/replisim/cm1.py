@@ -31,11 +31,9 @@ def answer_read_req(
         if v is not UNDEF and cond.matches(k, cfg, rid)
     )
     eff = StepEffect()
-    eff.consumes.append(msg)
     eff.sends.append(
         Message(ANSWER, msg.req, dc_agent(d), msg.sender, payload=(rid, rows))
     )
-    eff.events.append(("RESP", msg.sender, msg.req, ("answer", rid, rows)))
     return eff
 
 
@@ -56,7 +54,5 @@ def perform_write_req(
     eff.updates.update(replicas.conditional_write(rid, selections, p, t_current))
     for d2 in sorted({d2 for group in selections.values() for d2, _ in group}):
         eff.updates.update(catch_up(cfg, ticks, d2, t_current))
-    eff.consumes.append(msg)
     eff.sends.append(Message(ACK, msg.req, dc_agent(d), msg.sender, payload=(rid,)))
-    eff.events.append(("RESP", msg.sender, msg.req, ("ack", rid)))
     return eff

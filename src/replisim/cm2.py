@@ -148,7 +148,6 @@ def delegate_external_req(
                     payload=(msg.kind, rid, body, t_current),
                 )
             )
-    eff.consumes.append(msg)
     return eff
 
 
@@ -163,10 +162,6 @@ def manage_internal_req(
     inner_kind, rid, body, t_fwd = msg.payload
     eff = StepEffect()
     handle_locally(replicas, ticks, cfg, d, inner_kind, rid, body, msg.req, t_fwd, eff)
-    if inner_kind != REQ_READ:
-        # Message-passing clock condition holds after processing a write.
-        eff.checks.append(("cond3", d, t_fwd))
-    eff.consumes.append(msg)
     return eff
 
 
@@ -212,7 +207,6 @@ def collect_respond(
         merged = delegate.answer
     counts = delegate.counts.add(sender_dc, xs)
     log = delegate.log + ((sender_dc, xs, triples),)
-    eff.consumes.append(msg)
     if sufficient(counts, policy, cfg, delegate.rid):
         _audit(delegate, counts, merged, log)
         mediator = dc_agent(delegate.mediator_dc)
@@ -223,12 +217,10 @@ def collect_respond(
             eff.sends.append(
                 Message(ANSWER, delegate.req, mediator, delegate.requestor, payload=(delegate.rid, rows))
             )
-            eff.events.append(("RESP", delegate.requestor, delegate.req, ("answer", delegate.rid, rows)))
         else:
             eff.sends.append(
                 Message(ACK, delegate.req, mediator, delegate.requestor, payload=(delegate.rid,))
             )
-            eff.events.append(("RESP", delegate.requestor, delegate.req, ("ack", delegate.rid)))
         eff.update(("delegate", delegate.gid), None)
     else:
         eff.update(("delegate", delegate.gid), replace(delegate, counts=counts, answer=merged, log=log))

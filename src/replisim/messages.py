@@ -5,9 +5,9 @@ message with a given identity exists at any moment, which makes schedules
 replayable by naming messages instead of opaque ids.
 
 A step never mutates shared state directly: it returns a ``StepEffect``
-holding an update set (location -> value), the messages it consumes and
-sends, and any trace events.  The engine merges effects of simultaneous
-steps and rejects inconsistent update sets.
+holding its update set (location -> value) and the messages it sends.  The
+engine merges the effects of simultaneous steps, rejects inconsistent update
+sets, moves the messages the steps took and records the trace events.
 """
 
 from __future__ import annotations
@@ -49,10 +49,7 @@ def delegate_agent(req: str) -> str:
 @dataclass
 class StepEffect:
     updates: dict = field(default_factory=dict)  # location -> value
-    consumes: list = field(default_factory=list)  # Message
     sends: list = field(default_factory=list)  # Message
-    events: list = field(default_factory=list)  # (kind, agent, req, payload)
-    checks: list = field(default_factory=list)  # post-apply assertions
 
     def update(self, loc: tuple, value) -> None:
         self.updates[loc] = value

@@ -2,11 +2,14 @@
 
 A run is a sequence of global steps.  At each step the schedule picks one or
 more enabled moves (deliver an in-flight message, let a client send or
-receive, let a memory agent or delegate process one received message); the
-moves' update sets are merged, checked for consistency, and applied
-simultaneously.  Seeded schedules pick one move per step from a PRNG;
-explicit schedules name moves by structural descriptors, which makes any
-discovered schedule replayable and printable.
+receive, let a memory agent or delegate process one received message).  A
+move's step returns only its update set and the messages it sends.  The
+engine merges the update sets, checks them for consistency and applies them
+simultaneously; it also moves each move's message (from flight into a
+mailbox for a delivery, out of its mailbox for any other move) and records
+the round's trace events.  Seeded schedules pick one move per step from a
+PRNG; explicit schedules name moves by structural descriptors, which makes
+any discovered schedule replayable and printable.
 
 Clients obey the request/reply discipline: after sending a request a client
 is blocked until it has received the matching response.  Requests are
@@ -187,6 +190,8 @@ class _ExplicitPicker(Picker):
             )
         step = self.steps[self.pos]
         self.pos += 1
+        if not step:
+            raise ScheduleError(f"schedule step {self.pos} (round {sim.round + 1}) is empty")
         return [sim.resolve_descriptor(d) for d in step]
 
     def leftovers(self) -> int:
@@ -440,17 +445,7 @@ class Simulation:
         return MOVE_KINDS[move.tag].run(self, move)
 
     def _deliver(self, move: Move) -> StepEffect:
-        msg = move.msg
-        eff = StepEffect()
-        eff.updates[("delivered", msg.ident())] = msg
-        if msg.kind in REQUEST_KINDS:
-            payload = (
-                ("read", msg.payload[0], msg.payload[1])
-                if msg.kind == REQ_READ
-                else ("write", msg.payload[0], msg.payload[1])
-            )
-            eff.events.append((REQ, msg.sender, msg.req, payload))
-        return eff
+        return StepEffect()  # the engine moves the message
 
     def _client_send(self, move: Move) -> StepEffect:
         a = move.agent
@@ -467,15 +462,12 @@ class Simulation:
         return eff
 
     def _client_recv(self, move: Move) -> StepEffect:
-        a, msg = move.agent, move.msg
+        a = move.agent
         eff = StepEffect()
-        eff.consumes.append(msg)
         eff.update(("status", a), ("ready",))
         step = self._printing_step(move)
         if step is not None:
-            rows = msg.payload[1]
-            eff.events.append((PRINT, a, msg.req, ("print", msg.payload[0], rows)))
-            eff.update(("out", a), self.outs[a] + ((step.rid, rows),))
+            eff.update(("out", a), self.outs[a] + ((step.rid, move.msg.payload[1]),))
         return eff
 
     def _printing_step(self, move: Move):
@@ -490,13 +482,10 @@ class Simulation:
         if msg.kind == REQ_READ:
             rows = db_answer_read(self.flat, self.cfg, rid, msg.payload[1])
             eff.sends.append(Message(ANSWER, msg.req, DB_AGENT, msg.sender, payload=(rid, rows)))
-            eff.events.append((RESP, msg.sender, msg.req, ("answer", rid, rows)))
         else:
             for k, v in msg.payload[1]:
                 eff.update(("flat", rid, k), v)
             eff.sends.append(Message(ACK, msg.req, DB_AGENT, msg.sender, payload=(rid,)))
-            eff.events.append((RESP, msg.sender, msg.req, ("ack", rid)))
-        eff.consumes.append(msg)
         return eff
 
     def _dc_step(self, move: Move) -> StepEffect:
@@ -535,7 +524,10 @@ class Simulation:
                         f"{merged[loc]!r} vs {value!r}"
                     )
                 merged[loc] = value
-        if len(effects) > 1:
+        if len(moves) > 1:
+            taken = [m.msg.ident() for m in moves if m.msg is not None]
+            if len(set(taken)) < len(taken):
+                raise RunDiscarded(f"round {self.round + 1}: two moves take the same message")
             # e.g. two collects that each complete one delegate: both delete
             # it, so their updates agree, but both send its response
             sent = [msg.ident() for eff in effects for msg in eff.sends]
@@ -543,44 +535,57 @@ class Simulation:
                 raise RunDiscarded(f"round {self.round + 1}: two moves send the same message")
         self.round += 1
         self.executed.append(tuple(m.descriptor() for m in moves))
-        # messages: consumes first, then deliveries, then fresh sends
-        for eff in effects:
-            for msg in eff.consumes:
-                box = self.mailbox.get(msg.receiver, {})
-                if box.pop(msg.ident(), None) is None:
-                    raise SimInvariantError(f"consumed message not in mailbox: {msg}")
-        for loc, value in list(merged.items()):
-            if loc[0] == "delivered":
-                msg = value
+        # messages: taken ones first, then fresh sends
+        for move in moves:
+            msg = move.msg
+            if msg is None:
+                continue
+            if move.tag == "deliver":
                 del self.inflight[msg.ident()]
-                receiver = msg.receiver
                 # a late message to a deleted delegate is dropped
-                if not receiver.startswith("g!") or receiver in self.delegates:
-                    self.mailbox.setdefault(receiver, {})[msg.ident()] = msg
-                del merged[loc]
+                if not msg.receiver.startswith("g!") or msg.receiver in self.delegates:
+                    self.mailbox.setdefault(msg.receiver, {})[msg.ident()] = msg
+            elif self.mailbox.get(msg.receiver, {}).pop(msg.ident(), None) is None:
+                raise SimInvariantError(f"consumed message not in mailbox: {msg}")
         for eff in effects:
             for msg in eff.sends:
                 if msg.ident() in self.inflight:
                     raise SimInvariantError(f"duplicate in-flight message {msg}")
                 self.inflight[msg.ident()] = msg
         self._apply_updates(merged)
-        for eff in effects:
-            for ev in eff.events:
-                kind, agent, req, payload = ev
-                if kind == RESP:
-                    if req in self.answered:
-                        raise SimInvariantError(f"second response for request {req}")
-                    self.answered.add(req)
-                self.events.append(TraceEvent(self.round, kind, agent, req, payload))
-        for eff in effects:
-            for check in eff.checks:
-                if check[0] == "cond3":
-                    _, d, t = check
-                    if catch_up(self.cfg, self.ticks, d, t):
-                        raise SimInvariantError(
-                            f"clock at dc {d} behind {t} after processing its message"
-                        )
+        for move, eff in zip(moves, effects):
+            event = self._event(move, eff.sends)
+            if event is not None:
+                if event.kind == RESP:
+                    if event.req in self.answered:
+                        raise SimInvariantError(f"second response for request {event.req}")
+                    self.answered.add(event.req)
+                self.events.append(event)
+        for move in moves:
+            msg = move.msg
+            if move.tag == "dc" and msg.kind == FWD and msg.payload[0] == REQ_WRITE:
+                # the message-passing clock condition holds after a forwarded write
+                d, t = int(move.agent[1:]), msg.payload[3]
+                if catch_up(self.cfg, self.ticks, d, t):
+                    raise SimInvariantError(
+                        f"clock at dc {d} behind {t} after processing its message"
+                    )
         self._check_invariants({(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"})
+
+    def _event(self, move: Move, sends: list) -> Optional[TraceEvent]:
+        """The trace event of a move in this round: REQ when a request is
+        delivered, RESP when the step sends a client its answer or ack, and
+        PRINT when a ``recv`` completes a printing read."""
+        msg = move.msg
+        if move.tag == "deliver" and msg.kind in REQUEST_KINDS:
+            op = "read" if msg.kind == REQ_READ else "write"
+            return TraceEvent(self.round, REQ, msg.sender, msg.req, (op,) + msg.payload)
+        if move.tag == "recv" and self._printing_step(move) is not None:
+            return TraceEvent(self.round, PRINT, move.agent, msg.req, ("print",) + msg.payload)
+        for sent in sends:
+            if sent.kind in (ANSWER, ACK):
+                return TraceEvent(self.round, RESP, sent.receiver, sent.req, (sent.kind,) + sent.payload)
+        return None
 
     def _apply_updates(self, merged: dict) -> None:
         for loc, value in merged.items():
@@ -679,9 +684,9 @@ STORE = ("store",)
 
 
 def _deliver_footprint(move: Move) -> tuple:
-    # a message to a delegate is dropped once the delegate has answered
-    receiver = move.msg.receiver
-    return (move.msg.ident(),), ((receiver,) if receiver.startswith("g!") else ())
+    # commutes with a collect that deletes the receiving delegate: delivered
+    # first, the message leaves with the delegate's mailbox; after, it is dropped
+    return (move.msg.ident(),), ()
 
 
 def _send_footprint(move: Move) -> tuple:

@@ -1,7 +1,7 @@
 from replisim.cm0 import Condition
 from replisim.cm1 import answer_read_req, perform_write_req
 from replisim.core import UNDEF, ReplicaStore, Timestamp, issue
-from replisim.messages import ANSWER, REQ_READ, REQ_WRITE, Message
+from replisim.messages import ACK, ANSWER, REQ_READ, REQ_WRITE, Message
 from test_core import make_cfg
 
 
@@ -83,7 +83,7 @@ def test_write_updates_older_replicas():
     apply_updates(store, ticks, eff)
     v, t = store.lookup("x", 1, 1, 1, (0,))
     assert v == (1,) and (t.tick, t.dc) == (5, 1)
-    assert eff.events[0][3] == ("ack", "x")
+    assert [(m.kind, m.payload) for m in eff.sends] == [(ACK, ("x",))]
 
 
 def test_newer_timestamp_rejects_the_write():

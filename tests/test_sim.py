@@ -127,6 +127,12 @@ def test_explicit_schedule_underrun_is_an_error():
         run(s, "cm0", truncated)
 
 
+def test_an_empty_schedule_step_is_an_error():
+    s = load_scenario("counterexample")
+    with pytest.raises(ScheduleError, match=r"schedule step 2 \(round 2\) is empty"):
+        run(s, "cm0", ExplicitSchedule(((("send", "a1"),), ())))
+
+
 def test_conflicting_simultaneous_writes_discard_the_run():
     s = build(
         "conflict",
@@ -393,9 +399,10 @@ def _cm2_read_with_both_answers_pending(sim, write_collects):
 
 
 def test_a_discarded_round_leaves_the_simulation_unchanged():
-    # Both discard checks run before the round counts: conflicting updates
-    # (two write-delegate collects) and one response sent twice (two
-    # read-delegate collects).  The error names the refused round.
+    # The discard checks run before the round counts: conflicting updates
+    # (two write-delegate collects), one response sent twice (two
+    # read-delegate collects) and one message taken twice (an ack delivered
+    # twice).  The error names the refused round.
     sim, collects = _cm2_write_with_both_acks_pending()
 
     def refused(moves, reason):
@@ -406,3 +413,5 @@ def test_a_discarded_round_leaves_the_simulation_unchanged():
 
     refused([sim.resolve_descriptor(d) for d in collects], "conflicting updates")
     refused(_cm2_read_with_both_answers_pending(sim, collects), "two moves send the same message")
+    ack = sim.resolve_descriptor(("deliver", ("ack", "a1#0", "d1", "a1")))
+    refused([ack, ack], "two moves take the same message")
