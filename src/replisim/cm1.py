@@ -2,8 +2,8 @@
 over a policy-compliant replica selection per fragment.
 
 The selection itself is a scheduling choice; these rules receive it already
-made (``selections`` maps fragment index to a set of (dc, node) pairs) and
-are deterministic given that choice.
+made (``selections`` maps fragment index to a sorted tuple of (dc, node)
+pairs) and are deterministic given that choice.
 """
 
 from __future__ import annotations

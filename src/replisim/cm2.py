@@ -50,7 +50,6 @@ class DelegateState:
     req: str
     kind: str  # "read" | "write"
     rid: str
-    cond: object  # Condition for reads, write-set pairs for writes
     requestor: str
     mediator_dc: int
     counts: CountState
@@ -130,7 +129,6 @@ def delegate_external_req(
         req=msg.req,
         kind="read" if is_read else "write",
         rid=rid,
-        cond=body,
         requestor=msg.sender,
         mediator_dc=d,
         counts=CountState.zero(cfg, rid),

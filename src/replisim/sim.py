@@ -7,9 +7,15 @@ move's step returns only its update set and the messages it sends.  The
 engine merges the update sets, checks them for consistency and applies them
 simultaneously; it also moves each move's message (from flight into a
 mailbox for a delivery, out of its mailbox for any other move) and records
-the round's trace events.  Seeded schedules pick one move per step from a
-PRNG; explicit schedules name moves by structural descriptors, which makes
-any discovered schedule replayable and printable.
+the round's trace events.
+
+A move is its descriptor plus the message it takes.  The descriptor is the
+move's tag and the fields that fix it: the acting agent, the message's
+identity and, for a cm1 data-centre step, its replica selection per
+fragment as a sorted tuple of (dc, node) pairs.  A schedule yields the
+moves of each step: a seeded one draws one move per step from a PRNG, an
+explicit one names moves by their descriptors.  The engine records each
+round's descriptors, so any run is replayable and printable.
 
 Clients obey the request/reply discipline: after sending a request a client
 is blocked until it has received the matching response.  Requests are
@@ -20,8 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import cm1
 from .cm0 import db_answer_read
@@ -69,18 +74,25 @@ class ScheduleError(Exception):
 
 @dataclass(frozen=True)
 class Move:
-    tag: str  # deliver | send | recv | db | dc | collect
-    agent: str = ""
+    """A move: its descriptor, the tag (deliver | send | recv | db | dc |
+    collect) and then the fields ``MOVE_KINDS[tag].fields`` lists, and the
+    message it takes, if any.  A ``dc`` move's ``sel`` is ``None`` outside
+    cm1 and until a seeded schedule draws it."""
+
+    desc: tuple
     msg: Optional[Message] = None
-    selections: Optional[tuple] = None  # ((j, frozenset of (dc, node)), ...)
+
+    @property
+    def tag(self) -> str:
+        return self.desc[0]
+
+    @property
+    def agent(self) -> str:
+        """The acting agent, for the kinds whose descriptor names one."""
+        return self.desc[1] if MOVE_KINDS[self.desc[0]].fields[0] == "agent" else ""
 
     def descriptor(self) -> tuple:
-        return self._descriptor
-
-    @cached_property
-    def _descriptor(self) -> tuple:
-        # computed once: a search ranks a move by it and its round records it
-        return (self.tag,) + tuple(_FIELDS[f][0](self) for f in MOVE_KINDS[self.tag].fields)
+        return self.desc
 
 
 def describe_descriptor(desc: tuple) -> str:
@@ -88,7 +100,7 @@ def describe_descriptor(desc: tuple) -> str:
     kind = MOVE_KINDS.get(desc[0])
     if kind is None:
         return repr(desc)
-    parts = (_FIELDS[f][1](v) for f, v in zip(kind.fields, desc[1:]) if v is not None)
+    parts = (_FIELDS[f](v) for f, v in zip(kind.fields, desc[1:]) if v is not None)
     return f"{desc[0]}[{'|'.join(parts)}]"
 
 
@@ -101,18 +113,8 @@ def _sel_str(sel: tuple) -> str:
     return " ".join("j%d={%s}" % (j, ",".join(f"({d},{n})" for d, n in group)) for j, group in sel)
 
 
-def _sel_field(move: Move) -> Optional[tuple]:
-    if move.selections is None:
-        return None
-    return tuple((j, tuple(sorted(group))) for j, group in move.selections)
-
-
-# Descriptor fields: name -> (value taken from a move, rendering in describe()).
-_FIELDS = {
-    "agent": (lambda move: move.agent, str),
-    "ident": (lambda move: move.msg.ident(), _ident_str),
-    "sel": (_sel_field, _sel_str),
-}
+# Descriptor fields: name -> rendering in describe().
+_FIELDS = {"agent": str, "ident": _ident_str, "sel": _sel_str}
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,15 @@ class MoveKind:
 class SeededSchedule:
     seed: int
 
-    def make_picker(self) -> "Picker":
-        return _SeededPicker(self.seed)
+    def rounds(self, sim: "Simulation") -> Iterator[list]:
+        """One enabled move per step, drawn from a PRNG; a cm1 ``dc`` move
+        draws its selections from it too.  Stops when no move is enabled."""
+        rng = random.Random(self.seed)
+        while moves := sim.enumerate_moves(with_selections=False):
+            move = moves[rng.randrange(len(moves))]
+            if move.tag == "dc" and sim.model == "cm1":
+                move = sim.attach_selections(move, rng)
+            yield [move]
 
     def describe(self) -> str:
         return f"seed={self.seed}"
@@ -149,53 +158,21 @@ class ExplicitSchedule:
 
     steps: tuple
 
-    def make_picker(self) -> "Picker":
-        return _ExplicitPicker(self.steps)
+    def rounds(self, sim: "Simulation") -> Iterator[list]:
+        """The moves each step names, resolved in the state it meets."""
+        for pos, step in enumerate(self.steps, start=1):
+            if not step:
+                raise ScheduleError(f"schedule step {pos} (round {sim.round + 1}) is empty")
+            yield [sim.resolve_descriptor(d) for d in step]
+        raise ScheduleError(
+            f"schedule ran out of steps at round {sim.round} with clients still active"
+        )
 
     def describe(self) -> str:
         flat = []
         for step in self.steps:
             flat.append("+".join(describe_descriptor(d) for d in step))
         return ";".join(flat)
-
-
-class Picker:
-    def pick(self, sim: "Simulation") -> list:
-        raise NotImplementedError
-
-
-class _SeededPicker(Picker):
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-
-    def pick(self, sim: "Simulation") -> list:
-        moves = sim.enumerate_moves(with_selections=False)
-        if not moves:
-            return []
-        move = moves[self.rng.randrange(len(moves))]
-        if move.tag == "dc" and sim.model == "cm1" and move.selections is None:
-            move = sim.attach_selections(move, self.rng)
-        return [move]
-
-
-class _ExplicitPicker(Picker):
-    def __init__(self, steps: tuple):
-        self.steps = list(steps)
-        self.pos = 0
-
-    def pick(self, sim: "Simulation") -> list:
-        if self.pos >= len(self.steps):
-            raise ScheduleError(
-                f"schedule ran out of steps at round {sim.round} with clients still active"
-            )
-        step = self.steps[self.pos]
-        self.pos += 1
-        if not step:
-            raise ScheduleError(f"schedule step {self.pos} (round {sim.round + 1}) is empty")
-        return [sim.resolve_descriptor(d) for d in step]
-
-    def leftovers(self) -> int:
-        return len(self.steps) - self.pos
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +303,20 @@ class Simulation:
     def enumerate_moves(self, with_selections: bool) -> list:
         moves = []
         for ident in sorted(self.inflight):
-            moves.append(Move("deliver", msg=self.inflight[ident]))
+            moves.append(Move(("deliver", ident), self.inflight[ident]))
         for a in sorted(self.scenario.programs):
             st = self.status[a]
             if st[0] == "ready" and self.pc[a] < len(self.scenario.programs[a]):
-                moves.append(Move("send", agent=a))
+                moves.append(Move(("send", a)))
             elif st[0] == "waiting":
                 box = self.mailbox.get(a, {})
                 for ident in sorted(box):
                     if ident[1] == st[1]:
-                        moves.append(Move("recv", agent=a, msg=box[ident]))
+                        moves.append(Move(("recv", a, ident), box[ident]))
         if self.model == "cm0":
             box = self.mailbox.get(DB_AGENT, {})
             for ident in sorted(box):
-                moves.append(Move("db", msg=box[ident]))
+                moves.append(Move(("db", ident), box[ident]))
         else:
             for d in self.cfg.all_dcs():
                 agent = dc_agent(d)
@@ -348,35 +325,41 @@ class Simulation:
                     msg = box[ident]
                     if self.model == "cm1" and with_selections:
                         for sel in self.selection_options(msg):
-                            moves.append(Move("dc", agent=agent, msg=msg, selections=sel))
+                            moves.append(Move(("dc", agent, ident, sel), msg))
                     else:
-                        moves.append(Move("dc", agent=agent, msg=msg))
+                        moves.append(Move(("dc", agent, ident, None), msg))
             for gid in sorted(self.delegates):
                 box = self.mailbox.get(gid, {})
                 for ident in sorted(box):
-                    moves.append(Move("collect", agent=gid, msg=box[ident]))
+                    moves.append(Move(("collect", gid, ident), box[ident]))
         return moves
 
     def _policy_for(self, kind: str):
         return self.scenario.read_policy if kind == REQ_READ else self.scenario.write_policy
 
-    def _fragment_options(self, msg: Message) -> list:
+    def _fragment_options(self, msg: Message, bound: int) -> list:
+        """Per fragment of the request's relation, up to ``bound`` of its
+        compliant selections, each a sorted tuple of (dc, node) pairs.
+        ``validate_for_model`` has made sure there is at least one."""
         rid = msg.payload[0]
-        rel = self.cfg.relation(rid)
         policy = self._policy_for(msg.kind)
         per_fragment = []
-        for j in range(1, rel.fragments + 1):
-            options = enumerate_compliant_selections(self.cfg, rid, j, policy, SEL_BOUND)
-            if not options:
-                raise ConfigError(f"policy {policy} unsatisfiable on {rid} fragment {j}")
-            per_fragment.append((j, options))
+        for j in range(1, self.cfg.relation(rid).fragments + 1):
+            options = enumerate_compliant_selections(self.cfg, rid, j, policy, bound)
+            per_fragment.append((j, [tuple(sorted(g)) for g in options]))
         return per_fragment
 
     def selection_options(self, msg: Message) -> list:
-        """Cartesian product of compliant selections across fragments."""
-        per_fragment = self._fragment_options(msg)
+        """Cartesian product of compliant selections across fragments.  An
+        exhaustive search must see every selection, so a fragment with more
+        than ``SEL_BOUND`` of them is refused, as is a product too large."""
         combos: list = [()]
-        for j, options in per_fragment:
+        for j, options in self._fragment_options(msg, SEL_BOUND + 1):
+            if len(options) > SEL_BOUND:
+                raise ConfigError(
+                    f"{msg.payload[0]} fragment {j} has more than {SEL_BOUND} compliant "
+                    "selections; exhaustive cm1 search enumerates at most that many"
+                )
             combos = [c + ((j, g),) for c in combos for g in options]
             if len(combos) > SEL_BOUND * 8:
                 raise ConfigError(
@@ -386,32 +369,33 @@ class Simulation:
         return combos
 
     def attach_selections(self, move: Move, rng: random.Random) -> Move:
-        sel = []
-        for j, options in self._fragment_options(move.msg):
-            sel.append((j, options[rng.randrange(len(options))]))
-        return Move("dc", agent=move.agent, msg=move.msg, selections=tuple(sel))
+        """``move``, a cm1 ``dc`` move, with one of the first ``SEL_BOUND``
+        compliant selections per fragment drawn from ``rng``."""
+        sel = tuple(
+            (j, options[rng.randrange(len(options))])
+            for j, options in self._fragment_options(move.msg, SEL_BOUND)
+        )
+        return Move(move.desc[:3] + (sel,), move.msg)
 
     def resolve_descriptor(self, desc: tuple) -> Move:
         kind = MOVE_KINDS.get(desc[0])
         if kind is None or len(desc) != 1 + len(kind.fields):
             raise ScheduleError(f"unknown move descriptor {desc!r}")
         fields = dict(zip(kind.fields, desc[1:]))
-        agent = fields.get("agent", "")
         try:
-            msg = kind.find(self, agent, fields.get("ident"))
+            msg = kind.find(self, fields.get("agent", ""), fields.get("ident"))
         except KeyError as exc:
             raise ScheduleError(
                 f"move {describe_descriptor(desc)} is not enabled at round {self.round}: {exc}"
             ) from None
-        selections = None
         if "sel" in fields:
-            selections = self._explicit_selections(desc, msg, fields["sel"])
-        return Move(desc[0], agent=agent, msg=msg, selections=selections)
+            desc = desc[:-1] + (self._explicit_selections(desc, msg, fields["sel"]),)
+        return Move(desc, msg)
 
     def _explicit_selections(self, desc: tuple, msg: Message, sel: Optional[tuple]):
-        """A named step's replica selections.  cm1 takes one group per
-        fragment, and each group must comply with the request's policy;
-        the other models take none."""
+        """A named step's replica selections, each group as a sorted tuple.
+        cm1 takes one group per fragment, and each group must comply with
+        the request's policy; the other models take none."""
         if self.model != "cm1":
             if sel is not None:
                 raise ScheduleError(
@@ -420,15 +404,15 @@ class Simulation:
             return None
         if sel is None:
             raise ScheduleError(f"cm1 step {describe_descriptor(desc)} needs selections")
-        selections = tuple((j, frozenset(group)) for j, group in sel)
+        sel = tuple((j, tuple(sorted(set(group)))) for j, group in sel)
         rid = msg.payload[0]
         fragments = list(range(1, self.cfg.relation(rid).fragments + 1))
-        if sorted(j for j, _ in selections) != fragments:
+        if sorted(j for j, _ in sel) != fragments:
             raise ScheduleError(
                 f"cm1 step {describe_descriptor(desc)} needs one group for each fragment of {rid}"
             )
         policy = self._policy_for(msg.kind)
-        for j, group in selections:
+        for j, group in sel:
             try:
                 ok = complies(group, policy, self.cfg, rid, j)
             except ConfigError as exc:
@@ -437,7 +421,7 @@ class Simulation:
                 raise ScheduleError(
                     f"cm1 step {describe_descriptor(desc)}: group {j} breaks policy {policy}"
                 )
-        return selections
+        return sel
 
     # -- step execution ------------------------------------------------------
 
@@ -492,7 +476,7 @@ class Simulation:
         d = int(move.agent[1:])
         msg = move.msg
         if self.model == "cm1":
-            selections = dict(move.selections)
+            selections = dict(move.desc[3])
             if msg.kind == REQ_READ:
                 return cm1.answer_read_req(self.replicas, self.cfg, d, msg, selections)
             return cm1.perform_write_req(self.replicas, self.ticks, self.cfg, d, msg, selections)
@@ -751,18 +735,21 @@ def run(
     """Execute the scenario to completion (or the step limit) and return the
     trace plus the final state."""
     sim = Simulation(scenario, model)
-    picker = schedule.make_picker()
+    rounds = schedule.rounds(sim)
     meta = _meta(scenario, model, schedule)
     while not sim.clients_done():
         if sim.round >= step_limit:
             return RunResult(sim.trace(meta), sim, False, "step limit reached")
-        moves = picker.pick(sim)
-        if not moves:
+        moves = next(rounds, None)
+        if moves is None:
             return RunResult(sim.trace(meta), sim, False, "no enabled moves")
         sim.apply_round(moves)
     steps = tuple(sim.executed)
-    if isinstance(picker, _ExplicitPicker) and picker.leftovers():
-        raise ScheduleError(f"{picker.leftovers()} schedule steps left after all clients finished")
+    if isinstance(schedule, ExplicitSchedule) and len(schedule.steps) > sim.round:
+        # each step is one round
+        raise ScheduleError(
+            f"{len(schedule.steps) - sim.round} schedule steps left after all clients finished"
+        )
     if not sim.drain(step_limit):
         return RunResult(sim.trace(meta), sim, False, "step limit reached in drain", steps)
     if sim.inflight:
@@ -886,13 +873,10 @@ def search_schedules(
 
 
 def _is_eager(sim: Simulation, move: Move) -> bool:
-    """A move that emits no trace event and commutes with every other move;
-    see ``enumerate_traces``."""
-    if move.tag == "deliver":
-        return move.msg.kind not in REQUEST_KINDS
-    if move.tag == "recv":
-        return sim._printing_step(move) is None
-    return move.tag == "send"
+    """A ``deliver``, ``send`` or ``recv`` that emits no trace event: such a
+    move commutes with every other move; see ``enumerate_traces``.  None of
+    the three sends an answer or ack, so its event needs no sends."""
+    return move.tag in ("deliver", "send", "recv") and sim._event(move, ()) is None
 
 
 def enumerate_traces(

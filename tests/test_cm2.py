@@ -44,7 +44,6 @@ def fresh_delegate(cfg, kind="read", rid="x"):
         req="a1#0",
         kind=kind,
         rid=rid,
-        cond=Condition.true() if kind == "read" else (),
         requestor="a1",
         mediator_dc=1,
         counts=CountState.zero(cfg, rid),

@@ -27,6 +27,7 @@ def successors(sim) -> list:
     enabled moves by descriptor."""
     out = []
     for move in sim.enumerate_moves(with_selections=True):
+        assert sim.resolve_descriptor(move.descriptor()) == move
         child = sim.clone()
         child.apply_round([move])
         enabled = {m.descriptor(): m for m in child.enumerate_moves(with_selections=True)}

@@ -1,6 +1,7 @@
 import pytest
 
 from replisim import (
+    ConfigError,
     ExplicitSchedule,
     RunDiscarded,
     ScheduleError,
@@ -131,6 +132,33 @@ def test_an_empty_schedule_step_is_an_error():
     s = load_scenario("counterexample")
     with pytest.raises(ScheduleError, match=r"schedule step 2 \(round 2\) is empty"):
         run(s, "cm0", ExplicitSchedule(((("send", "a1"),), ())))
+
+
+def test_exhaustive_cm1_search_refuses_a_fragment_it_cannot_cover():
+    # seven copies of x in one data centre: a ONE write has 2**7 - 1 = 127
+    # compliant selections, more than the 64 a cm1 step enumerates, so an
+    # exhaustive search would skip some of them
+    s = parse_scenario(
+        """
+cluster.datacentres = 1
+cluster.relation.x.arity = 1
+cluster.relation.x.coarity = 1
+cluster.relation.x.datacentres = 1
+cluster.relation.x.nodes = 7
+cluster.relation.x.replication = 7
+policy.read = ONE
+policy.write = ONE
+agent.a1.home = 1
+agent.a1.program = write x {(0) -> (1)}
+init.x = (0) -> (0)
+""",
+        name="seven_copies",
+    )
+    with pytest.raises(ConfigError, match="x fragment 1 has more than 64 compliant selections"):
+        search_schedules(s, "cm1", lambda trace, scenario: False)
+    with pytest.raises(ConfigError, match="x fragment 1 has more than 64"):
+        enumerate_traces(s, "cm1")
+    assert run(s, "cm1", SeededSchedule(0)).completed  # a seeded run draws from the first 64
 
 
 def test_conflicting_simultaneous_writes_discard_the_run():
