@@ -197,14 +197,15 @@ def is_appropriate(read: Policy, write: Policy) -> bool:
 
 
 def enumerate_compliant_selections(
-    cfg: ClusterConfig, rid: str, j: int, policy: Policy, bound: int
+    cfg: ClusterConfig, rid: str, j: int, policy: Policy, bound: Optional[int] = None
 ) -> list:
-    """Up to ``bound`` compliant selections, smallest first, lexicographic.
+    """Up to ``bound`` compliant selections (all of them when ``bound`` is
+    None), smallest first, lexicographic.
 
     An empty result means the policy cannot be satisfied on this fragment
     (for example THREE with only two replicas).
     """
-    if bound < 1:
+    if bound is not None and bound < 1:
         raise ConfigError("bound must be >= 1")
     candidates = sorted(cfg.candidates(rid, j))
     out = []
@@ -212,6 +213,6 @@ def enumerate_compliant_selections(
         for combo in itertools.combinations(candidates, size):
             if complies(combo, policy, cfg, rid, j):
                 out.append(frozenset(combo))
-                if len(out) >= bound:
+                if len(out) == bound:
                     return out
     return out

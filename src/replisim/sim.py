@@ -52,7 +52,7 @@ from .trace import PRINT, REQ, RESP, Trace, TraceEvent
 MODELS = ("cm0", "cm1", "cm2")
 DB_AGENT = "db"
 DEFAULT_STEP_LIMIT = 100_000
-SEL_BOUND = 64  # compliant selections enumerated per fragment
+SEL_BOUND = 64  # compliant selections per fragment an exhaustive cm1 search covers
 
 
 class SimInvariantError(AssertionError):
@@ -216,8 +216,9 @@ class Simulation:
         self.mailbox: dict = {}  # agent -> {ident: Message}
         self.events: list = []
         self.round = 0
-        self.answered: set = set()
+        self.answered: dict = {}  # req -> payload of its RESP event
         self.executed: list = []  # descriptor tuples per round, for replay
+        self.options: dict = {}  # (rid, request kind) -> _fragment_options, shared by clones
         if self.replicas is not None:
             self._check_invariants(
                 {(rid, j, k) for (rid, j, _, _), copy in self.replicas.data.items() for k in copy}
@@ -239,8 +240,9 @@ class Simulation:
         s.mailbox = {a: dict(m) for a, m in self.mailbox.items()}
         s.events = list(self.events)
         s.round = self.round
-        s.answered = set(self.answered)
+        s.answered = dict(self.answered)
         s.executed = list(self.executed)
+        s.options = self.options
         return s
 
     def home_agent(self, client: str) -> str:
@@ -298,6 +300,19 @@ class Simulation:
             tuple(sorted(self.answered)),
         )
 
+    def search_key(self) -> tuple:
+        """``search_schedules``' de-duplication key: ``state_key()`` plus
+        each answered request's RESP payload, sorted by request id.
+
+        ``state_key`` keeps a printed answer (in ``outs``) but not the
+        answer to any other request, which a predicate may read
+        (``anomaly-read-stale`` does).  A client sends its requests one at a
+        time, so the program counters, statuses and answers fix every
+        agent's own (kind, req, payload) history.  The answers are keyed by
+        request, not in the order they were given: only the order of events
+        across agents is left out."""
+        return self.state_key(), tuple(sorted(self.answered.items()))
+
     # -- move enumeration ---------------------------------------------------
 
     def enumerate_moves(self, with_selections: bool) -> list:
@@ -337,16 +352,20 @@ class Simulation:
     def _policy_for(self, kind: str):
         return self.scenario.read_policy if kind == REQ_READ else self.scenario.write_policy
 
-    def _fragment_options(self, msg: Message, bound: int) -> list:
-        """Per fragment of the request's relation, up to ``bound`` of its
-        compliant selections, each a sorted tuple of (dc, node) pairs.
-        ``validate_for_model`` has made sure there is at least one."""
+    def _fragment_options(self, msg: Message) -> list:
+        """Per fragment of the request's relation, all its compliant
+        selections, smallest first, each a sorted tuple of (dc, node) pairs.
+        They depend only on the scenario, so they are built once per
+        (relation, request kind) and ``Simulation``, and its clones share
+        them.  ``validate_for_model`` has made sure there is at least one."""
         rid = msg.payload[0]
-        policy = self._policy_for(msg.kind)
-        per_fragment = []
-        for j in range(1, self.cfg.relation(rid).fragments + 1):
-            options = enumerate_compliant_selections(self.cfg, rid, j, policy, bound)
-            per_fragment.append((j, [tuple(sorted(g)) for g in options]))
+        per_fragment = self.options.get((rid, msg.kind))
+        if per_fragment is None:
+            policy = self._policy_for(msg.kind)
+            per_fragment = self.options[rid, msg.kind] = []
+            for j in range(1, self.cfg.relation(rid).fragments + 1):
+                options = enumerate_compliant_selections(self.cfg, rid, j, policy)
+                per_fragment.append((j, [tuple(sorted(g)) for g in options]))
         return per_fragment
 
     def selection_options(self, msg: Message) -> list:
@@ -354,7 +373,7 @@ class Simulation:
         exhaustive search must see every selection, so a fragment with more
         than ``SEL_BOUND`` of them is refused, as is a product too large."""
         combos: list = [()]
-        for j, options in self._fragment_options(msg, SEL_BOUND + 1):
+        for j, options in self._fragment_options(msg):
             if len(options) > SEL_BOUND:
                 raise ConfigError(
                     f"{msg.payload[0]} fragment {j} has more than {SEL_BOUND} compliant "
@@ -369,11 +388,11 @@ class Simulation:
         return combos
 
     def attach_selections(self, move: Move, rng: random.Random) -> Move:
-        """``move``, a cm1 ``dc`` move, with one of the first ``SEL_BOUND``
-        compliant selections per fragment drawn from ``rng``."""
+        """``move``, a cm1 ``dc`` move, with one compliant selection per
+        fragment drawn from ``rng``."""
         sel = tuple(
             (j, options[rng.randrange(len(options))])
-            for j, options in self._fragment_options(move.msg, SEL_BOUND)
+            for j, options in self._fragment_options(move.msg)
         )
         return Move(move.desc[:3] + (sel,), move.msg)
 
@@ -543,7 +562,7 @@ class Simulation:
                 if event.kind == RESP:
                     if event.req in self.answered:
                         raise SimInvariantError(f"second response for request {event.req}")
-                    self.answered.add(event.req)
+                    self.answered[event.req] = event.payload
                 self.events.append(event)
         for move in moves:
             msg = move.msg
@@ -786,15 +805,6 @@ def _search_priority(move: Move) -> tuple:
     return rank.get(msg_kind, rank[None]) + (move.descriptor(),)
 
 
-def _finishes_clients(sim: Simulation, move: Move) -> bool:
-    """Whether ``move`` leaves every client done.  Only a ``recv`` makes a
-    waiting client ready, so only a ``recv`` can complete the run."""
-    return move.tag == "recv" and all(
-        (a == move.agent or sim.status[a] == ("ready",)) and sim.pc[a] >= len(steps)
-        for a, steps in sim.scenario.programs.items()
-    )
-
-
 def search_schedules(
     scenario: Scenario,
     model: str,
@@ -802,72 +812,84 @@ def search_schedules(
     budget: int = 1_000_000,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> SearchResult:
-    """Depth-first search over singleton-move schedules for a completed trace
-    satisfying the predicate.
+    """Depth-first search over singleton-move schedules for a completed run
+    whose trace satisfies the predicate.  The witness is the schedule the
+    search executed, so it replays exactly.
 
-    States are de-duplicated on the full semantic state (stores, clocks,
-    mailboxes, client outputs), so predicates should depend on agents'
-    observable payload histories rather than on raw step indices; the bundled
-    predicates do.  ``exhausted`` is True when the whole (de-duplicated)
-    schedule space was covered within budget, with no branch cut at the
-    step limit.
+    Three reductions cut the search, each after Godefroid (LNCS 1032):
 
-    Sleep sets (after Godefroid, LNCS 1032) predict which children the
-    de-duplication would throw away.  A state's sleep set holds its earlier
-    siblings and its parent's sleep set, each kept only if ``independent``
-    of the move into the state.  A child reached by a sleeping move equals,
-    with the two moves swapped, a state below an earlier sibling, whose
-    subtree the search has finished, at the same depth: so its key, round
-    included, is visited already, unless it lies past the step limit, where
-    a branch has already been cut.  Such a child is stacked as a placeholder
-    that counts in ``explored`` when popped but is never cloned, applied or
-    keyed.  A child that completes the run is never skipped, so the
-    predicate sees the same traces in the same order.  ``explored``,
-    ``exhausted`` and the witness are what the search without sleep sets
-    returns.
+    - Persistent sets.  Where a state has an eager move (``_is_eager``), only
+      the first one in ``_search_priority`` order is expanded, by the rule
+      ``enumerate_traces`` uses: every completed run from the state has a
+      counterpart that takes that move first and emits the same events in
+      the same order.  Only moves that emit no event are moved, so every
+      agent's own payload history is kept; the rounds of events shift.
+    - State caching.  States are de-duplicated on ``Simulation.search_key``:
+      the state, round included, plus each request's answer.  Equal keys
+      mean equal per-agent payload histories, so a predicate that reads only
+      those, as the bundled ones do, answers alike for every run through one
+      key.  A predicate that reads the order of events across agents may
+      miss a witness.  With the round in the key, a state past the step
+      limit does not stand for one before it.
+    - Sleep sets.  A state's sleep set holds its parent's sleep set and the
+      moves its parent expanded before the move into it, each kept only if
+      ``independent`` of that move: both orders reach one key, covered
+      below the earlier move.  A sleeping move is not expanded.  Under state
+      caching, each visited key stores the sleep set it was expanded with
+      (Godefroid, Holzmann & Pirottin, "State-space caching revisited",
+      FMSD 7(3), 1995).  A revisit is cut only if the stored set is a subset
+      of the current one.  Otherwise it expands the persistent-set moves
+      that slept before but not now, and stores the intersection.
+
+    A completed state is keyed like any other and never expanded.  It is
+    drained in place, as ``run`` drains it, which runs the invariant checks
+    and can trip the step limit; the predicate sees the drained trace.
+    ``explored`` counts the states popped from the stack, revisits included:
+    the root, and one clone and one applied move for each other state.
+    ``budget`` caps it.  ``exhausted`` is True when the search ran out of
+    states within budget with no branch cut at the step limit.
     """
     root = Simulation(scenario, model)
-    visited: set = set()
+    visited: dict = {}  # search key -> sleep set it was expanded with
     explored = 0
     cut = False  # a branch was skipped at the step limit
-    # (state, sleep set as descriptor -> footprint); a placeholder is (None, None)
-    stack = [(root, {})]
+    stack = [(root, {})]  # (state, sleep set as descriptor -> footprint)
     while stack:
         sim, sleep = stack.pop()
         explored += 1
         if explored > budget:
             return SearchResult(None, None, False, explored)
-        if sim is None:
-            continue
-        if sim.clients_done():
-            probe = sim.clone()
-            if not probe.drain(step_limit):
+        key = sim.search_key()
+        stored = visited.get(key)
+        if stored is None:
+            if sim.clients_done():
+                visited[key] = {}  # never expanded, so every revisit is cut
+                steps = tuple(sim.executed)
+                if not sim.drain(step_limit):
+                    cut = True
+                elif predicate(sim.trace(_meta(scenario, model, ExplicitSchedule(()))), scenario):
+                    witness = ExplicitSchedule(steps)
+                    return SearchResult(witness, sim.trace(_meta(scenario, model, witness)), False,
+                                        explored)
+                continue
+            if sim.round >= step_limit:
                 cut = True
                 continue
-            trace = probe.trace(_meta(scenario, model, ExplicitSchedule(())))
-            if predicate(trace, scenario):
-                witness = ExplicitSchedule(tuple(sim.executed))
-                trace = probe.trace(_meta(scenario, model, witness))
-                return SearchResult(witness, trace, False, explored)
+            visited[key] = sleep
+            moves = [m for m in _search_expansion(sim) if m.desc not in sleep]
+        elif stored.keys() <= sleep.keys():
             continue
-        key = sim.state_key()
-        if key in visited:
-            continue
-        visited.add(key)
-        if sim.round >= step_limit:
-            cut = True
-            continue
+        else:
+            moves = [m for m in _search_expansion(sim) if m.desc in stored and m.desc not in sleep]
+            sleep = visited[key] = {d: f for d, f in sleep.items() if d in stored}
         children = []
-        covered = dict(sleep)  # the sleep set plus the siblings before the move
-        for move in sorted(sim.enumerate_moves(with_selections=True), key=_search_priority):
-            desc, fp = move.descriptor(), footprint(move)
-            if desc in sleep and not _finishes_clients(sim, move):
-                children.append((None, None))
-            else:
-                child = sim.clone()
-                child.apply_round([move])  # one move's updates cannot conflict
-                children.append((child, {d: f for d, f in covered.items() if independent(f, fp)}))
-            covered[desc] = fp
+        covered = dict(sleep)  # the sleep set plus the moves expanded before
+        for move in moves:
+            fp = footprint(move)
+            child = sim.clone()
+            child.apply_round([move])  # one move's updates cannot conflict
+            children.append((child, {d: f for d, f in covered.items() if independent(f, fp)}))
+            covered[move.desc] = fp
         stack.extend(reversed(children))
     return SearchResult(None, None, not cut, explored)
 
@@ -877,6 +899,18 @@ def _is_eager(sim: Simulation, move: Move) -> bool:
     move commutes with every other move; see ``enumerate_traces``.  None of
     the three sends an answer or ack, so its event needs no sends."""
     return move.tag in ("deliver", "send", "recv") and sim._event(move, ()) is None
+
+
+def _persistent_set(sim: Simulation, moves: list) -> list:
+    """The moves to expand at ``sim``, given its enabled ``moves``: the
+    first eager one alone, or else all of them; see ``enumerate_traces``
+    for why one eager move is enough."""
+    return next(([move] for move in moves if _is_eager(sim, move)), moves)
+
+
+def _search_expansion(sim: Simulation) -> list:
+    moves = sorted(sim.enumerate_moves(with_selections=True), key=_search_priority)
+    return _persistent_set(sim, moves)
 
 
 def enumerate_traces(
@@ -910,10 +944,6 @@ def enumerate_traces(
     explicit stack, so no recursion limit caps the length of a run.
     """
 
-    def expand(sim: Simulation) -> list:
-        moves = sim.enumerate_moves(with_selections=True)
-        return next(([move] for move in moves if _is_eager(sim, move)), moves)
-
     memo: dict = {}
     states = 0
     # A frame is (state key, state, moves still to try, suffixes found so
@@ -934,7 +964,8 @@ def enumerate_traces(
         states += 1
         if states > max_states:
             raise ConfigError(f"trace enumeration exceeded {max_states} states")
-        stack.append((key, sim, iter(expand(sim)), set(), emitted, parent_out))
+        moves = _persistent_set(sim, sim.enumerate_moves(with_selections=True))
+        stack.append((key, sim, iter(moves), set(), emitted, parent_out))
 
     bodies: set = set()
     visit(Simulation(scenario, model), (), bodies)

@@ -1,11 +1,16 @@
-"""The move independence relation against the engine.
+"""The move independence relation and the search key against the engine.
 
-``search_schedules`` skips a child that its sleep sets predict to be a
-duplicate, which is sound only if any two moves that ``independent`` accepts
-commute.  Each case walks up to ``STATES`` reachable states breadth first,
-every enabled move expanded.  For every pair of moves enabled in one state
-whose footprints are independent, each must stay enabled after the other,
-and both orders must reach states with equal ``state_key()``.
+``search_schedules`` does not expand a sleeping move, which is sound only if
+any two moves that ``independent`` accepts commute.  Each case walks up to
+``STATES`` reachable states breadth first, every enabled move expanded.  For
+every pair of moves enabled in one state whose footprints are independent,
+each must stay enabled after the other, and both orders must reach states
+with equal ``search_key()``, and so equal ``state_key()``.
+
+The search de-duplicates on ``search_key()``, which is sound for a predicate
+that reads each agent's own history only if equal keys mean equal
+per-agent (kind, req, payload) histories.  That is checked over every
+reachable state of a few corpus scenarios.
 """
 
 from collections import deque
@@ -20,6 +25,7 @@ from corpus import generated_scenarios
 
 STATES = 200
 SCENARIOS = generated_scenarios() + [load_scenario(name) for name in bundled_scenarios()]
+CORPUS = {scenario.name: scenario for scenario in generated_scenarios()}
 
 
 def successors(sim) -> list:
@@ -49,7 +55,7 @@ def commuting_pairs(succ: list) -> int:
             ab, ba = after_a.clone(), after_b.clone()
             ab.apply_round([enabled_a[db]])
             ba.apply_round([enabled_b[da]])
-            assert ab.state_key() == ba.state_key(), (da, db)
+            assert ab.search_key() == ba.search_key(), (da, db)
     return pairs
 
 
@@ -78,3 +84,40 @@ def test_independent_moves_commute(model, policies):
         scenario = base.with_policies(*policies)
         pairs += checked_pairs(scenario, model)
     assert pairs > 0
+
+
+def histories(sim) -> dict:
+    """Each agent's own (kind, req, payload) events, in order."""
+    out: dict = {}
+    for e in sim.events:
+        out.setdefault(e.agent, []).append((e.kind, e.req, e.payload))
+    return out
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", ("w_rr", "r_w_r", "ww_r"))
+def test_equal_search_keys_mean_equal_agent_histories(name, model):
+    """Walk every reachable state, every enabled move expanded, and compare
+    the histories of each state reached again under a key seen before.
+    ``state_key`` alone merges states whose reads were answered differently."""
+    root = Simulation(CORPUS[name].with_policies(ONE, ONE), model)
+    by_search_key = {root.search_key(): histories(root)}
+    by_state_key = {root.state_key(): histories(root)}
+    stack = [root]
+    merged = split = 0
+    while stack:
+        sim = stack.pop()
+        for move in sim.enumerate_moves(with_selections=True):
+            child = sim.clone()
+            child.apply_round([move])
+            seen = by_state_key.setdefault(child.state_key(), histories(child))
+            split += seen != histories(child)
+            key = child.search_key()
+            if key in by_search_key:
+                assert by_search_key[key] == histories(child), key
+                merged += 1
+            else:
+                by_search_key[key] = histories(child)
+                stack.append(child)
+    assert merged > 0
+    assert split > 0 or model == "cm0"

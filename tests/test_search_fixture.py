@@ -1,5 +1,6 @@
-"""Schedule-search outputs against a fixture recorded before the search
-skipped the children that sleep sets predict to be duplicates.
+"""Schedule-search outputs against a fixture recorded when the search
+gained its eager-move persistent sets, its ``search_key`` de-duplication and
+its sleep-set revisit rule.
 
 ``search_fixture.json`` holds, for each bundled scenario x cm0/cm1/cm2 x
 builtin predicate x step limit (the default, and 9, which cuts most runs)

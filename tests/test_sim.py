@@ -134,11 +134,10 @@ def test_an_empty_schedule_step_is_an_error():
         run(s, "cm0", ExplicitSchedule(((("send", "a1"),), ())))
 
 
-def test_exhaustive_cm1_search_refuses_a_fragment_it_cannot_cover():
-    # seven copies of x in one data centre: a ONE write has 2**7 - 1 = 127
-    # compliant selections, more than the 64 a cm1 step enumerates, so an
-    # exhaustive search would skip some of them
-    s = parse_scenario(
+def seven_copies():
+    """Seven copies of x in one data centre: a ONE write has 2**7 - 1 = 127
+    compliant selections."""
+    return parse_scenario(
         """
 cluster.datacentres = 1
 cluster.relation.x.arity = 1
@@ -154,11 +153,29 @@ init.x = (0) -> (0)
 """,
         name="seven_copies",
     )
+
+
+def test_exhaustive_cm1_search_refuses_a_fragment_it_cannot_cover():
+    # 127 selections are more than the 64 an exhaustive cm1 search covers,
+    # so it would skip some of them
+    s = seven_copies()
     with pytest.raises(ConfigError, match="x fragment 1 has more than 64 compliant selections"):
         search_schedules(s, "cm1", lambda trace, scenario: False)
     with pytest.raises(ConfigError, match="x fragment 1 has more than 64"):
         enumerate_traces(s, "cm1")
-    assert run(s, "cm1", SeededSchedule(0)).completed  # a seeded run draws from the first 64
+    assert run(s, "cm1", SeededSchedule(0)).completed  # a seeded run draws from all of them
+
+
+def test_seeded_cm1_runs_draw_from_every_compliant_selection():
+    # smallest first, the first 64 selections are the groups of 1-4 copies
+    s = seven_copies()
+    sizes = set()
+    for seed in range(600):
+        steps = run(s, "cm1", SeededSchedule(seed)).schedule_steps
+        ((dc,),) = [step for step in steps if step[0][0] == "dc"]
+        ((_, group),) = dc[3]
+        sizes.add(len(group))
+    assert sizes == {1, 2, 3, 4, 5, 6, 7}
 
 
 def test_conflicting_simultaneous_writes_discard_the_run():
