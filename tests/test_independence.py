@@ -25,7 +25,7 @@ from corpus import generated_scenarios
 
 STATES = 200
 SCENARIOS = generated_scenarios() + [load_scenario(name) for name in bundled_scenarios()]
-CORPUS = {scenario.name: scenario for scenario in generated_scenarios()}
+CORPUS = {scenario.name: scenario for scenario in SCENARIOS}
 
 
 def successors(sim) -> list:
@@ -110,14 +110,14 @@ def test_equal_search_keys_mean_equal_agent_histories(name, model):
         for move in sim.enumerate_moves(with_selections=True):
             child = sim.clone()
             child.apply_round([move])
-            seen = by_state_key.setdefault(child.state_key(), histories(child))
-            split += seen != histories(child)
+            history = histories(child)
+            split += by_state_key.setdefault(child.state_key(), history) != history
             key = child.search_key()
             if key in by_search_key:
-                assert by_search_key[key] == histories(child), key
+                assert by_search_key[key] == history, key
                 merged += 1
             else:
-                by_search_key[key] = histories(child)
+                by_search_key[key] = history
                 stack.append(child)
     assert merged > 0
     assert split > 0 or model == "cm0"
