@@ -14,12 +14,12 @@ import argparse
 import os
 import sys
 
-from .consistency import check_view_compatible, check_view_serialisable
+from .consistency import IncompleteTraceError, check_view_compatible, check_view_serialisable
 from .core import ConfigError
 from .predicates import load_predicate
 from .scenario import ScenarioError, bundled_scenarios, load_scenario
 from .sim import DEFAULT_STEP_LIMIT, SeededSchedule, run, search_schedules
-from .trace import Trace
+from .trace import Trace, TraceError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
                 print(name)
             return EXIT_OK
         return EXIT_INTERNAL  # pragma: no cover
-    except (ScenarioError, ConfigError, ValueError) as exc:
+    except (ScenarioError, ConfigError, TraceError, IncompleteTraceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

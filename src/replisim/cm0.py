@@ -78,20 +78,41 @@ def check_writeset(p: WriteSet, cfg: ClusterConfig, rid: str) -> None:
             raise ConfigError(f"write value {v!r} does not match co-arity {rel.co_arity} of {rid}")
 
 
+def read_locations(rid: str, cond: Condition) -> Optional[tuple]:
+    """The (rid, key) locations a key condition looks up, or None for a
+    condition that scans the relation."""
+    if cond.kind == "KEY_EQ":
+        return ((rid, cond.key),)
+    if cond.kind == "KEY_IN":
+        return tuple((rid, k) for k in cond.keys)
+    return None
+
+
+def evaluate_read(store: FlatStore, cfg: ClusterConfig, rid: str, cond: Condition, locations) -> frozenset:
+    """Answer set of a validated read, given its ``read_locations``."""
+    if locations is None:
+        return frozenset(
+            (k, v) for (r, k), v in store.data.items() if r == rid and cond.matches(k, cfg, rid)
+        )
+    data = store.data
+    return frozenset([(loc[1], v) for loc in locations if (v := data.get(loc, UNDEF)) is not UNDEF])
+
+
 def db_answer_read(store: FlatStore, cfg: ClusterConfig, rid: str, cond: Condition) -> frozenset:
     """Answer set {(k, v)}: defined records whose key satisfies the condition.
     Key conditions look their keys up; the others scan the relation."""
     cond.check_arity(cfg, rid)
-    if cond.kind in ("KEY_EQ", "KEY_IN"):
-        keys = (cond.key,) if cond.kind == "KEY_EQ" else cond.keys
-        return frozenset((k, v) for k in keys if (v := store.get(rid, k)) is not UNDEF)
-    return frozenset(
-        (k, v) for (r, k), v in store.data.items() if r == rid and cond.matches(k, cfg, rid)
-    )
+    return evaluate_read(store, cfg, rid, cond, read_locations(rid, cond))
+
+
+def write_pairs(rid: str, pairs) -> tuple:
+    """The ((rid, k), v) pairs of a write set's (k, v) pairs, in the order
+    ``db_perform_write`` applies them."""
+    return tuple(((rid, k), v) for k, v in sorted(pairs, key=lambda kv: tuple_sort_key(kv[0])))
 
 
 def db_perform_write(store: FlatStore, cfg: ClusterConfig, rid: str, p: WriteSet) -> None:
     """Apply the write set in place: UNDEF deletes, anything else upserts."""
     check_writeset(p, cfg, rid)
-    for k in sorted(p, key=tuple_sort_key):
-        store.set(rid, k, p[k])
+    for (_, k), v in write_pairs(rid, p.items()):
+        store.set(rid, k, v)

@@ -5,6 +5,19 @@ Both checkers replay candidate orders against the single-copy oracle (the
 ground-model read/write operations on a flat store) and therefore depend
 only on the trace and the scenario's initial data, never on the schedule
 that produced the trace.
+
+A check first validates every request against the scenario, once, with
+cm0's validators (``Condition.check_arity``, ``check_writeset``): an invalid
+request raises ``ConfigError`` before any replay, whatever the budget.  It
+then compiles each request: a read to the locations it looks up
+(``cm0.read_locations``; None for a TRUE or HASH_RANGE scan), a write to its
+((relation, key), value) pairs in the order ``db_perform_write`` applies
+them (``cm0.write_pairs``).  A replay evaluates reads with
+``cm0.evaluate_read``, the evaluator behind ``db_answer_read``, and sets the
+write pairs; it neither validates nor sorts.  A store that is part of a
+search state is never written to: a step that writes clones its parent's
+store, and a step that writes nothing shares its parent's store and that
+store's ``state_key()``.
 """
 
 from __future__ import annotations
@@ -12,9 +25,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .cm0 import db_answer_read, db_perform_write
-from .core import UNDEF, FlatStore
+# db_answer_read and db_perform_write are not called here, but stay importable
+# from this module: perfbench/tracing.py patches them by these names.
+from .cm0 import (
+    check_writeset,
+    db_answer_read,
+    db_perform_write,
+    evaluate_read,
+    read_locations,
+    write_pairs,
+)
+from .core import UNDEF, ClusterConfig, FlatStore
 from .scenario import Scenario
 from .trace import REQ, RESP, Trace
 
@@ -51,7 +74,8 @@ class Verdict:
 
 
 class IncompleteTraceError(Exception):
-    pass
+    """The checkers cannot judge the trace: a request is unanswered or
+    answered too early, or its REQ and RESP records do not fit together."""
 
 
 @dataclass(frozen=True, eq=False)  # identity: one object per request per check
@@ -64,13 +88,25 @@ class _ReqInfo:
     lo: int  # request issued (exclusive window bound)
     hi: int  # response issued (inclusive window bound)
     index: int  # position in the (hi, lo, req) order
+    locations: object  # a read's cm0.read_locations (None for a scan); None for writes
+    pairs: tuple  # a write's cm0.write_pairs; () for reads
 
 
-def _request_infos(trace: Trace) -> list:
-    """One record per request, in (hi, lo, req) order."""
-    if not trace.is_complete():
+def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
+    """One record per request, in (hi, lo, req) order, with its compiled
+    form.  Given ``cfg``, every request is validated against it here, once,
+    with cm0's own validators, so that no replay validates or sorts."""
+    events = {REQ: {}, RESP: {}}
+    for e in trace.events:
+        seen = events.get(e.kind)
+        if seen is None:
+            continue
+        if e.req in seen:
+            raise IncompleteTraceError(f"request {e.req} has two {e.kind} events")
+        seen[e.req] = e
+    reqs, resps = events[REQ], events[RESP]
+    if set(reqs) != set(resps):
         raise IncompleteTraceError("checkers need a completed trace (every request answered)")
-    reqs, resps = trace.requests(), trace.responses()
     windows = []
     for req in reqs:
         r, a = reqs[req], resps[req]
@@ -79,9 +115,25 @@ def _request_infos(trace: Trace) -> list:
         windows.append((a.idx, r.idx, req))
     infos = []
     for index, (hi, lo, req) in enumerate(sorted(windows)):
-        tag, rid, body = reqs[req].payload
-        answer = resps[req].payload[2] if tag == "read" else None
-        infos.append(_ReqInfo(req, tag, rid, body, answer, lo, hi, index))
+        payload, resp = reqs[req].payload, resps[req].payload
+        if payload[0] not in ("read", "write") or len(payload) != 3:
+            raise IncompleteTraceError(f"request {req} is neither a read nor a write")
+        tag, rid, body = payload
+        want = "answer" if tag == "read" else "ack"
+        if resp[0] != want:
+            raise IncompleteTraceError(f"{tag} request {req} is answered by {resp[0]}, not {want}")
+        if resp[1] != rid:
+            raise IncompleteTraceError(f"request {req} on {rid} is answered on {resp[1]}")
+        if tag == "read":
+            if cfg is not None:
+                body.check_arity(cfg, rid)
+            answer, locations, pairs = resp[2], read_locations(rid, body), ()
+        else:
+            if cfg is not None:
+                for k, v in body:
+                    check_writeset({k: v}, cfg, rid)
+            answer, locations, pairs = None, None, write_pairs(rid, body)
+        infos.append(_ReqInfo(req, tag, rid, body, answer, lo, hi, index, locations, pairs))
     return infos
 
 
@@ -95,31 +147,34 @@ def _read_values(infos) -> frozenset:
     return frozenset(seen)
 
 
-def _replay_batch(flat: FlatStore, scenario: Scenario, batch, skipped: frozenset) -> bool:
-    """Replay simultaneous requests: reads evaluate against the shared
-    pre-state, then all write sets apply together; conflicting simultaneous
-    writes reject the candidate (an inconsistent update set would).
-    ``skipped`` names (req, key) write pairs left unapplied under the
-    unread-value waiver."""
+def _answers_match(flat: FlatStore, cfg: ClusterConfig, batch) -> bool:
+    """Whether every read of the batch, evaluated against ``flat``,
+    reproduces its recorded answer."""
     for info in batch:
-        if info.kind == "read":
-            rows = db_answer_read(flat, scenario.cfg, info.rid, info.body)
-            if rows != info.answer:
-                return False
+        if info.kind == "read" and evaluate_read(flat, cfg, info.rid, info.body, info.locations) != info.answer:
+            return False
+    return True
+
+
+def _replay_writes(flat: FlatStore, batch, skipped: frozenset):
+    """The store after the batch's write sets apply together, or None when
+    two of them write different values to one location (an inconsistent
+    update set).  ``skipped`` names (req, key) write pairs left unapplied
+    under the unread-value waiver.  ``flat`` itself is returned when
+    nothing is written; otherwise it is cloned, never written to."""
     combined: dict = {}
     for info in batch:
-        if info.kind != "write":
-            continue
-        for k, v in info.body:
-            if (info.req, k) in skipped:
+        for loc, v in info.pairs:
+            if skipped and (info.req, loc[1]) in skipped:
                 continue
-            loc = (info.rid, k)
-            if loc in combined and combined[loc] != v:
-                return False
-            combined[loc] = v
+            if combined.setdefault(loc, v) != v:
+                return None
+    if not combined:
+        return flat
+    flat = flat.clone()
     for (rid, k), v in combined.items():
-        db_perform_write(flat, scenario.cfg, rid, {k: v})
-    return True
+        flat.set(rid, k, v)
+    return flat
 
 
 def _waiver_choices(batch, read_values: frozenset):
@@ -196,10 +251,11 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
     search space was fully covered).
 
     A search state is (placed requests as a bitmask over the (hi, lo, req)
-    order, flat store, last point); ``budget`` bounds the states entered,
-    and ``replays`` reports them.
+    order, flat store, last point, the store's ``state_key()``); ``budget``
+    bounds the states entered, and ``replays`` reports them.
     """
-    infos = _request_infos(trace)
+    cfg = scenario.cfg
+    infos = _request_infos(trace, cfg)
     read_values = _read_values(infos)
     everything = (1 << len(infos)) - 1
     lo_from = [math.inf] * (len(infos) + 1)  # lo_from[n]: the smallest lo in infos[n:]
@@ -213,7 +269,7 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
         # The unplaced request with the smallest ``hi`` must be placed in
         # the batch or after it, so a batch holds only requests issued
         # before that bound: any other member would push the point past it.
-        placed, flat, last_point = state
+        placed, flat, last_point, flat_key = state
         first = first_unplaced(placed)
         bound = first.hi
         order = []
@@ -230,15 +286,19 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
                 now_placed = placed | sum(1 << i.index for i in combo)
                 if now_placed != everything and first_unplaced(now_placed).hi <= point:
                     continue
+                if not _answers_match(flat, cfg, combo):
+                    continue
                 for skipped in _waiver_choices(combo, read_values):
-                    flat2 = flat.clone()
-                    if _replay_batch(flat2, scenario, combo, skipped):
-                        yield ((point, tuple(i.req for i in combo)), skipped), (now_placed, flat2, point)
+                    flat2 = _replay_writes(flat, combo, skipped)
+                    if flat2 is not None:
+                        key2 = flat_key if flat2 is flat else flat2.state_key()
+                        step = ((point, tuple(i.req for i in combo)), skipped)
+                        yield step, (now_placed, flat2, point, key2)
 
-    root = (0, scenario.initial.clone(), 0)
+    root = (0, scenario.initial, 0, scenario.initial.state_key())
     steps, nodes = _search(
         root,
-        key=lambda state: (state[0], state[1].state_key(), state[2]),
+        key=lambda state: (state[0], state[3], state[2]),
         expand=expand,
         done=lambda state: state[0] == everything,
         budget=budget,
@@ -302,29 +362,36 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
     own order, replaying each through the single-copy oracle; accept when
     all recorded answers are reproduced.
 
-    A search state is (requests done per agent, flat store); ``budget``
-    bounds the states entered, and ``replays`` reports them."""
-    infos = _request_infos(trace)
+    A search state is (requests done per agent, flat store, the store's
+    ``state_key()``); ``budget`` bounds the states entered, and ``replays``
+    reports them."""
+    cfg = scenario.cfg
+    infos = _request_infos(trace, cfg)
     by_agent: dict = {}
     for info in sorted(infos, key=lambda i: i.lo):
         agent = info.req.split("#", 1)[0]
         by_agent.setdefault(agent, []).append(info)
     queues = [by_agent[a] for a in sorted(by_agent)]
+    total = tuple(len(queue) for queue in queues)
 
     def expand(state):
-        progress, flat = state
-        for n, queue in enumerate(queues):
-            if progress[n] == len(queue):
+        progress, flat, flat_key = state
+        for n, done in enumerate(progress):
+            if done == total[n]:
                 continue
-            info = queue[progress[n]]
-            flat2 = flat.clone()
-            if _replay_batch(flat2, scenario, [info], frozenset()):
-                yield info.req, (progress[:n] + (progress[n] + 1,) + progress[n + 1:], flat2)
+            info = queues[n][done]
+            now = progress[:n] + (done + 1,) + progress[n + 1:]
+            if info.kind == "read":
+                if evaluate_read(flat, cfg, info.rid, info.body, info.locations) == info.answer:
+                    yield info.req, (now, flat, flat_key)
+                continue
+            flat2 = _replay_writes(flat, (info,), frozenset())
+            if flat2 is not None:
+                yield info.req, (now, flat2, flat_key if flat2 is flat else flat2.state_key())
 
-    total = tuple(len(queue) for queue in queues)
     steps, nodes = _search(
-        ((0,) * len(queues), scenario.initial.clone()),
-        key=lambda state: (state[0], state[1].state_key()),
+        ((0,) * len(queues), scenario.initial, scenario.initial.state_key()),
+        key=lambda state: (state[0], state[2]),
         expand=expand,
         done=lambda state: state[0] == total,
         budget=budget,

@@ -93,6 +93,38 @@ agent.a1.program = read x true
     assert code == 2
 
 
+def _bad_trace(tmp_path, capsys, edit):
+    """A recorded counterexample trace, changed by ``edit`` (text -> text)."""
+    trace_path = tmp_path / "t.log"
+    code, _, _ = run_cli(
+        ["run", "counterexample", "--model", "cm0", "--seed", "3", "--trace", str(trace_path)],
+        capsys,
+    )
+    assert code == 0
+    trace_path.write_text(edit(trace_path.read_text()))
+    return trace_path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # the last RESP line dropped: a request is unanswered
+        (lambda text: "".join(text.splitlines(keepends=True)[:-1]), "completed trace"),
+        (lambda text: text + "idx=oops kind=REQ\n", "cannot parse"),
+        # a read answered by an acknowledgement
+        (lambda text: text.replace("payload=(answer x ((0) (1)))", "payload=(ack x)"), "answered by ack"),
+    ],
+    ids=["incomplete", "unparsable", "read-answered-by-ack"],
+)
+@pytest.mark.parametrize("prop", ["compatible", "serialisable"])
+def test_check_of_a_bad_trace_exits_2(tmp_path, capsys, edit, message, prop):
+    trace_path = _bad_trace(tmp_path, capsys, edit)
+    code, out, err = run_cli(["check", "counterexample", prop, "--trace", str(trace_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_search_budget_exhaustion_exits_3(capsys):
     code, out, _ = run_cli(
         ["search", "intro", "--model", "cm2", "--predicate", "anomaly-read-stale", "--budget", "3"],

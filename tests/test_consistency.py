@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from replisim import (
     SeededSchedule,
@@ -10,8 +13,9 @@ from replisim import (
     search_schedules,
     view_equivalent,
 )
-from replisim.cm0 import Condition, db_answer_read, db_perform_write
-from replisim.consistency import IncompleteTraceError, _request_infos
+from replisim.cm0 import Condition, db_answer_read, db_perform_write, evaluate_read
+from replisim.consistency import IncompleteTraceError, _answers_match, _replay_writes, _request_infos
+from replisim.core import UNDEF, ConfigError, FlatStore
 from replisim.predicates import anomaly_read_stale
 from replisim.trace import Trace, TraceEvent
 
@@ -228,6 +232,149 @@ def test_incomplete_trace_rejected():
     t = Trace((ev(1, "REQ", "a1", "a1#0", read_payload()),))
     with pytest.raises(IncompleteTraceError):
         check_view_compatible(t, simple_scenario())
+
+
+WRITE_X = ("write", "x", (((0,), (1,)),))
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()),
+             ev(2, "RESP", "a1", "a1#0", answer_payload([((0,), (0,))])),
+             ev(3, "REQ", "a1", "a1#0", read_payload())),
+            "two REQ events",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()),
+             ev(2, "RESP", "a1", "a1#0", answer_payload([((0,), (0,))])),
+             ev(3, "RESP", "a1", "a1#0", answer_payload([((0,), (0,))]))),
+            "two RESP events",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", WRITE_X), ev(2, "RESP", "a1", "a1#0", answer_payload([]))),
+            "answered by answer, not ack",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()), ev(2, "RESP", "a1", "a1#0", ("ack", "x"))),
+            "answered by ack, not answer",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()),
+             ev(2, "RESP", "a1", "a1#0", answer_payload([((0,), (0,))], rid="y"))),
+            "on x is answered on y",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", WRITE_X), ev(2, "RESP", "a1", "a1#0", ("ack", "y"))),
+            "on x is answered on y",
+        ),
+    ],
+    ids=["two-reqs", "two-resps", "write-answered", "read-acked", "read-other-relation",
+         "write-other-relation"],
+)
+@pytest.mark.parametrize("checker", [check_view_compatible, check_view_serialisable])
+def test_inconsistent_trace_rejected(events, message, checker):
+    s = build("two_rel", [("a1", 1, "read x key=(0)")], relations=("x", "y"))
+    with pytest.raises(IncompleteTraceError, match=message):
+        checker(Trace(events), s)
+
+
+def test_invalid_request_rejected_before_any_replay():
+    # The bad request comes last in every order, so a budget of one node
+    # stops any search before a replay could reach it.
+    s = simple_scenario()
+    ok = (ev(1, "REQ", "a1", "a1#0", read_payload()),
+          ev(2, "RESP", "a1", "a1#0", answer_payload([((0,), (0,))])))
+    bad_read = (ev(3, "REQ", "a1", "a1#1", read_payload(key=(0, 0))),
+                ev(4, "RESP", "a1", "a1#1", answer_payload([])))
+    bad_write = (ev(3, "REQ", "a1", "a1#1", ("write", "x", (((0,), (1, 2)),))),
+                 ev(4, "RESP", "a1", "a1#1", ("ack", "x")))
+    for bad, message in ((bad_read, "arity"), (bad_write, "co-arity")):
+        for checker in (check_view_compatible, check_view_serialisable):
+            for budget in (0, 1):
+                with pytest.raises(ConfigError, match=message):
+                    checker(Trace(ok + bad), s, budget=budget)
+
+
+# ---------------------------------------------------------------------------
+# compiled replay against the oracle
+# ---------------------------------------------------------------------------
+
+
+ORACLE_SCENARIO = build("oracle", [("a1", 1, "read x true")], relations=("x", "y"), fragments=2)
+KEYS = st.tuples(st.integers(0, 5))
+VALUES = st.tuples(st.integers(0, 3))
+RIDS = st.sampled_from(["x", "y"])
+CONDITIONS = st.one_of(
+    st.just(Condition.true()),
+    st.builds(Condition.key_eq, KEYS),
+    st.builds(Condition.key_in, st.frozensets(KEYS, max_size=4)),
+    st.builds(Condition.hash_range, st.integers(1, 2)),
+)
+STORES = st.dictionaries(st.tuples(RIDS, KEYS), VALUES, max_size=10)
+
+
+def _flat(data):
+    flat = FlatStore()
+    for (rid, k), v in data.items():
+        flat.set(rid, k, v)
+    return flat
+
+
+def _compile(payloads):
+    """The checker's records of requests issued and answered in turn."""
+    events = []
+    for n, payload in enumerate(payloads):
+        resp = ("answer", payload[1], frozenset()) if payload[0] == "read" else ("ack", payload[1])
+        events += [ev(2 * n + 1, "REQ", "a1", f"a1#{n}", payload),
+                   ev(2 * n + 2, "RESP", "a1", f"a1#{n}", resp)]
+    return _request_infos(Trace(tuple(events)), ORACLE_SCENARIO.cfg)
+
+
+@given(data=STORES, rid=RIDS, cond=CONDITIONS)
+def test_compiled_read_answers_as_the_oracle(data, rid, cond):
+    cfg = ORACLE_SCENARIO.cfg
+    flat = _flat(data)
+    (info,) = _compile([("read", rid, cond)])
+    want = db_answer_read(flat, cfg, rid, cond)
+    scanned = frozenset((k, v) for (r, k), v in data.items() if r == rid and cond.matches(k, cfg, rid))
+    assert want == scanned
+    assert evaluate_read(flat, cfg, rid, cond, info.locations) == want
+    assert _answers_match(flat, cfg, [replace(info, answer=want)])
+    assert not _answers_match(flat, cfg, [replace(info, answer=want | {((9,), (9,))})])
+    assert flat.data == data
+
+
+WRITE_SETS = st.tuples(RIDS, st.dictionaries(KEYS, st.one_of(st.just(UNDEF), VALUES), max_size=3))
+
+
+@given(data=STORES, writes=st.lists(WRITE_SETS, min_size=1, max_size=3), waive=st.data())
+def test_compiled_write_batch_applies_as_the_oracle(data, writes, waive):
+    cfg = ORACLE_SCENARIO.cfg
+    flat = _flat(data)
+    infos = _compile([("write", rid, tuple(p.items())) for rid, p in writes])
+    pairs = [(info.req, k) for info, (_, p) in zip(infos, writes) for k in p]
+    skipped = frozenset(waive.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    # The oracle: each request's unwaived pairs through db_perform_write; two
+    # pairs writing different values to one location reject the batch.
+    want = flat.clone()
+    written = {}
+    for info, (rid, p) in zip(infos, writes):
+        kept = {k: v for k, v in p.items() if (info.req, k) not in skipped}
+        for k, v in kept.items():
+            written.setdefault((rid, k), set()).add(v)
+        db_perform_write(want, cfg, rid, kept)
+    conflict = any(len(values) > 1 for values in written.values())
+    got = _replay_writes(flat, infos, skipped)
+    assert flat.data == data
+    if conflict:
+        assert got is None
+    elif not written:
+        assert got is flat
+    else:
+        assert got is not flat and got.data == want.data
+        assert got.state_key() == want.state_key()
 
 
 def test_unread_write_waiver_can_outrun_serialisability():
