@@ -78,31 +78,20 @@ def check_writeset(p: WriteSet, cfg: ClusterConfig, rid: str) -> None:
             raise ConfigError(f"write value {v!r} does not match co-arity {rel.co_arity} of {rid}")
 
 
-def read_locations(rid: str, cond: Condition) -> Optional[tuple]:
-    """The (rid, key) locations a key condition looks up, or None for a
-    condition that scans the relation."""
-    if cond.kind == "KEY_EQ":
-        return ((rid, cond.key),)
-    if cond.kind == "KEY_IN":
-        return tuple((rid, k) for k in cond.keys)
-    return None
-
-
-def evaluate_read(store: FlatStore, cfg: ClusterConfig, rid: str, cond: Condition, locations) -> frozenset:
-    """Answer set of a validated read, given its ``read_locations``."""
-    if locations is None:
-        return frozenset(
-            (k, v) for (r, k), v in store.data.items() if r == rid and cond.matches(k, cfg, rid)
-        )
-    data = store.data
-    return frozenset([(loc[1], v) for loc in locations if (v := data.get(loc, UNDEF)) is not UNDEF])
-
-
 def db_answer_read(store: FlatStore, cfg: ClusterConfig, rid: str, cond: Condition) -> frozenset:
     """Answer set {(k, v)}: defined records whose key satisfies the condition.
     Key conditions look their keys up; the others scan the relation."""
     cond.check_arity(cfg, rid)
-    return evaluate_read(store, cfg, rid, cond, read_locations(rid, cond))
+    data = store.data
+    if cond.kind == "KEY_EQ":
+        keys = (cond.key,)
+    elif cond.kind == "KEY_IN":
+        keys = cond.keys
+    else:
+        return frozenset(
+            (k, v) for (r, k), v in data.items() if r == rid and cond.matches(k, cfg, rid)
+        )
+    return frozenset([(k, v) for k in keys if (v := data.get((rid, k), UNDEF)) is not UNDEF])
 
 
 def write_pairs(rid: str, pairs) -> tuple:

@@ -9,12 +9,10 @@ that produced the trace.
 A check first validates every request against the scenario, once, with
 cm0's validators (``Condition.check_arity``, ``check_writeset``): an invalid
 request raises ``ConfigError`` before any replay, whatever the budget.  It
-then compiles each request: a read to the locations it looks up
-(``cm0.read_locations``; None for a TRUE or HASH_RANGE scan), a write to its
-((relation, key), value) pairs in the order ``db_perform_write`` applies
-them (``cm0.write_pairs``).  A replay evaluates reads with
-``cm0.evaluate_read``, the evaluator behind ``db_answer_read``, and sets the
-write pairs; it neither validates nor sorts.  A store that is part of a
+compiles each write to its ((relation, key), value) pairs in the order
+``db_perform_write`` applies them (``cm0.write_pairs``), and a replay sets
+those pairs without validating or sorting them again.  A replay answers
+reads with the oracle's own ``db_answer_read``.  A store that is part of a
 search state is never written to: a step that writes clones its parent's
 store, and a step that writes nothing shares its parent's store and that
 store's ``state_key()``.
@@ -27,16 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-# db_answer_read and db_perform_write are not called here, but stay importable
-# from this module: perfbench/tracing.py patches them by these names.
-from .cm0 import (
-    check_writeset,
-    db_answer_read,
-    db_perform_write,
-    evaluate_read,
-    read_locations,
-    write_pairs,
-)
+# db_perform_write is not called here: a replay sets compiled write pairs.
+# perfbench/tracing.py patches it by this name, so it stays importable.
+from .cm0 import check_writeset, db_answer_read, db_perform_write, write_pairs
 from .core import UNDEF, ClusterConfig, FlatStore
 from .scenario import Scenario
 from .trace import REQ, RESP, Trace
@@ -88,14 +79,13 @@ class _ReqInfo:
     lo: int  # request issued (exclusive window bound)
     hi: int  # response issued (inclusive window bound)
     index: int  # position in the (hi, lo, req) order
-    locations: object  # a read's cm0.read_locations (None for a scan); None for writes
     pairs: tuple  # a write's cm0.write_pairs; () for reads
 
 
 def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
-    """One record per request, in (hi, lo, req) order, with its compiled
-    form.  Given ``cfg``, every request is validated against it here, once,
-    with cm0's own validators, so that no replay validates or sorts."""
+    """One record per request, in (hi, lo, req) order, a write with its
+    compiled pairs.  Given ``cfg``, every request is validated against it
+    here, once, with cm0's own validators, before any replay."""
     events = {REQ: {}, RESP: {}}
     for e in trace.events:
         seen = events.get(e.kind)
@@ -127,13 +117,13 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
         if tag == "read":
             if cfg is not None:
                 body.check_arity(cfg, rid)
-            answer, locations, pairs = resp[2], read_locations(rid, body), ()
+            answer, pairs = resp[2], ()
         else:
             if cfg is not None:
                 for k, v in body:
                     check_writeset({k: v}, cfg, rid)
-            answer, locations, pairs = None, None, write_pairs(rid, body)
-        infos.append(_ReqInfo(req, tag, rid, body, answer, lo, hi, index, locations, pairs))
+            answer, pairs = None, write_pairs(rid, body)
+        infos.append(_ReqInfo(req, tag, rid, body, answer, lo, hi, index, pairs))
     return infos
 
 
@@ -151,7 +141,7 @@ def _answers_match(flat: FlatStore, cfg: ClusterConfig, batch) -> bool:
     """Whether every read of the batch, evaluated against ``flat``,
     reproduces its recorded answer."""
     for info in batch:
-        if info.kind == "read" and evaluate_read(flat, cfg, info.rid, info.body, info.locations) != info.answer:
+        if info.kind == "read" and db_answer_read(flat, cfg, info.rid, info.body) != info.answer:
             return False
     return True
 
@@ -186,8 +176,8 @@ def _waiver_choices(batch, read_values: frozenset):
     for info in batch:
         if info.kind != "write":
             continue
-        for k, v in info.body:
-            if v is UNDEF or (info.rid, k, v) not in read_values:
+        for (rid, k), v in info.pairs:
+            if v is UNDEF or (rid, k, v) not in read_values:
                 waivable.append((info.req, k))
     for n in range(len(waivable) + 1):
         for combo in itertools.combinations(waivable, n):
@@ -382,7 +372,7 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
             info = queues[n][done]
             now = progress[:n] + (done + 1,) + progress[n + 1:]
             if info.kind == "read":
-                if evaluate_read(flat, cfg, info.rid, info.body, info.locations) == info.answer:
+                if _answers_match(flat, cfg, (info,)):
                     yield info.req, (now, flat, flat_key)
                 continue
             flat2 = _replay_writes(flat, (info,), frozenset())
