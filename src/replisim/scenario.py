@@ -18,7 +18,6 @@ from .core import (
     ConfigError,
     FlatStore,
     RelationConfig,
-    tuple_sort_key,
 )
 from .policies import (
     CountState,
@@ -27,6 +26,7 @@ from .policies import (
     parse_policy,
     sufficient,
 )
+from .trace import TOKEN_RE, read_atom, read_fragment, read_name, write_pairs
 
 
 class ScenarioError(Exception):
@@ -101,48 +101,13 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer for program / tuple / write-set values
+# Program / tuple / write-set values, read from trace.TOKEN_RE's tokens
 # ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<arrow>->)
-      | (?P<punct>[(){};,=])
-      | (?P<string>"(?:[^"\\]|\\.)*")
-      | (?P<int>-?\d+)
-      | (?P<word>[A-Za-z_][A-Za-z0-9_/]*)
-    )""",
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list:
-    tokens, pos = [], 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.start() != pos:
-            raise ValueError(f"unexpected character {text[pos]!r}")
-        if m.lastgroup == "arrow":
-            tokens.append(("punct", "->"))
-        elif m.lastgroup == "punct":
-            tokens.append(("punct", m.group("punct")))
-        elif m.lastgroup == "string":
-            raw = m.group("string")[1:-1]
-            tokens.append(("atom", raw.replace('\\"', '"').replace("\\\\", "\\")))
-        elif m.lastgroup == "int":
-            tokens.append(("atom", int(m.group("int"))))
-        else:
-            tokens.append(("word", m.group("word")))
-        pos = m.end()
-    return tokens
 
 
 class _TokenStream:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = TOKEN_RE.findall(text)
         self.pos = 0
 
     def peek(self):
@@ -157,14 +122,8 @@ class _TokenStream:
 
     def expect_punct(self, value: str):
         tok = self.next()
-        if tok != ("punct", value):
+        if tok != value:
             raise ValueError(f"expected {value!r}, got {tok!r}")
-
-    def expect_word(self) -> str:
-        tok = self.next()
-        if tok[0] != "word":
-            raise ValueError(f"expected a name, got {tok!r}")
-        return tok[1]
 
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -173,17 +132,14 @@ class _TokenStream:
 def _parse_tuple(ts: _TokenStream) -> tuple:
     ts.expect_punct("(")
     atoms = []
-    while ts.peek() != ("punct", ")"):
-        tok = ts.next()
-        if tok[0] != "atom":
-            raise ValueError(f"expected an atom inside a tuple, got {tok!r}")
-        atoms.append(tok[1])
+    while ts.peek() != ")":
+        atoms.append(read_atom(ts.next()))
     ts.next()
     return tuple(atoms)
 
 
 def _parse_value(ts: _TokenStream):
-    if ts.peek() == ("word", "undef"):
+    if ts.peek() == "undef":
         ts.next()
         return UNDEF
     return _parse_tuple(ts)
@@ -192,22 +148,18 @@ def _parse_value(ts: _TokenStream):
 def _parse_writeset(ts: _TokenStream) -> tuple:
     ts.expect_punct("{")
     pairs = []
-    while ts.peek() != ("punct", "}"):
+    while ts.peek() != "}":
         k = _parse_tuple(ts)
         ts.expect_punct("->")
-        v = _parse_value(ts)
-        pairs.append((k, v))
-        if ts.peek() == ("punct", ","):
+        pairs.append((k, _parse_value(ts)))
+        if ts.peek() == ",":
             ts.next()
     ts.next()
-    keys = [k for k, _ in pairs]
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicate key in write set")
-    return tuple(sorted(pairs, key=lambda kv: tuple_sort_key(kv[0])))
+    return write_pairs(pairs)
 
 
 def _parse_cond(ts: _TokenStream) -> Condition:
-    word = ts.expect_word()
+    word = read_name(ts.next())
     if word == "true":
         return Condition.true()
     if word == "key":
@@ -216,45 +168,37 @@ def _parse_cond(ts: _TokenStream) -> Condition:
     if word == "key_in":
         ts.expect_punct("{")
         keys = []
-        while ts.peek() != ("punct", "}"):
+        while ts.peek() != "}":
             keys.append(_parse_tuple(ts))
         ts.next()
         return Condition.key_in(keys)
     if word == "hash_range":
         ts.expect_punct("=")
-        tok = ts.next()
-        if tok[0] != "atom" or not isinstance(tok[1], int):
-            raise ValueError("hash_range needs a fragment number")
-        return Condition.hash_range(tok[1])
+        return Condition.hash_range(read_fragment(ts.next()))
     raise ValueError(f"unknown condition {word!r}")
 
 
 def _parse_program(text: str) -> tuple:
+    ts = _TokenStream(text)
     steps = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+    while not ts.done():
+        if ts.peek() == ";":
+            ts.next()
             continue
-        ts = _TokenStream(chunk)
-        op = ts.expect_word()
-        if op == "read":
-            rid = ts.expect_word()
-            cond = _parse_cond(ts)
-            print_answer = False
-            if ts.peek() == ("word", "print"):
-                ts.next()
-                print_answer = True
-            if not ts.done():
-                raise ValueError(f"trailing tokens in read step {chunk!r}")
-            steps.append(ClientStep("read", rid, cond=cond, print_answer=print_answer))
-        elif op == "write":
-            rid = ts.expect_word()
-            pairs = _parse_writeset(ts)
-            if not ts.done():
-                raise ValueError(f"trailing tokens in write step {chunk!r}")
-            steps.append(ClientStep("write", rid, pairs=pairs))
-        else:
+        op = read_name(ts.next())
+        if op not in ("read", "write"):
             raise ValueError(f"unknown step {op!r}")
+        rid = read_name(ts.next())
+        if op == "read":
+            cond = _parse_cond(ts)
+            print_answer = ts.peek() == "print"
+            if print_answer:
+                ts.next()
+            steps.append(ClientStep("read", rid, cond=cond, print_answer=print_answer))
+        else:
+            steps.append(ClientStep("write", rid, pairs=_parse_writeset(ts)))
+        if not ts.done() and ts.peek() != ";":
+            raise ValueError(f"trailing tokens in {op} step, from {ts.peek()!r}")
     return tuple(steps)
 
 
@@ -469,7 +413,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 if initial.get(rid, k) is not UNDEF:
                     raise ValueError(f"duplicate initial record for key {k!r}")
                 initial.set(rid, k, v)
-                if ts.peek() == ("punct", ","):
+                if ts.peek() == ",":
                     ts.next()
         except (ValueError, ConfigError) as exc:
             diags.append((lineno, str(exc)))

@@ -1,9 +1,21 @@
-"""Run traces: ordered request/response/print records plus a line-oriented
+r"""Run traces: ordered request/response/print records plus a line-oriented
 text format that round-trips losslessly (canonical rendering, diffable).
+
+An event line is ``idx=<n> kind=<REQ|RESP|PRINT> agent=<id> req=<id>
+payload=<term>``; a payload term is written by ``render_payload`` and read
+back by ``parse_payload``.  ``TOKEN_RE`` is the one tokenizer for trace text
+and for scenario values (``scenario.py``): reading a token is the inverse of
+``render_atom``, so a string atom is quoted and only ``\\`` and ``\"`` are
+escapes.  The readers raise ``TraceError`` on any other escape, an
+unterminated string, unbalanced parentheses, tokens after the term, an
+unknown payload or condition tag, a name where an atom is expected (or the
+reverse), a hash-range fragment that is not an integer, a write that names
+one key twice, and an event kind other than REQ, RESP or PRINT.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,8 +23,8 @@ from .cm0 import Condition
 from .core import UNDEF, tuple_sort_key
 
 
-class TraceError(Exception):
-    pass
+class TraceError(ValueError):
+    """Malformed trace or scenario text; scenario.py reports it as a diagnostic."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,119 +83,119 @@ def render_payload(payload: tuple) -> str:
     raise TraceError(f"cannot render payload {payload!r}")
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            out = []
-            i += 1
-            while i < len(text) and text[i] != '"':
-                if text[i] == "\\" and i + 1 < len(text):
-                    out.append(text[i + 1])
-                    i += 2
-                else:
-                    out.append(text[i])
-                    i += 1
-            if i >= len(text):
-                raise TraceError(f"unterminated string in {text!r}")
-            tokens.append(("str", "".join(out)))
-            i += 1
+# One token of trace or scenario text, the inverse of render_atom: an arrow
+# or other punctuation, a quoted string in which only \\ and \" are escapes,
+# an integer, a name such as x or key-eq, or any other single character,
+# which every reader refuses where it finds it.
+TOKEN_RE = re.compile(
+    r'->|[(){};,=]|"(?:[^"\\]|\\["\\])*"|-?\d+'
+    r"|[A-Za-z_][A-Za-z0-9_/]*(?:-[A-Za-z0-9_]+)*|\S"
+)
+
+
+def _shown(node) -> str:
+    # Never repr a nested term: its depth is the reader's input.
+    return repr(node) if isinstance(node, str) else "a parenthesized term"
+
+
+def read_atom(tok):
+    """The atom a token spells: an integer, or a string with its escapes undone."""
+    if isinstance(tok, str):
+        if tok[0] == '"':
+            if len(tok) == 1:
+                raise TraceError('unterminated string, or an escape other than \\\\ and \\"')
+            return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    raise TraceError(f"expected an atom, got {_shown(tok)}")
+
+
+def read_name(tok) -> str:
+    """A name token, such as a relation, a tag or a scenario keyword."""
+    if isinstance(tok, str) and (tok[0] == "_" or tok[0].isascii() and tok[0].isalpha()):
+        return tok
+    raise TraceError(f"expected a name, got {_shown(tok)}")
+
+
+def read_fragment(tok) -> int:
+    """A hash-range fragment: an integer atom, never a string."""
+    fragment = read_atom(tok)
+    if not isinstance(fragment, int):
+        raise TraceError("a hash range fragment is an integer")
+    return fragment
+
+
+def write_pairs(pairs) -> tuple:
+    """A write set's (key, value) pairs in key order; a key named twice is refused."""
+    ordered = tuple(sorted(pairs, key=lambda kv: tuple_sort_key(kv[0])))
+    if len({k for k, _ in ordered}) != len(ordered):
+        raise TraceError("duplicate key in write set")
+    return ordered
+
+
+def _read_term(text: str) -> tuple:
+    """One parenthesized term, as nested tuples whose leaves are raw tokens."""
+    stack = [[]]
+    for tok in TOKEN_RE.findall(text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise TraceError("unbalanced parenthesis")
+            term = tuple(stack.pop())
+            stack[-1].append(term)
         else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            word = text[i:j]
-            if word.lstrip("-").isdigit():
-                tokens.append(("int", int(word)))
-            else:
-                tokens.append(("sym", word))
-            i = j
-    return tokens
+            stack[-1].append(tok)
+    if len(stack) > 1:
+        raise TraceError("missing closing parenthesis")
+    if len(stack[0]) != 1 or not isinstance(stack[0][0], tuple):
+        raise TraceError("expected one parenthesized term and nothing after it")
+    return stack[0][0]
 
 
-def _parse_sexpr(tokens: list, pos: int):
-    if pos >= len(tokens):
-        raise TraceError("unexpected end of term")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _parse_sexpr(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise TraceError("missing closing parenthesis")
-        return tuple(items), pos + 1
-    if tok == ")":
-        raise TraceError("unbalanced parenthesis")
-    return tok, pos + 1
+def _as_tuple(node) -> tuple:
+    if not isinstance(node, tuple):
+        raise TraceError(f"expected a tuple, got {_shown(node)}")
+    return tuple(map(read_atom, node))
 
 
-def parse_term(text: str):
-    tokens = _tokenize(text)
-    term, pos = _parse_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise TraceError(f"trailing tokens in {text!r}")
-    return term
+def _as_pair(node) -> tuple:
+    if not isinstance(node, tuple) or len(node) != 2:
+        raise TraceError(f"expected a (key value) pair, got {_shown(node)}")
+    return (_as_tuple(node[0]), UNDEF if node[1] == "undef" else _as_tuple(node[1]))
 
 
-def _as_tuple(node):
-    if node == ("sym", "undef"):
-        return UNDEF
-    if not isinstance(node, tuple) or (node and isinstance(node[0], str) and node[0] in ("sym", "int", "str")):
-        raise TraceError(f"expected tuple, got {node!r}")
-    return tuple(_as_atom(a) for a in node)
-
-
-def _as_atom(node):
-    if isinstance(node, tuple) and len(node) == 2 and node[0] in ("int", "str"):
-        return node[1]
-    raise TraceError(f"expected atom, got {node!r}")
-
-
-def _as_sym(node) -> str:
-    if isinstance(node, tuple) and len(node) == 2 and node[0] == "sym":
-        return node[1]
-    raise TraceError(f"expected symbol, got {node!r}")
-
-
-def _parse_cond(node) -> Condition:
-    tag = _as_sym(node[0])
-    if tag == "true":
+def _as_cond(node) -> Condition:
+    if not isinstance(node, tuple) or not node:
+        raise TraceError(f"expected a condition, got {_shown(node)}")
+    tag, args = node[0], node[1:]
+    if tag == "true" and not args:
         return Condition.true()
-    if tag == "key-eq":
-        return Condition.key_eq(_as_tuple(node[1]))
+    if tag == "key-eq" and len(args) == 1:
+        return Condition.key_eq(_as_tuple(args[0]))
     if tag == "key-in":
-        return Condition.key_in(_as_tuple(n) for n in node[1:])
-    if tag == "hash-range":
-        return Condition.hash_range(_as_atom(node[1]))
-    raise TraceError(f"unknown condition tag {tag!r}")
+        return Condition.key_in(map(_as_tuple, args))
+    if tag == "hash-range" and len(args) == 1:
+        return Condition.hash_range(read_fragment(args[0]))
+    raise TraceError(f"unknown condition tag {_shown(tag)}, or wrong number of arguments")
 
 
 def parse_payload(text: str) -> tuple:
-    node = parse_term(text)
-    tag = _as_sym(node[0])
-    if tag == "read":
-        return ("read", _as_sym(node[1]), _parse_cond(node[2]))
+    node = _read_term(text)
+    if len(node) < 2:
+        raise TraceError("a payload names its tag and its relation")
+    tag, rid, body = node[0], read_name(node[1]), node[2:]
+    if tag == "read" and len(body) == 1:
+        return ("read", rid, _as_cond(body[0]))
     if tag == "write":
-        pairs = tuple((_as_tuple(p[0]), _as_tuple(p[1])) for p in node[2:])
-        return ("write", _as_sym(node[1]), pairs)
-    if tag == "answer":
-        rows = frozenset((_as_tuple(p[0]), _as_tuple(p[1])) for p in node[2:])
-        return ("answer", _as_sym(node[1]), rows)
-    if tag == "ack":
-        return ("ack", _as_sym(node[1]))
-    if tag == "print":
-        rows = frozenset((_as_tuple(p[0]), _as_tuple(p[1])) for p in node[2:])
-        return ("print", _as_sym(node[1]), rows)
-    raise TraceError(f"unknown payload tag {tag!r}")
+        return ("write", rid, write_pairs(map(_as_pair, body)))
+    if tag in ("answer", "print"):
+        return (tag, rid, frozenset(map(_as_pair, body)))
+    if tag == "ack" and not body:
+        return ("ack", rid)
+    raise TraceError(f"unknown payload tag {_shown(tag)}, or wrong number of fields")
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +203,8 @@ def parse_payload(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 REQ, RESP, PRINT = "REQ", "RESP", "PRINT"
+
+_EVENT_RE = re.compile(r"idx=(-?\d+) kind=(\S+) agent=(\S+) req=(\S+) payload=(.*)")
 
 
 @dataclass(frozen=True)
@@ -262,28 +276,14 @@ class Trace:
                     meta.append((k, v))
                 continue
             try:
-                fields = {}
-                rest = line
-                for name in ("idx", "kind", "agent", "req"):
-                    if not rest.startswith(f"{name}="):
-                        raise TraceError(f"expected {name}=")
-                    rest = rest[len(name) + 1 :]
-                    cut = rest.index(" ")
-                    fields[name] = rest[:cut]
-                    rest = rest[cut + 1 :]
-                if not rest.startswith("payload="):
-                    raise TraceError("expected payload=")
-                payload = parse_payload(rest[len("payload=") :])
-                events.append(
-                    TraceEvent(
-                        idx=int(fields["idx"]),
-                        kind=fields["kind"],
-                        agent=fields["agent"],
-                        req=fields["req"],
-                        payload=payload,
-                    )
-                )
-            except (TraceError, ValueError, IndexError) as exc:
+                m = _EVENT_RE.fullmatch(line)
+                if m is None:
+                    raise TraceError("expected idx=, kind=, agent=, req= and payload=")
+                idx, kind, agent, req, payload = m.groups()
+                if kind not in (REQ, RESP, PRINT):
+                    raise TraceError(f"unknown event kind {kind!r}")
+                events.append(TraceEvent(int(idx), kind, agent, req, parse_payload(payload)))
+            except TraceError as exc:
                 raise TraceError(f"line {lineno}: cannot parse {line!r}: {exc}") from None
         return cls(events=tuple(events), meta=tuple(meta))
 

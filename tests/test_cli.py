@@ -113,8 +113,17 @@ def _bad_trace(tmp_path, capsys, edit):
         (lambda text: text + "idx=oops kind=REQ\n", "cannot parse"),
         # a read answered by an acknowledgement
         (lambda text: text.replace("payload=(answer x ((0) (1)))", "payload=(ack x)"), "answered by ack"),
+        # a hash-range fragment that is a string, not an integer
+        (lambda text: text.replace("(key-eq (0))", '(hash-range "a")'), "fragment is an integer"),
+        # a payload nested deeper than the interpreter's recursion limit
+        (lambda text: text.replace("(key-eq (0))", "(" * 3000 + ")" * 3000), "cannot parse"),
+        (lambda text: text.replace("kind=RESP", "kind=RESPONSE"), "unknown event kind"),
+        # a write that names its key twice
+        (lambda text: text.replace("payload=(write x ((0) (1)))", "payload=(write x ((0) (1)) ((0) (2)))"),
+         "duplicate key in write set"),
     ],
-    ids=["incomplete", "unparsable", "read-answered-by-ack"],
+    ids=["incomplete", "unparsable", "read-answered-by-ack", "string-fragment", "deep-nesting",
+         "unknown-kind", "duplicate-write-key"],
 )
 @pytest.mark.parametrize("prop", ["compatible", "serialisable"])
 def test_check_of_a_bad_trace_exits_2(tmp_path, capsys, edit, message, prop):

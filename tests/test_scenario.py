@@ -164,13 +164,15 @@ cluster.relation.x.coarity = 1
 policy.read = ONE
 policy.write = ONE
 agent.a1.home = 1
-agent.a1.program = write x {("k") -> ("v")}; read x key=("k")
+agent.a1.program = write x {("k") -> ("v")}; read x key=("k"); read x key=("a;b")
 init.x = ("k") -> ("w")
 """
     s = parse_scenario(text)
     assert s.initial.get("x", ("k",)) == ("w",)
     step = s.programs["a1"][0]
     assert step.pairs == ((("k",), ("v",)),)
+    # a ";" inside a string does not end the step
+    assert s.programs["a1"][2].cond.key == ("a;b",)
 
 
 def test_undef_in_init_rejected():

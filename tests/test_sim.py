@@ -4,6 +4,7 @@ from replisim import (
     ConfigError,
     ExplicitSchedule,
     RunDiscarded,
+    ScenarioError,
     ScheduleError,
     SeededSchedule,
     Simulation,
@@ -15,7 +16,7 @@ from replisim import (
     search_schedules,
 )
 from replisim.predicates import print_pair
-from replisim.trace import REQ, RESP
+from replisim.trace import PRINT, REQ, RESP, TraceError
 
 from corpus import build
 
@@ -268,26 +269,95 @@ def test_stale_read_unreachable_in_cm1_under_all_one():
 def test_payload_rendering_round_trips_random_terms():
     from hypothesis import given, strategies as st
     from replisim.cm0 import Condition
-    from replisim.core import UNDEF
-    from replisim.trace import parse_payload, render_payload
+    from replisim.core import UNDEF, tuple_sort_key
+    from replisim.trace import TraceEvent, parse_payload, render_payload
 
-    atom = st.one_of(st.integers(-(2**40), 2**40), st.text(max_size=6))
+    # Trace and scenario text are read line by line, so no atom holds a line break.
+    line_breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    text = st.text(st.characters(blacklist_characters=line_breaks), max_size=6)
+    atom = st.one_of(st.integers(-(2**40), 2**40), text)
     key = st.tuples(atom)
     value = st.one_of(st.just(UNDEF), st.tuples(atom))
+    rid = st.sampled_from(["x", "rel_2"])
+    cond = st.one_of(
+        st.just(Condition.true()),
+        key.map(Condition.key_eq),
+        st.sets(key, max_size=3).map(Condition.key_in),
+        st.integers(-3, 300).map(Condition.hash_range),
+    )
+    pairs = st.dictionaries(key, value, max_size=3).map(
+        lambda d: tuple(sorted(d.items(), key=lambda kv: tuple_sort_key(kv[0])))
+    )
+    payload = st.one_of(
+        st.tuples(st.just("write"), rid, pairs),
+        st.tuples(st.just("read"), rid, cond),
+        st.tuples(st.sampled_from(["answer", "print"]), rid, st.frozensets(st.tuples(key, st.tuples(atom)), max_size=3)),
+        st.tuples(st.just("ack"), rid),
+    )
+    event = st.builds(
+        TraceEvent,
+        st.integers(0, 10**6),
+        st.sampled_from([REQ, RESP, PRINT]),
+        st.sampled_from(["a1", "a_2"]),
+        st.sampled_from(["a1#0", "a_2#13"]),
+        payload,
+    )
 
-    @given(st.dictionaries(key, value, max_size=3), st.sets(key, max_size=3))
-    def roundtrip(pairs, keys):
-        from replisim.core import tuple_sort_key
-
-        write = ("write", "x", tuple(sorted(pairs.items(), key=lambda kv: tuple_sort_key(kv[0]))))
-        assert parse_payload(render_payload(write)) == write
-        read = ("read", "x", Condition.key_in(keys) if keys else Condition.true())
-        assert parse_payload(render_payload(read)) == read
-        rows = frozenset((k, (0,)) for k in keys)
-        answer = ("answer", "x", rows)
-        assert parse_payload(render_payload(answer)) == answer
+    @given(st.lists(event, max_size=4))
+    def roundtrip(events):
+        for e in events:
+            assert parse_payload(render_payload(e.payload)) == e.payload
+        trace = Trace(events=tuple(events), meta=(("scenario", "s"), ("model", "cm2")))
+        assert Trace.from_text(trace.to_text()) == trace
 
     roundtrip()
+
+
+_PROGRAM = """cluster.datacentres = 1
+cluster.relation.x.fragments = 2
+policy.read = ONE
+policy.write = ONE
+agent.a1.home = 1
+agent.a1.program = """
+
+
+def _event(payload: str):
+    return Trace.from_text("idx=1 kind=REQ agent=a1 req=a1#0 payload=" + payload)
+
+
+def _program(program: str):
+    return parse_scenario(_PROGRAM + program)
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        pytest.param(_event, "(read x (true)", id="trace-missing-close"),
+        pytest.param(_event, "(read x (true)))", id="trace-extra-close"),
+        pytest.param(_program, "write x {(0 -> (1)}", id="scenario-missing-close"),
+        pytest.param(_program, "read x key=((0)", id="scenario-extra-open"),
+        pytest.param(_event, '(write x (("a) (1)))', id="trace-unterminated-string"),
+        pytest.param(_program, 'write x {("a) -> (1)}', id="scenario-unterminated-string"),
+        pytest.param(_event, r'(write x (("a\nb") (1)))', id="trace-newline-escape"),
+        pytest.param(_program, r'write x {("a\nb") -> (1)}', id="scenario-newline-escape"),
+        pytest.param(_event, "(frob x)", id="trace-unknown-payload"),
+        pytest.param(_program, "frob x", id="scenario-unknown-step"),
+        pytest.param(_event, "(read x (key-like (0)))", id="trace-unknown-condition"),
+        pytest.param(_program, "read x key_like=(0)", id="scenario-unknown-condition"),
+        pytest.param(_event, "(ack x) y", id="trace-trailing-tokens"),
+        pytest.param(_program, "read x true print extra", id="scenario-trailing-tokens"),
+        pytest.param(_event, "(write x ((a) (1)))", id="trace-symbol-for-atom"),
+        pytest.param(_program, "write x {(a) -> (1)}", id="scenario-symbol-for-atom"),
+        pytest.param(_event, '(read x (hash-range "1"))', id="trace-string-fragment"),
+        pytest.param(_program, 'read x hash_range="1"', id="scenario-string-fragment"),
+        pytest.param(_event, "(write x ((0) (1)) ((0) (2)))", id="trace-duplicate-write-key"),
+        pytest.param(_program, "write x {(0) -> (1), (0) -> (2)}", id="scenario-duplicate-write-key"),
+        pytest.param(Trace.from_text, "idx=1 kind=REQ agent=a1 req=a1#0 (ack x)", id="trace-missing-payload"),
+    ],
+)
+def test_readers_refuse_malformed_text(read, text):
+    with pytest.raises((TraceError, ScenarioError)):
+        read(text)
 
 
 def test_freshest_value_guard_fires_on_planted_divergence():
