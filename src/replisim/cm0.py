@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import UNDEF, ClusterConfig, ConfigError, FlatStore, hash_fragment, tuple_sort_key
+from .core import UNDEF, ClusterConfig, ConfigError, FlatStore, hash_fragment, sorted_pairs
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def db_answer_read(store: FlatStore, cfg: ClusterConfig, rid: str, cond: Conditi
 def write_pairs(rid: str, pairs) -> tuple:
     """The ((rid, k), v) pairs of a write set's (k, v) pairs, in the order
     ``db_perform_write`` applies them."""
-    return tuple(((rid, k), v) for k, v in sorted(pairs, key=lambda kv: tuple_sort_key(kv[0])))
+    return tuple(((rid, k), v) for k, v in sorted_pairs(pairs))
 
 
 def db_perform_write(store: FlatStore, cfg: ClusterConfig, rid: str, p: WriteSet) -> None:

@@ -54,6 +54,11 @@ def tuple_sort_key(t: tuple) -> tuple:
     return tuple(atom_sort_key(a) for a in t)
 
 
+def sorted_pairs(pairs) -> tuple:
+    """(key, value) pairs in key order, the order writes apply and rows render."""
+    return tuple(sorted(pairs, key=lambda kv: tuple_sort_key(kv[0])))
+
+
 # ---------------------------------------------------------------------------
 # Timestamps
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .policies import (
     parse_policy,
     sufficient,
 )
-from .trace import TOKEN_RE, read_atom, read_fragment, read_name, write_pairs
+from .trace import checked_write_set, read_atom, read_fragment, read_name, read_tokens
 
 
 class ScenarioError(Exception):
@@ -101,13 +101,13 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Program / tuple / write-set values, read from trace.TOKEN_RE's tokens
+# Program / tuple / write-set values, read from trace.read_tokens
 # ---------------------------------------------------------------------------
 
 
 class _TokenStream:
     def __init__(self, text: str):
-        self.tokens = TOKEN_RE.findall(text)
+        self.tokens = read_tokens(text)
         self.pos = 0
 
     def peek(self):
@@ -155,7 +155,7 @@ def _parse_writeset(ts: _TokenStream) -> tuple:
         if ts.peek() == ",":
             ts.next()
     ts.next()
-    return write_pairs(pairs)
+    return checked_write_set(pairs)
 
 
 def _parse_cond(ts: _TokenStream) -> Condition:

@@ -6,7 +6,8 @@ payload=<term>``; a payload term is written by ``render_payload`` and read
 back by ``parse_payload``.  ``TOKEN_RE`` is the one tokenizer for trace text
 and for scenario values (``scenario.py``): reading a token is the inverse of
 ``render_atom``, so a string atom is quoted and only ``\\`` and ``\"`` are
-escapes.  The readers raise ``TraceError`` on any other escape, an
+escapes, and two atoms or names are kept apart by whitespace or punctuation.
+The readers raise ``TraceError`` on any other escape, atoms that touch, an
 unterminated string, unbalanced parentheses, tokens after the term, an
 unknown payload or condition tag, a name where an atom is expected (or the
 reverse), a hash-range fragment that is not an integer, a write that names
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cm0 import Condition
-from .core import UNDEF, tuple_sort_key
+from .core import UNDEF, sorted_pairs, tuple_sort_key
 
 
 class TraceError(ValueError):
@@ -46,8 +47,7 @@ def render_tuple(t) -> str:
 
 
 def render_rows(rows) -> str:
-    ordered = sorted(rows, key=lambda kv: tuple_sort_key(kv[0]))
-    return " ".join(f"({render_tuple(k)} {render_tuple(v)})" for k, v in ordered)
+    return " ".join(f"({render_tuple(k)} {render_tuple(v)})" for k, v in sorted_pairs(rows))
 
 
 def render_cond(cond: Condition) -> str:
@@ -67,19 +67,11 @@ def render_payload(payload: tuple) -> str:
     tag = payload[0]
     if tag == "read":
         return f"(read {payload[1]} {render_cond(payload[2])})"
-    if tag == "write":
-        body = " ".join(
-            f"({render_tuple(k)} {render_tuple(v)})" for k, v in payload[2]
-        )
-        return f"(write {payload[1]}{' ' if body else ''}{body})"
-    if tag == "answer":
+    if tag in ("write", "answer", "print"):
         body = render_rows(payload[2])
-        return f"(answer {payload[1]}{' ' if body else ''}{body})"
+        return f"({tag} {payload[1]}{' ' if body else ''}{body})"
     if tag == "ack":
         return f"(ack {payload[1]})"
-    if tag == "print":
-        body = render_rows(payload[2])
-        return f"(print {payload[1]}{' ' if body else ''}{body})"
     raise TraceError(f"cannot render payload {payload!r}")
 
 
@@ -91,6 +83,20 @@ TOKEN_RE = re.compile(
     r'->|[(){};,=]|"(?:[^"\\]|\\["\\])*"|-?\d+'
     r"|[A-Za-z_][A-Za-z0-9_/]*(?:-[A-Za-z0-9_]+)*|\S"
 )
+_PUNCT = frozenset(("->", "(", ")", "{", "}", ";", ",", "="))
+
+
+def read_tokens(text: str) -> list:
+    """TOKEN_RE's tokens of text.  Two tokens that are not punctuation must
+    be apart, so ``12-3`` or ``1"a"`` is refused, not read as two atoms."""
+    tokens, end = [], -1
+    for m in TOKEN_RE.finditer(text):
+        tok = m.group()
+        if m.start() == end and tok not in _PUNCT and tokens[-1] not in _PUNCT:
+            raise TraceError(f"no space between {tokens[-1]!r} and {tok!r}")
+        tokens.append(tok)
+        end = m.end()
+    return tokens
 
 
 def _shown(node) -> str:
@@ -127,9 +133,9 @@ def read_fragment(tok) -> int:
     return fragment
 
 
-def write_pairs(pairs) -> tuple:
+def checked_write_set(pairs) -> tuple:
     """A write set's (key, value) pairs in key order; a key named twice is refused."""
-    ordered = tuple(sorted(pairs, key=lambda kv: tuple_sort_key(kv[0])))
+    ordered = sorted_pairs(pairs)
     if len({k for k, _ in ordered}) != len(ordered):
         raise TraceError("duplicate key in write set")
     return ordered
@@ -138,7 +144,7 @@ def write_pairs(pairs) -> tuple:
 def _read_term(text: str) -> tuple:
     """One parenthesized term, as nested tuples whose leaves are raw tokens."""
     stack = [[]]
-    for tok in TOKEN_RE.findall(text):
+    for tok in read_tokens(text):
         if tok == "(":
             stack.append([])
         elif tok == ")":
@@ -190,7 +196,7 @@ def parse_payload(text: str) -> tuple:
     if tag == "read" and len(body) == 1:
         return ("read", rid, _as_cond(body[0]))
     if tag == "write":
-        return ("write", rid, write_pairs(map(_as_pair, body)))
+        return ("write", rid, checked_write_set(map(_as_pair, body)))
     if tag in ("answer", "print"):
         return (tag, rid, frozenset(map(_as_pair, body)))
     if tag == "ack" and not body:

@@ -269,44 +269,44 @@ def test_stale_read_unreachable_in_cm1_under_all_one():
 def test_payload_rendering_round_trips_random_terms():
     from hypothesis import given, strategies as st
     from replisim.cm0 import Condition
-    from replisim.core import UNDEF, tuple_sort_key
+    from replisim.core import UNDEF, sorted_pairs
     from replisim.trace import TraceEvent, parse_payload, render_payload
 
-    # Trace and scenario text are read line by line, so no atom holds a line break.
+    def payloads(text):
+        atom = st.one_of(st.integers(-(2**40), 2**40), text)
+        key = st.tuples(atom)
+        value = st.one_of(st.just(UNDEF), st.tuples(atom))
+        rid = st.sampled_from(["x", "rel_2"])
+        cond = st.one_of(
+            st.just(Condition.true()),
+            key.map(Condition.key_eq),
+            st.sets(key, max_size=3).map(Condition.key_in),
+            st.integers(-3, 300).map(Condition.hash_range),
+        )
+        rows = st.frozensets(st.tuples(key, st.tuples(atom)), max_size=3)
+        return st.one_of(
+            st.tuples(st.just("write"), rid, st.dictionaries(key, value, max_size=3).map(lambda d: sorted_pairs(d.items()))),
+            st.tuples(st.just("read"), rid, cond),
+            st.tuples(st.sampled_from(["answer", "print"]), rid, rows),
+            st.tuples(st.just("ack"), rid),
+        )
+
+    # A payload term may hold any string; trace text is read line by line,
+    # so the strings of a whole event line hold no line break.
     line_breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-    text = st.text(st.characters(blacklist_characters=line_breaks), max_size=6)
-    atom = st.one_of(st.integers(-(2**40), 2**40), text)
-    key = st.tuples(atom)
-    value = st.one_of(st.just(UNDEF), st.tuples(atom))
-    rid = st.sampled_from(["x", "rel_2"])
-    cond = st.one_of(
-        st.just(Condition.true()),
-        key.map(Condition.key_eq),
-        st.sets(key, max_size=3).map(Condition.key_in),
-        st.integers(-3, 300).map(Condition.hash_range),
-    )
-    pairs = st.dictionaries(key, value, max_size=3).map(
-        lambda d: tuple(sorted(d.items(), key=lambda kv: tuple_sort_key(kv[0])))
-    )
-    payload = st.one_of(
-        st.tuples(st.just("write"), rid, pairs),
-        st.tuples(st.just("read"), rid, cond),
-        st.tuples(st.sampled_from(["answer", "print"]), rid, st.frozensets(st.tuples(key, st.tuples(atom)), max_size=3)),
-        st.tuples(st.just("ack"), rid),
-    )
     event = st.builds(
         TraceEvent,
         st.integers(0, 10**6),
         st.sampled_from([REQ, RESP, PRINT]),
         st.sampled_from(["a1", "a_2"]),
         st.sampled_from(["a1#0", "a_2#13"]),
-        payload,
+        payloads(st.text(st.characters(exclude_characters=line_breaks), max_size=6)),
     )
 
-    @given(st.lists(event, max_size=4))
-    def roundtrip(events):
-        for e in events:
-            assert parse_payload(render_payload(e.payload)) == e.payload
+    @given(st.lists(payloads(st.text(max_size=6)), max_size=4), st.lists(event, max_size=4))
+    def roundtrip(terms, events):
+        for p in terms:
+            assert parse_payload(render_payload(p)) == p
         trace = Trace(events=tuple(events), meta=(("scenario", "s"), ("model", "cm2")))
         assert Trace.from_text(trace.to_text()) == trace
 
@@ -347,6 +347,8 @@ def _program(program: str):
         pytest.param(_event, "(ack x) y", id="trace-trailing-tokens"),
         pytest.param(_program, "read x true print extra", id="scenario-trailing-tokens"),
         pytest.param(_event, "(write x ((a) (1)))", id="trace-symbol-for-atom"),
+        pytest.param(_event, "(write x ((12-3) (1)))", id="trace-touching-atoms"),
+        pytest.param(_program, 'write x {(1"a") -> (1)}', id="scenario-touching-atoms"),
         pytest.param(_program, "write x {(a) -> (1)}", id="scenario-symbol-for-atom"),
         pytest.param(_event, '(read x (hash-range "1"))', id="trace-string-fragment"),
         pytest.param(_program, 'read x hash_range="1"', id="scenario-string-fragment"),
