@@ -6,7 +6,7 @@ that all trace checkers replay against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import UNDEF, ClusterConfig, ConfigError, FlatStore, hash_fragment, sorted_pairs
 
@@ -51,14 +51,18 @@ class Condition:
             return hash_fragment(cfg, rid, k) == self.fragment
         raise ConfigError(f"unknown condition kind {self.kind}")  # pragma: no cover
 
+    def named_keys(self) -> Optional[Iterable[tuple]]:
+        """The keys a KEY_EQ or KEY_IN condition names, which a read looks
+        up; None for TRUE and HASH_RANGE, which scan."""
+        if self.kind == "KEY_EQ":
+            return (self.key,)
+        if self.kind == "KEY_IN":
+            return self.keys
+        return None
+
     def check_arity(self, cfg: ClusterConfig, rid: str) -> None:
         arity = cfg.relation(rid).arity
-        keys = []
-        if self.kind == "KEY_EQ":
-            keys = [self.key]
-        elif self.kind == "KEY_IN":
-            keys = list(self.keys)
-        for k in keys:
+        for k in self.named_keys() or ():
             if len(k) != arity:
                 raise ConfigError(f"condition key {k!r} does not match arity {arity} of {rid}")
         if self.kind == "HASH_RANGE" and not 1 <= self.fragment <= cfg.relation(rid).fragments:
@@ -83,11 +87,8 @@ def db_answer_read(store: FlatStore, cfg: ClusterConfig, rid: str, cond: Conditi
     Key conditions look their keys up; the others scan the relation."""
     cond.check_arity(cfg, rid)
     data = store.data
-    if cond.kind == "KEY_EQ":
-        keys = (cond.key,)
-    elif cond.kind == "KEY_IN":
-        keys = cond.keys
-    else:
+    keys = cond.named_keys()
+    if keys is None:
         return frozenset(
             (k, v) for (r, k), v in data.items() if r == rid and cond.matches(k, cfg, rid)
         )

@@ -21,13 +21,15 @@ def answer_read_req(
     selections: dict,
 ) -> StepEffect:
     """Answer with the freshest value of every matching key over each
-    fragment's selected replicas; tombstones are dropped."""
+    fragment's selected replicas; tombstones are dropped.  A key condition
+    folds only the keys it names."""
     rid, cond = msg.payload
     cond.check_arity(cfg, rid)
+    keys = cond.named_keys()
     rows = frozenset(
         (k, v)
         for j, group in selections.items()
-        for k, (v, _) in freshest(replicas.copies(rid, j, group)).items()
+        for k, (v, _) in freshest(replicas.copies(rid, j, group), keys).items()
         if v is not UNDEF and cond.matches(k, cfg, rid)
     )
     eff = StepEffect()

@@ -83,6 +83,7 @@ def handle_locally(
     A read sends the local freshest triples.  The local maximum may not be
     the global one, so timestamps travel with the triples; tombstones are
     included so a fresher deletion can beat an older value during collection.
+    A key condition folds only the keys it names.
 
     A write conditionally updates the copies at ``t_write`` and is
     acknowledged even where the update lost against a newer timestamp.
@@ -90,10 +91,11 @@ def handle_locally(
     groups = _local_groups(cfg, rid, d)
     xs = tuple(len(groups[j]) for j in sorted(groups))
     if kind == REQ_READ:
+        keys = body.named_keys()
         triples = frozenset(
             (k, v, t)
             for j, group in groups.items()
-            for k, (v, t) in freshest(replicas.copies(rid, j, group)).items()
+            for k, (v, t) in freshest(replicas.copies(rid, j, group), keys).items()
             if body.matches(k, cfg, rid)
         )
         local_kind, payload = LOCAL_ANSWER, (rid, triples, xs)

@@ -162,6 +162,7 @@ class ClusterConfig:
         self.relations = dict(relations)
         self.offset_ranks = dict(offset_ranks)
         self.down_nodes = frozenset(down_nodes)  # (dc, node) pairs
+        self.fragment_memo: dict = {}  # (rid, key) -> fragment, filled by hash_fragment
         self.copies: dict = {}
         for rid, rel in self.relations.items():
             for j in range(1, rel.fragments + 1):
@@ -257,8 +258,27 @@ def hash_key(k: tuple, lo: int, hi: int) -> int:
     return lo + h % (hi - lo + 1)
 
 
+_PLAIN_ATOM_TYPES = frozenset((int, str))
+
+
 def hash_fragment(cfg: ClusterConfig, rid: str, k: tuple) -> int:
-    """Fragment index (1-based) whose range contains the key's hash."""
+    """Fragment index (1-based) whose range contains the key's hash.
+
+    Each (relation, key) is hashed once per ``ClusterConfig``.  A memo hit
+    counts only for a key of plain ints and strs: ``True == 1`` and
+    ``1.0 == 1`` hash alike, so ``(True,)`` finds ``(1,)``'s entry and
+    must still be refused as no atom.
+    """
+    try:
+        j = cfg.fragment_memo.get((rid, k))
+    except TypeError:  # an unhashable key is not remembered; the fold judges it
+        return _hash_fragment(cfg, rid, k)
+    if j is None or not all(map(_PLAIN_ATOM_TYPES.__contains__, map(type, k))):
+        j = cfg.fragment_memo[(rid, k)] = _hash_fragment(cfg, rid, k)
+    return j
+
+
+def _hash_fragment(cfg: ClusterConfig, rid: str, k: tuple) -> int:
     rel = cfg.relation(rid)
     if len(k) != rel.arity:
         raise ConfigError(f"key {k!r} does not match arity {rel.arity} of {rid}")
@@ -336,16 +356,18 @@ class ReplicaStore:
         return frozenset((loc, k, vt) for loc, copy in self.data.items() for k, vt in copy.items())
 
 
-def freshest(copies: Iterable[Mapping]) -> dict:
+def freshest(copies: Iterable[Mapping], keys: Optional[Iterable[tuple]] = None) -> dict:
     """Freshest (value, timestamp) per key over a group of copies, each a
-    mapping key -> (value, timestamp).
+    mapping key -> (value, timestamp).  Given ``keys``, only those keys are
+    looked up and folded; a key no copy holds stays out of the result.
 
     Distinct-offset timestamps mean copies holding a key at the same
     timestamp hold the same value; a group where they differ raises.
     """
     best: dict = {}
     for copy in copies:
-        for k, (v, t) in copy.items():
+        items = copy.items() if keys is None else [(k, copy[k]) for k in keys if k in copy]
+        for k, (v, t) in items:
             cur = best.get(k)
             if cur is None or cur[1] < t:
                 best[k] = (v, t)

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import cm1
 from .cm0 import db_answer_read
 from .cm2 import collect_respond, delegate_external_req, manage_internal_req
-from .core import START_TICK, ClusterConfig, ConfigError, catch_up, freshest, seed_replicas
+from .core import START_TICK, ClusterConfig, ConfigError, catch_up, seed_replicas
 from .messages import (
     ACK,
     ANSWER,
@@ -219,6 +219,9 @@ class Simulation:
         self.answered: dict = {}  # req -> payload of its RESP event
         self.executed: list = []  # descriptor tuples per round, for replay
         self.options: dict = {}  # (rid, request kind) -> _fragment_options, shared by clones
+        # agent names in move order, fixed per scenario and shared by clones
+        self.clients = tuple(sorted(scenario.programs))
+        self.dc_agents = tuple(dc_agent(d) for d in self.cfg.all_dcs())
         if self.replicas is not None:
             self._check_invariants(
                 {(rid, j, k) for (rid, j, _, _), copy in self.replicas.data.items() for k in copy}
@@ -243,6 +246,7 @@ class Simulation:
         s.answered = dict(self.answered)
         s.executed = list(self.executed)
         s.options = self.options
+        s.clients, s.dc_agents = self.clients, self.dc_agents
         return s
 
     def home_agent(self, client: str) -> str:
@@ -319,7 +323,7 @@ class Simulation:
         moves = []
         for ident in sorted(self.inflight):
             moves.append(Move(("deliver", ident), self.inflight[ident]))
-        for a in sorted(self.scenario.programs):
+        for a in self.clients:
             st = self.status[a]
             if st[0] == "ready" and self.pc[a] < len(self.scenario.programs[a]):
                 moves.append(Move(("send", a)))
@@ -333,8 +337,7 @@ class Simulation:
             for ident in sorted(box):
                 moves.append(Move(("db", ident), box[ident]))
         else:
-            for d in self.cfg.all_dcs():
-                agent = dc_agent(d)
+            for agent in self.dc_agents:
                 box = self.mailbox.get(agent, {})
                 for ident in sorted(box):
                     msg = box[ident]
@@ -517,17 +520,18 @@ class Simulation:
             raise ConfigError("a global step needs at least one move")
         effects = [self.execute_move(m) for m in moves]
         # a discarded round leaves the state as it was, so check before
-        # anything changes
-        merged: dict = {}
-        for eff in effects:
-            for loc, value in eff.updates.items():
-                if loc in merged and merged[loc] != value:
-                    raise RunDiscarded(
-                        f"round {self.round + 1}: conflicting updates at {loc!r}: "
-                        f"{merged[loc]!r} vs {value!r}"
-                    )
-                merged[loc] = value
+        # anything changes; one move's updates cannot conflict
+        merged: dict = effects[0].updates
         if len(moves) > 1:
+            merged = {}
+            for eff in effects:
+                for loc, value in eff.updates.items():
+                    if loc in merged and merged[loc] != value:
+                        raise RunDiscarded(
+                            f"round {self.round + 1}: conflicting updates at {loc!r}: "
+                            f"{merged[loc]!r} vs {value!r}"
+                        )
+                    merged[loc] = value
             taken = [m.msg.ident() for m in moves if m.msg is not None]
             if len(set(taken)) < len(taken):
                 raise RunDiscarded(f"round {self.round + 1}: two moves take the same message")
@@ -624,13 +628,21 @@ class Simulation:
     def _check_invariants(self, keys: Iterable[tuple]) -> None:
         """Copies of each (rid, j, key) in ``keys`` agree on the value at the
         key's maximal timestamp.  Only ``rep`` updates change a replica, so
-        a round needs to check only the keys it wrote."""
+        a round needs to check only the keys it wrote.  Each key's copies
+        are read directly and folded as ``core.freshest`` folds them."""
         for rid, j, k in keys:
-            copies = self.replicas.copies(rid, j, self.cfg.candidates(rid, j))
-            try:
-                freshest({k: copy[k]} for copy in copies if k in copy)
-            except ConfigError as exc:
-                raise SimInvariantError(f"replicas of {rid}: {exc}") from None
+            best = None
+            for d, node in self.cfg.candidates(rid, j):
+                vt = self.replicas.data.get((rid, j, d, node), {}).get(k)
+                if vt is None:
+                    continue
+                if best is None or best[1] < vt[1]:
+                    best = vt
+                elif best[1] == vt[1] and best[0] != vt[0]:
+                    raise SimInvariantError(
+                        f"replicas of {rid}: copies of {k!r} hold different values at the "
+                        f"maximal timestamp {vt[1]}: {best[0]!r} vs {vt[0]!r}"
+                    )
 
     # -- run loop --------------------------------------------------------------
 

@@ -1,6 +1,8 @@
+from hypothesis import given, strategies as st
+
 from replisim.cm0 import Condition
 from replisim.cm1 import answer_read_req, perform_write_req
-from replisim.core import UNDEF, ReplicaStore, Timestamp, issue
+from replisim.core import UNDEF, ReplicaStore, Timestamp, freshest, hash_fragment, issue
 from replisim.messages import ACK, ANSWER, REQ_READ, REQ_WRITE, Message
 from test_core import make_cfg
 
@@ -60,6 +62,56 @@ def test_selection_restricts_view():
     eff = answer_read_req(store, cfg, 1, read_msg(Condition.true()), {1: frozenset({(1, 1)})})
     rows = eff.sends[0].payload[1]
     assert rows == frozenset({((0,), (1,))})
+
+
+# Keys 0-5 of relation x hash into both fragments of make_cfg(fragments=2);
+# key 9 is never stored.
+POOL = [(n,) for n in range(6)]
+
+
+@st.composite
+def replica_contents(draw):
+    """A store over two fragments with four copies each.  Every pool key has
+    a few versions, each a value or a tombstone, and each copy holds one of
+    them or lacks the key.  Version ``i`` is stamped tick ``i + 2`` at one
+    data centre, so copies at one timestamp agree."""
+    cfg = make_cfg(fragments=2, nodes=2, replication=2)
+    assert {hash_fragment(cfg, "x", k) for k in POOL} == {1, 2}
+    store = ReplicaStore(cfg)
+    for k in POOL:
+        versions = draw(st.lists(st.one_of(st.just(UNDEF), st.tuples(st.integers(0, 3))),
+                                 min_size=1, max_size=3))
+        j = hash_fragment(cfg, "x", k)
+        for d, node in cfg.candidates("x", j):
+            i = draw(st.integers(-1, len(versions) - 1))  # -1: the copy lacks the key
+            if i >= 0:
+                store.store("x", j, d, node, k, versions[i], Timestamp(i + 2, 1, 1))
+    return cfg, store
+
+
+key_conditions = st.one_of(
+    st.sampled_from(POOL + [(9,)]).map(Condition.key_eq),
+    st.sets(st.sampled_from(POOL + [(9,)]), max_size=4).map(Condition.key_in),
+)
+
+
+@given(contents=replica_contents(), cond=key_conditions, data=st.data())
+def test_key_reads_answer_as_a_scan(contents, cond, data):
+    # A key read looks its keys up; it must answer what folding each
+    # selected fragment whole and then filtering answers.
+    cfg, store = contents
+    selections = {
+        j: tuple(sorted(data.draw(st.sets(st.sampled_from(cfg.candidates("x", j)), min_size=1))))
+        for j in (1, 2)
+    }
+    scan = frozenset(
+        (k, v)
+        for j, group in selections.items()
+        for k, (v, _) in freshest(store.copies("x", j, group)).items()
+        if v is not UNDEF and cond.matches(k, cfg, "x")
+    )
+    eff = answer_read_req(store, cfg, 1, read_msg(cond), selections)
+    assert eff.sends[0].payload[1] == scan
 
 
 def make_ticks(cfg, start=2):

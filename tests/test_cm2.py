@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from replisim.cm0 import Condition
 from replisim.cm2 import (
@@ -10,7 +11,7 @@ from replisim.cm2 import (
     handle_locally,
     manage_internal_req,
 )
-from replisim.core import UNDEF, ReplicaStore, Timestamp
+from replisim.core import UNDEF, ReplicaStore, Timestamp, freshest
 from replisim.messages import (
     ACK,
     ANSWER,
@@ -23,6 +24,7 @@ from replisim.messages import (
     StepEffect,
 )
 from replisim.policies import ALL, ONE, THREE, CountState
+from test_cm1 import key_conditions, replica_contents
 from test_core import make_cfg
 
 
@@ -167,6 +169,24 @@ def test_local_max_timestamp_wins_between_local_copies():
     handle_locally(store, ticks, cfg, 1, REQ_READ, "x", Condition.true(), "a1#0", None, eff)
     triples = [m for m in eff.sends if m.kind == LOCAL_ANSWER][0].payload[1]
     assert triples == frozenset({((0,), (2,), Timestamp(4, 1, 1))})
+
+
+@given(contents=replica_contents(), cond=key_conditions, d=st.sampled_from((1, 2)))
+def test_local_key_reads_answer_as_a_scan(contents, cond, d):
+    # A local key read looks its keys up; its triples, tombstones included,
+    # must be what folding each local fragment whole and filtering gives.
+    cfg, store = contents
+    ticks = dict.fromkeys(cfg.offset_ranks, 2)
+    groups = {j: tuple((d, n) for n in cfg.alive_local_copies("x", j, d)) for j in (1, 2)}
+    scan = frozenset(
+        (k, v, t)
+        for j, group in groups.items()
+        for k, (v, t) in freshest(store.copies("x", j, group)).items()
+        if cond.matches(k, cfg, "x")
+    )
+    eff = StepEffect()
+    handle_locally(store, ticks, cfg, d, REQ_READ, "x", cond, "a1#0", None, eff)
+    assert [m.payload[1] for m in eff.sends if m.kind == LOCAL_ANSWER] == [scan]
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,47 @@ def test_hash_fragment_arity_mismatch():
         hash_fragment(cfg, "nope", (1,))
 
 
+def _fragment_by_range(cfg, k):
+    rel = cfg.relation("x")
+    v = hash_key(k, rel.hash_min, rel.hash_max)
+    return next(j for j, (lo, hi) in enumerate(rel.ranges, start=1) if lo <= v <= hi)
+
+
+_atoms = st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=4))
+
+
+@given(keys=st.lists(st.tuples(_atoms, _atoms), min_size=1, max_size=12))
+def test_memoised_fragment_agrees_with_hash_and_ranges(keys):
+    # A fresh config per example, so the first call of each key misses the
+    # memo and the later calls hit it.
+    cfg = make_cfg(fragments=3, arity=2)
+    first = [hash_fragment(cfg, "x", k) for k in keys]
+    assert first == [_fragment_by_range(cfg, k) for k in keys]
+    assert [hash_fragment(cfg, "x", k) for k in reversed(keys)] == first[::-1]
+
+
+@pytest.mark.parametrize(
+    "key, rid",
+    [
+        # equal to (1,) and hashing alike; a plain dict memo returns 1's fragment
+        ((True,), "x"),
+        ((1.0,), "x"),
+        ((1, 1), "x"),
+        ((1,), "nope"),
+    ],
+    ids=["bool", "float", "wrong-arity", "unknown-relation"],
+)
+def test_memoised_fragment_still_refuses_what_the_fold_refuses(key, rid):
+    cfg = make_cfg(fragments=4)
+    hash_fragment(cfg, "x", (1,))
+    hash_fragment(cfg, "x", (1,))
+    with pytest.raises(ConfigError):
+        hash_fragment(cfg, rid, key)
+    # (1,)'s own location, so only the key itself can be at fault
+    with pytest.raises(ConfigError):
+        ReplicaStore(cfg).store(rid, hash_fragment(cfg, "x", (1,)), 1, 1, key, (0,), Timestamp(2, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # cluster config
 # ---------------------------------------------------------------------------

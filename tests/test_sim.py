@@ -362,19 +362,39 @@ def test_readers_refuse_malformed_text(read, text):
         read(text)
 
 
-def test_freshest_value_guard_fires_on_planted_divergence():
+@pytest.mark.parametrize(
+    "held, diverged",
+    [
+        ([(1, 5), (2, 5), (1, 5), (1, 5)], True),
+        # the disagreeing pair holds the key's maximal timestamp, and the
+        # first copy an older value
+        ([(0, 3), (1, 5), (2, 5), (1, 5)], True),
+        # the copies between and after the pair lack the key
+        ([(1, 5), None, (2, 5), None], True),
+        # a lagging copy may differ; the copies at the maximum agree
+        ([(1, 5), (0, 3), None, (1, 5)], False),
+    ],
+    ids=["first-pair", "pair-behind-older-first", "absent-copies", "agree"],
+)
+def test_freshest_value_guard_fires_on_planted_divergence(held, diverged):
     # White-box: two replicas holding different values at one timestamp is
     # exactly what distinct-offset stamps forbid; the per-step check must
-    # catch it if it ever happened.
+    # catch it if it ever happened.  ``held`` is what the four copies of
+    # fragment 1 hold for key (0,), in candidate order: (value, tick) or
+    # None for a copy that lacks the key.
     from replisim import SimInvariantError
     from replisim.core import Timestamp
 
-    s = load_scenario("counterexample")
+    s = build("planted", [("a1", 1, "read x key=(0)")], nodes=2, replication=2)
     sim = Simulation(s, "cm1")
-    t = Timestamp(5, 1, 1)
-    sim.replicas.data[("x", 1, 1, 1)] = {(0,): ((1,), t)}
-    sim.replicas.data[("x", 1, 2, 1)] = {(0,): ((2,), t)}
-    with pytest.raises(SimInvariantError):
+    assert sim.cfg.candidates("x", 1) == ((1, 1), (1, 2), (2, 1), (2, 2))
+    for (d, node), vt in zip(sim.cfg.candidates("x", 1), held):
+        copy = {} if vt is None else {(0,): ((vt[0],), Timestamp(vt[1], 1, 1))}
+        sim.replicas.data[("x", 1, d, node)] = copy
+    if diverged:
+        with pytest.raises(SimInvariantError, match="hold different values"):
+            sim._check_invariants([("x", 1, (0,))])
+    else:
         sim._check_invariants([("x", 1, (0,))])
 
 
