@@ -362,6 +362,22 @@ def test_readers_refuse_malformed_text(read, text):
         read(text)
 
 
+def test_freshest_value_guard_fires_on_planted_divergence():
+    # White-box: two replicas holding different values at one timestamp is
+    # exactly what distinct-offset stamps forbid; the per-step check must
+    # catch it if it ever happened.
+    from replisim import SimInvariantError
+    from replisim.core import Timestamp
+
+    s = load_scenario("counterexample")
+    sim = Simulation(s, "cm1")
+    t = Timestamp(5, 1, 1)
+    sim.replicas.data[("x", 1, 1, 1)] = {(0,): ((1,), t)}
+    sim.replicas.data[("x", 1, 2, 1)] = {(0,): ((2,), t)}
+    with pytest.raises(SimInvariantError):
+        sim._check_invariants([("x", 1, (0,))])
+
+
 @pytest.mark.parametrize(
     "held, diverged",
     [
@@ -376,12 +392,10 @@ def test_readers_refuse_malformed_text(read, text):
     ],
     ids=["first-pair", "pair-behind-older-first", "absent-copies", "agree"],
 )
-def test_freshest_value_guard_fires_on_planted_divergence(held, diverged):
-    # White-box: two replicas holding different values at one timestamp is
-    # exactly what distinct-offset stamps forbid; the per-step check must
-    # catch it if it ever happened.  ``held`` is what the four copies of
-    # fragment 1 hold for key (0,), in candidate order: (value, tick) or
-    # None for a copy that lacks the key.
+def test_freshest_value_guard_over_copy_layouts(held, diverged):
+    # White-box: the same guard wherever the disagreeing pair sits.  ``held``
+    # is what the four copies of fragment 1 hold for key (0,), in candidate
+    # order: (value, tick) or None for a copy that lacks the key.
     from replisim import SimInvariantError
     from replisim.core import Timestamp
 
