@@ -57,14 +57,6 @@ class DelegateState:
     log: tuple = ()  # ((sender_dc, xs, triples), ...) for audit checks
 
 
-def _local_groups(cfg: ClusterConfig, rid: str, d: int) -> dict:
-    rel = cfg.relation(rid)
-    return {
-        j: tuple((d, node) for node in cfg.alive_local_copies(rid, j, d))
-        for j in range(1, rel.fragments + 1)
-    }
-
-
 def handle_locally(
     replicas: ReplicaStore,
     ticks: dict,
@@ -88,8 +80,8 @@ def handle_locally(
     A write conditionally updates the copies at ``t_write`` and is
     acknowledged even where the update lost against a newer timestamp.
     """
-    groups = _local_groups(cfg, rid, d)
-    xs = tuple(len(groups[j]) for j in sorted(groups))
+    groups = cfg.local_groups[(rid, d)]
+    xs = tuple(len(group) for group in groups.values())
     if kind == REQ_READ:
         keys = body.named_keys()
         triples = frozenset(

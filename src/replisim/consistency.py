@@ -72,6 +72,7 @@ class IncompleteTraceError(Exception):
 @dataclass(frozen=True, eq=False)  # identity: one object per request per check
 class _ReqInfo:
     req: str
+    agent: str  # the REQ event's agent
     kind: str  # "read" | "write"
     rid: str
     body: object  # Condition or write pairs
@@ -102,6 +103,8 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
         r, a = reqs[req], resps[req]
         if not r.idx < a.idx:
             raise IncompleteTraceError(f"request {req} answered no later than it was issued")
+        if r.agent != a.agent:
+            raise IncompleteTraceError(f"request {req} of {r.agent} is answered to {a.agent}")
         windows.append((a.idx, r.idx, req))
     infos = []
     for index, (hi, lo, req) in enumerate(sorted(windows)):
@@ -123,7 +126,8 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
                 for k, v in body:
                     check_writeset({k: v}, cfg, rid)
             answer, pairs = None, write_pairs(rid, body)
-        infos.append(_ReqInfo(req, tag, rid, body, answer, lo, hi, index, pairs))
+        agent = reqs[req].agent
+        infos.append(_ReqInfo(req, agent, tag, rid, body, answer, lo, hi, index, pairs))
     return infos
 
 
@@ -359,8 +363,7 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
     infos = _request_infos(trace, cfg)
     by_agent: dict = {}
     for info in sorted(infos, key=lambda i: i.lo):
-        agent = info.req.split("#", 1)[0]
-        by_agent.setdefault(agent, []).append(info)
+        by_agent.setdefault(info.agent, []).append(info)
     queues = [by_agent[a] for a in sorted(by_agent)]
     total = tuple(len(queue) for queue in queues)
 

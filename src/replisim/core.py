@@ -148,9 +148,11 @@ class ClusterConfig:
     """Relations plus the copy placement, offsets and liveness tables.
 
     ``copies[(rid, j)]`` lists the (dc, node) pairs holding fragment ``j`` of
-    relation ``rid``.  Placement is a deterministic ring assignment: fragment
-    j occupies ``replication`` consecutive node slots starting at node
-    ``1 + (j-1) mod nodes`` in every data centre of the relation.
+    relation ``rid``, and ``local_groups[(rid, d)]`` maps each fragment to
+    its alive copies in data centre ``d``.  Placement is a deterministic
+    ring assignment: fragment j occupies ``replication`` consecutive node
+    slots starting at node ``1 + (j-1) mod nodes`` in every data centre of
+    the relation.
     """
 
     def __init__(
@@ -164,6 +166,7 @@ class ClusterConfig:
         self.down_nodes = frozenset(down_nodes)  # (dc, node) pairs
         self.fragment_memo: dict = {}  # (rid, key) -> fragment, filled by hash_fragment
         self.copies: dict = {}
+        self.local_groups: dict = {}
         for rid, rel in self.relations.items():
             for j in range(1, rel.fragments + 1):
                 placed = []
@@ -172,6 +175,12 @@ class ClusterConfig:
                     for s in range(rel.replication):
                         placed.append((d, 1 + (start + s) % rel.nodes))
                 self.copies[(rid, j)] = tuple(sorted(placed))
+            for d in self.offset_ranks:
+                self.local_groups[(rid, d)] = {
+                    j: tuple((d, node) for d2, node in self.copies[(rid, j)]
+                             if d2 == d and self.alive(d, node))
+                    for j in range(1, rel.fragments + 1)
+                }
         self._validate()
 
     def _validate(self) -> None:
@@ -219,9 +228,7 @@ class ClusterConfig:
         return (d, node) not in self.down_nodes
 
     def alive_local_copies(self, rid: str, j: int, d: int) -> tuple:
-        return tuple(
-            node for (d2, node) in self.copies[(rid, j)] if d2 == d and self.alive(d2, node)
-        )
+        return tuple(node for _, node in self.local_groups[(rid, d)][j])
 
     def lowest_offset_dc(self) -> int:
         return min(self.offset_ranks, key=lambda d: self.offset_ranks[d])

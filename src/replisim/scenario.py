@@ -87,10 +87,8 @@ class Scenario:
                     else:
                         counts = CountState.zero(self.cfg, rid)
                         for d in rel.data_centres:
-                            xs = [0] * rel.fragments
-                            for jj in range(1, rel.fragments + 1):
-                                xs[jj - 1] = len(self.cfg.alive_local_copies(rid, jj, d))
-                            counts = counts.add(d, xs)
+                            groups = self.cfg.local_groups[(rid, d)].values()
+                            counts = counts.add(d, [len(group) for group in groups])
                         if not sufficient(counts, policy, self.cfg, rid):
                             problems.append(
                                 (0, f"{label} policy {policy} can never become sufficient on {rid}")

@@ -45,7 +45,7 @@ from .messages import (
     StepEffect,
     dc_agent,
 )
-from .policies import complies, enumerate_compliant_selections
+from .policies import enumerate_compliant_selections
 from .scenario import Scenario
 from .trace import PRINT, REQ, RESP, Trace, TraceEvent
 
@@ -91,9 +91,6 @@ class Move:
         """The acting agent, for the kinds whose descriptor names one."""
         return self.desc[1] if MOVE_KINDS[self.desc[0]].fields[0] == "agent" else ""
 
-    def descriptor(self) -> tuple:
-        return self.desc
-
 
 def describe_descriptor(desc: tuple) -> str:
     """``tag[field|field...]``, leaving out a ``None`` selection."""
@@ -122,7 +119,6 @@ class MoveKind:
     """Everything the engine knows about one kind of move."""
 
     fields: tuple  # descriptor fields after the tag, from _FIELDS
-    find: Callable  # (sim, agent, ident) -> the message, if any; KeyError when not enabled
     run: Callable  # (sim, move) -> StepEffect
     rank: dict  # search rank by message kind; None ranks every other kind
     footprint: Callable  # move -> (tokens written, tokens only read); see independent()
@@ -400,48 +396,44 @@ class Simulation:
         return Move(move.desc[:3] + (sel,), move.msg)
 
     def resolve_descriptor(self, desc: tuple) -> Move:
+        """The move ``enumerate_moves(with_selections=False)`` lists for
+        ``desc``.  A cm1 ``dc`` descriptor matches on its tag, agent and
+        ident, and its selection must then be one of the request's compliant
+        groups per fragment; the other models take no selection."""
         kind = MOVE_KINDS.get(desc[0])
         if kind is None or len(desc) != 1 + len(kind.fields):
             raise ScheduleError(f"unknown move descriptor {desc!r}")
-        fields = dict(zip(kind.fields, desc[1:]))
-        try:
-            msg = kind.find(self, fields.get("agent", ""), fields.get("ident"))
-        except KeyError as exc:
+        sel = desc[3] if desc[0] == "dc" else None
+        name = desc if sel is None else desc[:3] + (None,)
+        move = next((m for m in self.enumerate_moves(with_selections=False) if m.desc == name), None)
+        if move is None:
             raise ScheduleError(
-                f"move {describe_descriptor(desc)} is not enabled at round {self.round}: {exc}"
-            ) from None
-        if "sel" in fields:
-            desc = desc[:-1] + (self._explicit_selections(desc, msg, fields["sel"]),)
-        return Move(desc, msg)
+                f"move {describe_descriptor(desc)} is not enabled at round {self.round}"
+            )
+        if self.model == "cm1" and move.tag == "dc":
+            return Move(desc[:3] + (self._explicit_selections(desc, move.msg, sel),), move.msg)
+        if sel is not None:
+            raise ScheduleError(f"{self.model} step {describe_descriptor(desc)} takes no selections")
+        return move
 
-    def _explicit_selections(self, desc: tuple, msg: Message, sel: Optional[tuple]):
-        """A named step's replica selections, each group as a sorted tuple.
-        cm1 takes one group per fragment, and each group must comply with
-        the request's policy; the other models take none."""
-        if self.model != "cm1":
-            if sel is not None:
-                raise ScheduleError(
-                    f"{self.model} step {describe_descriptor(desc)} takes no selections"
-                )
-            return None
+    def _explicit_selections(self, desc: tuple, msg: Message, sel: Optional[tuple]) -> tuple:
+        """A named cm1 step's replica selections: one group per fragment,
+        each one of the request's compliant selections in
+        ``_fragment_options``, as a sorted tuple, in fragment order."""
         if sel is None:
             raise ScheduleError(f"cm1 step {describe_descriptor(desc)} needs selections")
-        sel = tuple((j, tuple(sorted(set(group)))) for j, group in sel)
-        rid = msg.payload[0]
-        fragments = list(range(1, self.cfg.relation(rid).fragments + 1))
-        if sorted(j for j, _ in sel) != fragments:
+        options = dict(self._fragment_options(msg))
+        sel = tuple(sorted((j, tuple(sorted(set(group)))) for j, group in sel))
+        if [j for j, _ in sel] != sorted(options):
             raise ScheduleError(
-                f"cm1 step {describe_descriptor(desc)} needs one group for each fragment of {rid}"
+                f"cm1 step {describe_descriptor(desc)} needs one group for each fragment "
+                f"of {msg.payload[0]}"
             )
-        policy = self._policy_for(msg.kind)
         for j, group in sel:
-            try:
-                ok = complies(group, policy, self.cfg, rid, j)
-            except ConfigError as exc:
-                raise ScheduleError(f"cm1 step {describe_descriptor(desc)}: {exc}") from None
-            if not ok:
+            if group not in options[j]:
                 raise ScheduleError(
-                    f"cm1 step {describe_descriptor(desc)}: group {j} breaks policy {policy}"
+                    f"cm1 step {describe_descriptor(desc)}: group {j} is not a selection that "
+                    f"complies with policy {self._policy_for(msg.kind)}"
                 )
         return sel
 
@@ -541,7 +533,7 @@ class Simulation:
             if len(set(sent)) < len(sent):
                 raise RunDiscarded(f"round {self.round + 1}: two moves send the same message")
         self.round += 1
-        self.executed.append(tuple(m.descriptor() for m in moves))
+        self.executed.append(tuple(m.desc for m in moves))
         # messages: taken ones first, then fresh sends
         for move in moves:
             msg = move.msg
@@ -665,23 +657,6 @@ class Simulation:
 # ---------------------------------------------------------------------------
 
 
-def _in_flight(sim: Simulation, agent: str, ident: tuple) -> Message:
-    return sim.inflight[ident]
-
-
-def _client_can_send(sim: Simulation, agent: str, ident: None) -> None:
-    if sim.status[agent] != ("ready",) or sim.pc[agent] >= len(sim.scenario.programs[agent]):
-        raise KeyError("client cannot send now")
-
-
-def _in_own_box(sim: Simulation, agent: str, ident: tuple) -> Message:
-    return sim.mailbox[agent][ident]
-
-
-def _in_db_box(sim: Simulation, agent: str, ident: tuple) -> Message:
-    return sim.mailbox[DB_AGENT][ident]
-
-
 # Search ranks: client progress and request handling come before internal
 # fan-out, pending writes before reads, and forwarded propagation last:
 # consistency anomalies live where propagation lags behind answers, so the
@@ -728,16 +703,12 @@ def _collect_footprint(move: Move) -> tuple:
 
 
 MOVE_KINDS = {
-    "deliver": MoveKind(("ident",), _in_flight, Simulation._deliver, _DELIVER_RANK,
-                        _deliver_footprint),
-    "send": MoveKind(("agent",), _client_can_send, Simulation._client_send, {None: (1,)},
-                     _send_footprint),
-    "recv": MoveKind(("agent", "ident"), _in_own_box, Simulation._client_recv, {None: (0,)},
-                     _recv_footprint),
-    "db": MoveKind(("ident",), _in_db_box, Simulation._db_step, _STORE_RANK, _db_footprint),
-    "dc": MoveKind(("agent", "ident", "sel"), _in_own_box, Simulation._dc_step, _STORE_RANK,
-                   _dc_footprint),
-    "collect": MoveKind(("agent", "ident"), _in_own_box, Simulation._collect, {None: (3,)},
+    "deliver": MoveKind(("ident",), Simulation._deliver, _DELIVER_RANK, _deliver_footprint),
+    "send": MoveKind(("agent",), Simulation._client_send, {None: (1,)}, _send_footprint),
+    "recv": MoveKind(("agent", "ident"), Simulation._client_recv, {None: (0,)}, _recv_footprint),
+    "db": MoveKind(("ident",), Simulation._db_step, _STORE_RANK, _db_footprint),
+    "dc": MoveKind(("agent", "ident", "sel"), Simulation._dc_step, _STORE_RANK, _dc_footprint),
+    "collect": MoveKind(("agent", "ident"), Simulation._collect, {None: (3,)},
                         _collect_footprint),
 }
 
@@ -814,7 +785,7 @@ def _search_priority(move: Move) -> tuple:
     semantics); see the ranks in MOVE_KINDS."""
     rank = MOVE_KINDS[move.tag].rank
     msg_kind = move.msg.kind if move.msg is not None else None
-    return rank.get(msg_kind, rank[None]) + (move.descriptor(),)
+    return rank.get(msg_kind, rank[None]) + (move.desc,)
 
 
 def search_schedules(

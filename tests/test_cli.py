@@ -121,9 +121,11 @@ def _bad_trace(tmp_path, capsys, edit):
         # a write that names its key twice
         (lambda text: text.replace("payload=(write x ((0) (1)))", "payload=(write x ((0) (1)) ((0) (2)))"),
          "duplicate key in write set"),
+        # a write of a1 acknowledged to a2
+        (lambda text: text.replace("kind=RESP agent=a1", "kind=RESP agent=a2"), "answered to a2"),
     ],
     ids=["incomplete", "unparsable", "read-answered-by-ack", "string-fragment", "deep-nesting",
-         "unknown-kind", "duplicate-write-key"],
+         "unknown-kind", "duplicate-write-key", "answered-to-another-agent"],
 )
 @pytest.mark.parametrize("prop", ["compatible", "serialisable"])
 def test_check_of_a_bad_trace_exits_2(tmp_path, capsys, edit, message, prop):

@@ -206,6 +206,36 @@ def test_not_serialisable_matches_hand_enumeration():
     assert (v.kind, v.exhaustive) == ("NOT_SERIALISABLE", True)
 
 
+@pytest.mark.parametrize("reqs", [("p", "q"), ("a1#0", "a1#1")], ids=["free-ids", "agent-ids"])
+def test_serial_orders_keep_each_agents_order_whatever_its_request_ids(reqs):
+    # a1 writes 1 and then reads the stale 0: no serial order that keeps
+    # a1's own order reproduces that.  The agent is the events' agent=, not
+    # the text of req= before '#'.
+    w, r = reqs
+    s = load_scenario("counterexample")
+    t = Trace(
+        (
+            ev(1, "REQ", "a1", w, ("write", "x", (((0,), (1,)),))),
+            ev(2, "RESP", "a1", w, ("ack", "x")),
+            ev(3, "REQ", "a1", r, read_payload()),
+            ev(4, "RESP", "a1", r, answer_payload([((0,), (0,))])),
+        )
+    )
+    v = check_view_serialisable(t, s)
+    assert (v.kind, v.exhaustive) == ("NOT_SERIALISABLE", True)
+
+
+def test_a_response_to_another_agent_is_refused():
+    t = Trace(
+        (
+            ev(1, "REQ", "a1", "a1#0", read_payload()),
+            ev(2, "RESP", "a2", "a1#0", answer_payload([((0,), (0,))])),
+        )
+    )
+    with pytest.raises(IncompleteTraceError, match="request a1#0 of a1 is answered to a2"):
+        _request_infos(t)
+
+
 def test_serial_trace_is_its_own_witness():
     s = load_scenario("counterexample")
     t = Trace(

@@ -33,10 +33,10 @@ def successors(sim) -> list:
     enabled moves by descriptor."""
     out = []
     for move in sim.enumerate_moves(with_selections=True):
-        assert sim.resolve_descriptor(move.descriptor()) == move
+        assert sim.resolve_descriptor(move.desc) == move
         child = sim.clone()
         child.apply_round([move])
-        enabled = {m.descriptor(): m for m in child.enumerate_moves(with_selections=True)}
+        enabled = {m.desc: m for m in child.enumerate_moves(with_selections=True)}
         out.append((move, child, enabled))
     return out
 
@@ -50,7 +50,7 @@ def commuting_pairs(succ: list) -> int:
             if not independent(footprint(a), footprint(b)):
                 continue
             pairs += 1
-            da, db = a.descriptor(), b.descriptor()
+            da, db = a.desc, b.desc
             assert db in enabled_a and da in enabled_b, (da, db)
             ab, ba = after_a.clone(), after_b.clone()
             ab.apply_round([enabled_a[db]])

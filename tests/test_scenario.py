@@ -126,6 +126,26 @@ init.x = (0) -> (1)
         parse_scenario(text)
 
 
+_OFFSETS = """cluster.datacentres = 2
+cluster.offsets = {}
+cluster.relation.x.arity = 1
+cluster.relation.x.coarity = 1
+policy.read = ONE
+policy.write = ONE
+"""
+
+
+def test_offsets_set_each_data_centres_rank():
+    s = parse_scenario(_OFFSETS.format("1:2 2:1"))
+    assert s.cfg.offset_ranks == {1: 2, 2: 1}
+    assert s.cfg.lowest_offset_dc() == 2
+
+
+def test_offsets_must_cover_every_data_centre():
+    with pytest.raises(ScenarioError, match="must cover exactly the declared data centres"):
+        parse_scenario(_OFFSETS.format("1:1"))
+
+
 def test_unsatisfiable_policy_surfaces_before_the_run():
     text = """cluster.datacentres = 2
 cluster.relation.x.arity = 1

@@ -215,6 +215,18 @@ def test_step_limit_reports_incomplete():
     assert not r.completed and "step limit" in r.reason
 
 
+def test_step_limit_can_cut_the_drain():
+    # this run's clients finish at round 30 and its last forwarded message
+    # is processed at round 31, so a limit of 30 cuts only the drain
+    s = load_scenario("counterexample")
+    full = run(s, "cm2", SeededSchedule(1))
+    assert full.completed and (len(full.schedule_steps), full.sim.round) == (30, 31)
+    cut = run(s, "cm2", SeededSchedule(1), step_limit=30)
+    assert (cut.completed, cut.reason) == (False, "step limit reached in drain")
+    assert cut.schedule_steps == full.schedule_steps and cut.sim.round == 30
+    assert cut.sim.inflight or any(cut.sim.mailbox.values())
+
+
 def test_enumerate_traces_contains_seeded_outcomes():
     s = load_scenario("counterexample")
     traces = enumerate_traces(s, "cm0")
