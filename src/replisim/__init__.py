@@ -64,6 +64,7 @@ from .sim import (
     SeededSchedule,
     SimInvariantError,
     Simulation,
+    count_traces,
     enumerate_traces,
     run,
     search_schedules,

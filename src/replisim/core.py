@@ -422,6 +422,7 @@ def seed_replicas(cfg: ClusterConfig, flat: FlatStore) -> ReplicaStore:
     t0 = Timestamp(1, d0, cfg.offset_ranks[d0])
     for (rid, k), v in flat.data.items():
         j = hash_fragment(cfg, rid, k)
+        # a new store, copies of the key's own fragment: nothing to check
         for (d, node) in cfg.candidates(rid, j):
-            store.store(rid, j, d, node, k, v, t0)
+            store.data.setdefault((rid, j, d, node), {})[k] = (v, t0)
     return store

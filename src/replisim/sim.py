@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import cm1
@@ -801,12 +802,10 @@ def search_schedules(
 
     Three reductions cut the search, each after Godefroid (LNCS 1032):
 
-    - Persistent sets.  Where a state has an eager move (``_is_eager``), only
-      the first one in ``_search_priority`` order is expanded, by the rule
-      ``enumerate_traces`` uses: every completed run from the state has a
-      counterpart that takes that move first and emits the same events in
-      the same order.  Only moves that emit no event are moved, so every
-      agent's own payload history is kept; the rounds of events shift.
+    - Persistent sets.  ``_expansion``, the rule ``enumerate_traces`` uses,
+      expands only the first eager move where a state has one.  Only moves
+      that emit no event are moved, so every agent's own payload history is
+      kept; the rounds of events shift.
     - State caching.  States are de-duplicated on ``Simulation.search_key``:
       the state, round included, plus each request's answer.  Equal keys
       mean equal per-agent payload histories, so a predicate that reads only
@@ -859,11 +858,11 @@ def search_schedules(
                 cut = True
                 continue
             visited[key] = sleep
-            moves = [m for m in _search_expansion(sim) if m.desc not in sleep]
+            moves = [m for m in _expansion(sim) if m.desc not in sleep]
         elif stored.keys() <= sleep.keys():
             continue
         else:
-            moves = [m for m in _search_expansion(sim) if m.desc in stored and m.desc not in sleep]
+            moves = [m for m in _expansion(sim) if m.desc in stored and m.desc not in sleep]
             sleep = visited[key] = {d: f for d, f in sleep.items() if d in stored}
         children = []
         covered = dict(sleep)  # the sleep set plus the moves expanded before
@@ -877,23 +876,79 @@ def search_schedules(
     return SearchResult(None, None, not cut, explored)
 
 
-def _is_eager(sim: Simulation, move: Move) -> bool:
-    """A ``deliver``, ``send`` or ``recv`` that emits no trace event: such a
-    move commutes with every other move; see ``enumerate_traces``.  None of
-    the three sends an answer or ack, so its event needs no sends."""
-    return move.tag in ("deliver", "send", "recv") and sim._event(move, ()) is None
+def _expansion(sim: Simulation) -> list:
+    """The moves to expand at ``sim``: the first *eager* move in
+    ``_search_priority`` order alone, or else every enabled move (a
+    persistent set, after Godefroid, LNCS 1032).
 
-
-def _persistent_set(sim: Simulation, moves: list) -> list:
-    """The moves to expand at ``sim``, given its enabled ``moves``: the
-    first eager one alone, or else all of them; see ``enumerate_traces``
-    for why one eager move is enough."""
-    return next(([move] for move in moves if _is_eager(sim, move)), moves)
-
-
-def _search_expansion(sim: Simulation) -> list:
+    An eager move is a ``deliver``, ``send`` or ``recv`` that emits no event
+    (none of them sends an answer or ack, so ``_event`` needs no sends).  It
+    touches only its agent's ``pc``/``status`` or one message's place (in
+    flight, in a mailbox, or dropped at a dead delegate, as the delegate's
+    deletion would drop it).  No other enabled move touches the same, the
+    moves it enables can only follow it, and nothing disables it.  So every
+    completed run from the state either contains it, and moving it to the
+    front keeps the run's events, or completes without it, and the same run
+    after it emits the same events.  Any eager move will do.
+    """
     moves = sorted(sim.enumerate_moves(with_selections=True), key=_search_priority)
-    return _persistent_set(sim, moves)
+    eager = (m for m in moves if m.tag in ("deliver", "send", "recv") and sim._event(m, ()) is None)
+    return next(([move] for move in eager), moves)
+
+
+def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
+    """(start, transitions): ``enumerate_traces``' traces as a deterministic
+    automaton whose edges are events (kind, agent, req, payload).  It walks
+    the reduced state graph once, keyed on ``state_key(include_round=False)``,
+    each edge labelled with its move's event or ``None``, and every completed
+    state is node 0.  Subset construction determinises that graph: a state
+    is a set of nodes closed over ``None`` edges, accepting if it holds node
+    0, and ``transitions(q)`` lists its (event, state) pairs, built once.
+    """
+    ids: dict = {}  # state key -> node
+    edges: list = [{}]  # node -> {event or None: [node]}
+    stack: list = []  # states still to expand, with their nodes
+
+    def node(sim: Simulation) -> int:
+        if sim.clients_done():
+            return 0
+        key = sim.state_key(include_round=False)
+        if key not in ids:
+            if len(ids) >= max_states:
+                raise ConfigError(f"trace enumeration exceeded {max_states} states")
+            ids[key] = len(edges)
+            edges.append({})
+            stack.append((ids[key], sim))
+        return ids[key]
+
+    def closure(nodes: list) -> frozenset:
+        closed = set(nodes)
+        while nodes:
+            for m in edges[nodes.pop()].get(None, ()):
+                if m not in closed:
+                    closed.add(m)
+                    nodes.append(m)
+        return frozenset(closed)
+
+    root = node(Simulation(scenario, model))
+    while stack:
+        n, sim = stack.pop()
+        for move in _expansion(sim):
+            child = sim.clone()
+            child.apply_round([move])  # one move's updates cannot conflict
+            event = next(((e.kind, e.agent, e.req, e.payload) for e in child.events[len(sim.events):]), None)
+            edges[n].setdefault(event, []).append(node(child))
+
+    @cache
+    def transitions(q: frozenset) -> list:
+        targets: dict = {}
+        for n in q:
+            for event, ms in edges[n].items():
+                targets.setdefault(event, []).extend(ms)
+        targets.pop(None, None)  # already in the closure
+        return [(event, closure(ms)) for event, ms in targets.items()]
+
+    return closure([root]), transitions
 
 
 def enumerate_traces(
@@ -909,67 +964,34 @@ def enumerate_traces(
     only narrows request windows, which keeps COMPATIBLE verdicts on these
     traces valid for the runs they stand for.
 
-    Where a state has an *eager* move, only the first one is expanded (a
-    persistent set of one move, after Godefroid, LNCS 1032).  Eager moves
-    are a ``deliver`` of a message other than a request, a ``send``, and a
-    ``recv`` whose program step does not print.  Such a move emits no event
-    and touches only its own agent's ``pc``/``status`` or one message's
-    place: in flight, then in a mailbox, or dropped at a dead delegate,
-    which the delegate's deletion would also do.  No other enabled
-    move touches the same, the moves it enables (the message's consumer,
-    the client's next step) can only follow it, and nothing disables it.
-    So every completed run from the state either contains the move, and
-    moving it to the front keeps the run's event sequence, or completes
-    without it, and the same run after it gives the same event sequence.
-    The returned set is the unreduced one.  The choice depends only on the
-    state, so suffixes are memoised by ``state_key``; ``max_states`` counts
-    the distinct states of the reduced graph.  The graph is walked with an
-    explicit stack, so no recursion limit caps the length of a run.
+    Each trace is an accepted path of ``_trace_automaton``; its graph expands
+    only an eager move where a state has one (``_expansion``), and the set
+    is the unreduced one.  ``max_states`` caps the incomplete states of that
+    graph.  No walk recurses, so no recursion limit caps a run's length.
     """
-
-    memo: dict = {}
-    states = 0
-    # A frame is (state key, state, moves still to try, suffixes found so
-    # far, events of the move into the state, the parent's suffixes).  When
-    # its moves are done, its suffix set is memoised and extends the parent's.
-    stack: list = []
-
-    def visit(sim: Simulation, emitted: tuple, parent_out: set) -> None:
-        nonlocal states
-        if sim.clients_done():
-            parent_out.add(emitted)
-            return
-        key = sim.state_key(include_round=False)
-        cached = memo.get(key)
-        if cached is not None:
-            parent_out.update(emitted + suffix for suffix in cached)
-            return
-        states += 1
-        if states > max_states:
-            raise ConfigError(f"trace enumeration exceeded {max_states} states")
-        moves = _persistent_set(sim, sim.enumerate_moves(with_selections=True))
-        stack.append((key, sim, iter(moves), set(), emitted, parent_out))
-
-    bodies: set = set()
-    visit(Simulation(scenario, model), (), bodies)
-    while stack:
-        key, sim, moves, out, emitted, parent_out = stack[-1]
-        move = next(moves, None)
-        if move is None:
-            stack.pop()
-            memo[key] = suffixes = frozenset(out)
-            parent_out.update(emitted + suffix for suffix in suffixes)
-            continue
-        child = sim.clone()
-        mark = len(child.events)
-        child.apply_round([move])  # one move's updates cannot conflict
-        visit(child, tuple((e.kind, e.agent, e.req, e.payload) for e in child.events[mark:]), out)
-
+    start, transitions = _trace_automaton(scenario, model, max_states)
     traces = set()
-    for body in bodies:
-        events = tuple(
-            TraceEvent(i, kind, agent, req, payload)
-            for i, (kind, agent, req, payload) in enumerate(body, start=1)
-        )
-        traces.add(Trace(events=events))
+    stack = [(start, ())]  # (state, events of the path to it)
+    while stack:
+        q, path = stack.pop()
+        if 0 in q:
+            traces.add(Trace(events=tuple(TraceEvent(i, *e) for i, e in enumerate(path, start=1))))
+        stack.extend((r, path + (event,)) for event, r in transitions(q))
     return frozenset(traces)
+
+
+def count_traces(scenario: Scenario, model: str, max_states: int = 2_000_000) -> int:
+    """``len(enumerate_traces(scenario, model, max_states))``, without
+    building a trace: the accepted paths of ``_trace_automaton``, counted
+    backwards from its accepting states."""
+    start, transitions = _trace_automaton(scenario, model, max_states)
+    counts: dict = {}
+    stack = [start]
+    while stack:
+        q = stack.pop()
+        todo = [r for _, r in transitions(q) if r not in counts]
+        if todo:
+            stack += [q, *todo]  # q again, once its successors are counted
+        else:
+            counts[q] = (0 in q) + sum(counts[r] for _, r in transitions(q))
+    return counts[start]

@@ -1,8 +1,12 @@
 """Generated desk-scale scenarios shared by the property and acceptance
 suites: at most 3 agents, at most 4 requests, 2 data centres, 2 copies of
-every fragment (one per data centre, except where noted)."""
+every fragment (one per data centre, except where noted), plus a capped
+breadth-first walk over the states of a scenario."""
 
-from replisim import parse_scenario
+from collections import deque
+
+from replisim import Simulation, load_scenario, parse_scenario
+from replisim.scenario import bundled_scenarios
 
 _HEADER = """\
 cluster.datacentres = 2
@@ -121,3 +125,28 @@ def generated_scenarios():
     add("ww_rr", [("a1", 1, "write x {(0) -> (1)}; write x {(0) -> (2)}"), ("a2", 2, "read x key=(0); read x key=(0)")])
 
     return out
+
+
+SCENARIOS = generated_scenarios() + [load_scenario(name) for name in bundled_scenarios()]
+
+
+def walk(scenario, model, limit):
+    """Walk up to ``limit`` distinct states (by ``state_key()``) breadth
+    first, every enabled move expanded, and yield each state with its list
+    of (move, child) pairs.  The walk goes on from the children once the
+    caller is done with them, so callers must not change them."""
+    root = Simulation(scenario, model)
+    seen = {root.state_key()}
+    queue = deque([root])
+    while queue:
+        sim = queue.popleft()
+        children = []
+        for move in sim.enumerate_moves(with_selections=True):
+            child = sim.clone()
+            child.apply_round([move])
+            children.append((move, child))
+        yield sim, children
+        for _, child in children:
+            if len(seen) < limit and (key := child.state_key()) not in seen:
+                seen.add(key)
+                queue.append(child)

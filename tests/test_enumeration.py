@@ -1,14 +1,17 @@
-"""``enumerate_traces`` against a plain reference enumerator.
+"""``enumerate_traces`` and ``count_traces`` against a plain reference
+enumerator.
 
 ``enumerate_traces`` expands only the first eager move of a state that has
 one; ``reference_traces`` expands every enabled move, as the definition of
-the trace set does.  They must return the same traces.
+the trace set does.  They must return the same traces, and ``count_traces``
+their number.
 """
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from replisim import ALL, ONE, ConfigError, Simulation, Trace, TraceEvent, enumerate_traces
+from replisim import (ALL, ONE, ConfigError, Simulation, Trace, TraceEvent, count_traces,
+                      enumerate_traces, load_scenario)
 from replisim.sim import MODELS
 
 from corpus import build, generated_scenarios
@@ -51,15 +54,18 @@ def test_corpus_trace_sets_match_the_reference(model):
             scenario = base.with_policies(read_policy, write_policy)
             if expected is None or model != "cm0":  # cm0's one flat store ignores policies
                 expected = reference_traces(scenario, model)
-            assert enumerate_traces(scenario, model) == expected, (
-                base.name, str(read_policy), str(write_policy))
+            case = (base.name, str(read_policy), str(write_policy))
+            assert enumerate_traces(scenario, model) == expected, case
+            assert count_traces(scenario, model) == len(expected), case
 
 
 @pytest.mark.parametrize("name", ("r_r", "w_rr"))
 @pytest.mark.parametrize("policies", ((ONE, ONE), (ALL, ALL)), ids=("ONE-ONE", "ALL-ALL"))
 def test_small_cm2_trace_sets_match_the_reference(name, policies):
     scenario = CORPUS[name].with_policies(*policies)
-    assert enumerate_traces(scenario, "cm2") == reference_traces(scenario, "cm2")
+    expected = reference_traces(scenario, "cm2")
+    assert enumerate_traces(scenario, "cm2") == expected
+    assert count_traces(scenario, "cm2") == len(expected)
 
 
 _KEYS = ("(0)", "(1)")
@@ -89,7 +95,9 @@ def _two_agent_scenarios(draw):
          .with_policies(ONE, ALL))
 def test_generated_trace_sets_match_the_reference(scenario):
     for model in MODELS:
-        assert enumerate_traces(scenario, model) == reference_traces(scenario, model), model
+        expected = reference_traces(scenario, model)
+        assert enumerate_traces(scenario, model) == expected, model
+        assert count_traces(scenario, model) == len(expected), model
 
 
 def test_long_single_agent_run_is_enumerated_without_recursion():
@@ -102,3 +110,29 @@ def test_state_cap_still_raises():
     scenario = CORPUS["w_w_r"].with_policies(ONE, ALL)
     with pytest.raises(ConfigError, match="exceeded 200 states"):
         enumerate_traces(scenario, "cm2", max_states=200)
+
+
+@pytest.mark.parametrize("name, model, states", (
+    ("counterexample", "cm1", 41),
+    ("counterexample", "cm2", 618),
+    ("anomaly_one_one", "cm2", 496),
+))
+def test_state_cap_counts_the_incomplete_states_of_the_reduced_graph(name, model, states):
+    scenario = load_scenario(name)
+    enumerate_traces(scenario, model, max_states=states)
+    with pytest.raises(ConfigError, match=f"exceeded {states - 1} states"):
+        enumerate_traces(scenario, model, max_states=states - 1)
+
+
+@pytest.mark.parametrize("name, model, traces", (
+    ("counterexample", "cm0", 15),
+    ("counterexample", "cm1", 15),
+    ("counterexample", "cm2", 35),
+    ("anomaly_one_one", "cm1", 31),
+    ("anomaly_one_one", "cm2", 47),
+    # far too many traces to enumerate: counted on the automaton alone
+    ("intro", "cm0", 10_090_080),
+    ("intro", "cm1", 31_119_756),
+))
+def test_trace_counts_of_the_bundled_scenarios(name, model, traces):
+    assert count_traces(load_scenario(name), model) == traces

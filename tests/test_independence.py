@@ -13,32 +13,15 @@ per-agent (kind, req, payload) histories.  That is checked over every
 reachable state of a few corpus scenarios.
 """
 
-from collections import deque
-
 import pytest
 
-from replisim import ALL, ONE, Simulation, load_scenario
-from replisim.scenario import bundled_scenarios
+from replisim import ALL, ONE, Simulation
 from replisim.sim import MODELS, footprint, independent
 
-from corpus import generated_scenarios
+from corpus import SCENARIOS, walk
 
 STATES = 200
-SCENARIOS = generated_scenarios() + [load_scenario(name) for name in bundled_scenarios()]
 CORPUS = {scenario.name: scenario for scenario in SCENARIOS}
-
-
-def successors(sim) -> list:
-    """Each enabled move with the state it leads to and that state's
-    enabled moves by descriptor."""
-    out = []
-    for move in sim.enumerate_moves(with_selections=True):
-        assert sim.resolve_descriptor(move.desc) == move
-        child = sim.clone()
-        child.apply_round([move])
-        enabled = {m.desc: m for m in child.enumerate_moves(with_selections=True)}
-        out.append((move, child, enabled))
-    return out
 
 
 def commuting_pairs(succ: list) -> int:
@@ -62,17 +45,13 @@ def commuting_pairs(succ: list) -> int:
 def checked_pairs(scenario, model) -> int:
     """Walk up to ``STATES`` distinct states breadth first and check the
     independent pairs enabled in each."""
-    root = Simulation(scenario, model)
-    seen = {root.state_key()}
-    queue = deque([root])
     pairs = 0
-    while queue:
-        succ = successors(queue.popleft())
+    for sim, children in walk(scenario, model, STATES):
+        succ = []
+        for move, child in children:
+            assert sim.resolve_descriptor(move.desc) == move
+            succ.append((move, child, {m.desc: m for m in child.enumerate_moves(with_selections=True)}))
         pairs += commuting_pairs(succ)
-        for _, child, _ in succ:
-            if len(seen) < STATES and (key := child.state_key()) not in seen:
-                seen.add(key)
-                queue.append(child)
     return pairs
 
 

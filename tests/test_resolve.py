@@ -8,36 +8,16 @@ move expanded, and checks every descriptor seen anywhere in the walk
 against each state.
 """
 
-from collections import deque
 from itertools import combinations
 
 import pytest
 
-from replisim import ALL, ONE, ScheduleError, Simulation, load_scenario
-from replisim.scenario import bundled_scenarios
+from replisim import ALL, ONE, ScheduleError
 from replisim.sim import MODELS
 
-from corpus import generated_scenarios
+from corpus import SCENARIOS, walk
 
 STATES = 100
-SCENARIOS = generated_scenarios() + [load_scenario(name) for name in bundled_scenarios()]
-
-
-def walk(scenario, model) -> list:
-    """Up to ``STATES`` distinct reachable states, breadth first."""
-    root = Simulation(scenario, model)
-    seen = {root.state_key()}
-    queue, states = deque([root]), []
-    while queue:
-        sim = queue.popleft()
-        states.append(sim)
-        for move in sim.enumerate_moves(with_selections=True):
-            child = sim.clone()
-            child.apply_round([move])
-            if len(seen) < STATES and (key := child.state_key()) not in seen:
-                seen.add(key)
-                queue.append(child)
-    return states
 
 
 def refused(sim, desc) -> None:
@@ -69,11 +49,11 @@ def check_cm1_groups(sim, move) -> int:
 def test_descriptors_resolve_to_exactly_the_enabled_moves(model, policies):
     resolved = not_enabled = bad_groups = 0
     for base in SCENARIOS:
-        states = walk(base.with_policies(*policies), model)
-        named = {m.desc for sim in states for m in sim.enumerate_moves(with_selections=True)}
-        for sim in states:
+        states = list(walk(base.with_policies(*policies), model, STATES))
+        named = {move.desc for _, children in states for move, _ in children}
+        for sim, children in states:
             # with selections, cm1 lists every compliant group of every fragment
-            enabled = {m.desc: m for m in sim.enumerate_moves(with_selections=True)}
+            enabled = {move.desc: move for move, _ in children}
             for desc, move in enabled.items():
                 assert sim.resolve_descriptor(desc) == move
                 resolved += 1
