@@ -263,7 +263,7 @@ class Simulation:
     def trace(self, meta: tuple = ()) -> Trace:
         return Trace(events=tuple(self.events), meta=meta)
 
-    def state_key(self, include_round: bool = True) -> tuple:
+    def state_key(self) -> tuple:
         """The state as a tuple of its own hashable values: two states get
         equal keys exactly when they hold the same values.
 
@@ -274,19 +274,17 @@ class Simulation:
         ident-sorted tuple.  A delegate's per-fragment counts are the sums
         of its per-(fragment, dc) counts, so only the latter count.
 
-        ``round`` is not a function of the rest: under ``LOCAL_ONE`` a
-        partial answer is either collected (two rounds) or, when the
-        delegate has already answered, dropped (one round), and the two
-        runs meet one round apart.  So ``search_schedules`` keeps it: the
-        traces its predicates see carry real rounds, and a state reached
-        past the step limit must not stand for the same state reached
-        before it.  ``enumerate_traces`` leaves it out, since it squeezes
-        idle rounds out of its traces.
+        ``round`` is how many steps a run took to reach the state, a fact
+        about the run: under ``LOCAL_ONE`` two runs meet in one state one
+        round apart (``tests/test_state_partition.py``).  ``answered`` is
+        fixed by the rest: a request is answered from its RESP until its
+        client's ``recv``, while its answer or ack is in flight or in the
+        client's mailbox, and after the ``recv`` the client's ``pc`` and
+        ``status`` show it.  Neither is in the key.
         """
         store = self.flat.state_key() if self.model == "cm0" else self.replicas.state_key()
         boxed = sorted(item for box in self.mailbox.values() for item in box.items())
         return (
-            (self.round,) if include_round else (),
             tuple(self.pc.values()),
             tuple(self.status.values()),
             tuple(self.outs.values()),
@@ -298,7 +296,6 @@ class Simulation:
                 (gid, tuple(d.counts.by_fragment_dc.values()), frozenset(d.answer.items()))
                 for gid, d in sorted(self.delegates.items())
             ),
-            tuple(sorted(self.answered)),
         )
 
     def search_key(self) -> tuple:
@@ -311,7 +308,7 @@ class Simulation:
         time, so the program counters, statuses and answers fix every
         agent's own (kind, req, payload) history.  The answers are keyed by
         request, not in the order they were given: only the order of events
-        across agents is left out."""
+        across agents, and the round, are left out."""
         return self.state_key(), tuple(sorted(self.answered.items()))
 
     # -- move enumeration ---------------------------------------------------
@@ -807,21 +804,21 @@ def search_schedules(
       that emit no event are moved, so every agent's own payload history is
       kept; the rounds of events shift.
     - State caching.  States are de-duplicated on ``Simulation.search_key``:
-      the state, round included, plus each request's answer.  Equal keys
+      the state plus each request's answer, without the round.  Equal keys
       mean equal per-agent payload histories, so a predicate that reads only
       those, as the bundled ones do, answers alike for every run through one
       key.  A predicate that reads the order of events across agents may
-      miss a witness.  With the round in the key, a state past the step
-      limit does not stand for one before it.
+      miss a witness.  A key reached before the round it was stored at is
+      visited afresh, so the step limit cuts no state that is met sooner.
     - Sleep sets.  A state's sleep set holds its parent's sleep set and the
       moves its parent expanded before the move into it, each kept only if
       ``independent`` of that move: both orders reach one key, covered
       below the earlier move.  A sleeping move is not expanded.  Under state
       caching, each visited key stores the sleep set it was expanded with
       (Godefroid, Holzmann & Pirottin, "State-space caching revisited",
-      FMSD 7(3), 1995).  A revisit is cut only if the stored set is a subset
-      of the current one.  Otherwise it expands the persistent-set moves
-      that slept before but not now, and stores the intersection.
+      FMSD 7(3), 1995).  A revisit no sooner is cut only if the stored set
+      is a subset of the current one; otherwise it expands the persistent-set
+      moves that slept before but not now, and stores the intersection.
 
     A completed state is keyed like any other and never expanded.  It is
     drained in place, as ``run`` drains it, which runs the invariant checks
@@ -832,7 +829,7 @@ def search_schedules(
     states within budget with no branch cut at the step limit.
     """
     root = Simulation(scenario, model)
-    visited: dict = {}  # search key -> sleep set it was expanded with
+    visited: dict = {}  # search key -> (least round, sleep set) it was expanded with
     explored = 0
     cut = False  # a branch was skipped at the step limit
     stack = [(root, {})]  # (state, sleep set as descriptor -> footprint)
@@ -842,28 +839,28 @@ def search_schedules(
         if explored > budget:
             return SearchResult(None, None, False, explored)
         key = sim.search_key()
-        stored = visited.get(key)
-        if stored is None:
-            if sim.clients_done():
-                visited[key] = {}  # never expanded, so every revisit is cut
-                steps = tuple(sim.executed)
-                if not sim.drain(step_limit):
-                    cut = True
-                elif predicate(sim.trace(_meta(scenario, model, ExplicitSchedule(()))), scenario):
-                    witness = ExplicitSchedule(steps)
-                    return SearchResult(witness, sim.trace(_meta(scenario, model, witness)), False,
-                                        explored)
-                continue
-            if sim.round >= step_limit:
-                cut = True
-                continue
-            visited[key] = sleep
-            moves = [m for m in _expansion(sim) if m.desc not in sleep]
-        elif stored.keys() <= sleep.keys():
+        first, stored = visited.get(key, (sim.round + 1, {}))
+        if sim.round >= first and stored.keys() <= sleep.keys():
             continue
+        if sim.clients_done():
+            visited[key] = sim.round, {}  # never expanded: a later revisit is cut
+            steps = tuple(sim.executed)
+            if not sim.drain(step_limit):
+                cut = True
+            elif predicate(sim.trace(_meta(scenario, model, ExplicitSchedule(()))), scenario):
+                witness = ExplicitSchedule(steps)
+                return SearchResult(witness, sim.trace(_meta(scenario, model, witness)), False,
+                                    explored)
+            continue
+        if sim.round >= step_limit:
+            cut = True
+            continue
+        if sim.round < first:
+            moves = [m for m in _expansion(sim) if m.desc not in sleep]
         else:
             moves = [m for m in _expansion(sim) if m.desc in stored and m.desc not in sleep]
-            sleep = visited[key] = {d: f for d, f in sleep.items() if d in stored}
+            sleep = {d: f for d, f in sleep.items() if d in stored}
+        visited[key] = min(first, sim.round), sleep
         children = []
         covered = dict(sleep)  # the sleep set plus the moves expanded before
         for move in moves:
@@ -899,9 +896,11 @@ def _expansion(sim: Simulation) -> list:
 def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
     """(start, transitions): ``enumerate_traces``' traces as a deterministic
     automaton whose edges are events (kind, agent, req, payload).  It walks
-    the reduced state graph once, keyed on ``state_key(include_round=False)``,
-    each edge labelled with its move's event or ``None``, and every completed
-    state is node 0.  Subset construction determinises that graph: a state
+    the reduced state graph once, keyed on ``state_key()``, each edge
+    labelled with its move's event or ``None``, and every completed state is
+    node 0.  The key holds no round, so runs that meet one state at two
+    rounds share their suffixes, as rank compression makes their traces
+    alike.  Subset construction determinises that graph: a state
     is a set of nodes closed over ``None`` edges, accepting if it holds node
     0, and ``transitions(q)`` lists its (event, state) pairs, built once.
     """
@@ -912,7 +911,7 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
     def node(sim: Simulation) -> int:
         if sim.clients_done():
             return 0
-        key = sim.state_key(include_round=False)
+        key = sim.state_key()
         if key not in ids:
             if len(ids) >= max_states:
                 raise ConfigError(f"trace enumeration exceeded {max_states} states")

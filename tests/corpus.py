@@ -130,16 +130,19 @@ def generated_scenarios():
 SCENARIOS = generated_scenarios() + [load_scenario(name) for name in bundled_scenarios()]
 
 
-def walk(scenario, model, limit):
-    """Walk up to ``limit`` distinct states (by ``state_key()``) breadth
-    first, every enabled move expanded, and yield each state with its list
-    of (move, child) pairs.  The walk goes on from the children once the
-    caller is done with them, so callers must not change them."""
+def walk(scenario, model, limit=None, key=Simulation.state_key):
+    """Walk up to ``limit`` distinct states (by ``key``), every enabled
+    move expanded, and yield each state with its list of (move, child)
+    pairs.  A capped walk goes breadth first, so it keeps the states
+    nearest the root; with ``limit=None`` it walks every state depth
+    first, which holds fewer of them at once.  The walk goes on from the
+    children once the caller is done with them, so callers must not
+    change them."""
     root = Simulation(scenario, model)
-    seen = {root.state_key()}
+    seen = {key(root)}
     queue = deque([root])
     while queue:
-        sim = queue.popleft()
+        sim = queue.popleft() if limit is not None else queue.pop()
         children = []
         for move in sim.enumerate_moves(with_selections=True):
             child = sim.clone()
@@ -147,6 +150,6 @@ def walk(scenario, model, limit):
             children.append((move, child))
         yield sim, children
         for _, child in children:
-            if len(seen) < limit and (key := child.state_key()) not in seen:
-                seen.add(key)
+            if (limit is None or len(seen) < limit) and (k := key(child)) not in seen:
+                seen.add(k)
                 queue.append(child)

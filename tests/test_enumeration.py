@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from replisim import (ALL, ONE, ConfigError, Simulation, Trace, TraceEvent, count_traces,
                       enumerate_traces, load_scenario)
+from replisim.policies import local_one
 from replisim.sim import MODELS
 
 from corpus import build, generated_scenarios
@@ -25,7 +26,7 @@ def reference_traces(scenario, model):
     def suffixes(sim):
         if sim.clients_done():
             return frozenset({()})
-        key = sim.state_key(include_round=False)
+        key = sim.state_key()
         if key not in memo:
             out = set()
             for move in sim.enumerate_moves(with_selections=True):
@@ -66,6 +67,19 @@ def test_small_cm2_trace_sets_match_the_reference(name, policies):
     expected = reference_traces(scenario, "cm2")
     assert enumerate_traces(scenario, "cm2") == expected
     assert count_traces(scenario, "cm2") == len(expected)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", ("r_r", "w_rr"))
+@pytest.mark.parametrize("policies", ((local_one(1), ALL), (ALL, local_one(1))),
+                         ids=("LOCAL_ONE-ALL", "ALL-LOCAL_ONE"))
+def test_local_one_trace_sets_match_the_reference(name, policies, model):
+    # Under LOCAL_ONE one state is reached at two rounds, and the key,
+    # which holds no round, merges the two.
+    scenario = CORPUS[name].with_policies(*policies)
+    expected = reference_traces(scenario, model)
+    assert enumerate_traces(scenario, model) == expected
+    assert count_traces(scenario, model) == len(expected)
 
 
 _KEYS = ("(0)", "(1)")

@@ -16,6 +16,7 @@ reachable state of a few corpus scenarios.
 import pytest
 
 from replisim import ALL, ONE, Simulation
+from replisim.policies import local_one
 from replisim.sim import MODELS, footprint, independent
 
 from corpus import SCENARIOS, walk
@@ -73,30 +74,33 @@ def histories(sim) -> dict:
     return out
 
 
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("name", ("w_rr", "r_w_r", "ww_r"))
-def test_equal_search_keys_mean_equal_agent_histories(name, model):
+SEARCH_KEY_CASES = [
+    *(pytest.param(name, (ONE, ONE), model, id=f"{name}-{model}")
+      for model in MODELS for name in ("w_rr", "r_w_r", "ww_r")),
+    pytest.param("w_rr", (local_one(1), ALL), "cm2", id="w_rr-LOCAL_ONE-ALL-cm2"),
+]
+
+
+@pytest.mark.parametrize("name, policies, model", SEARCH_KEY_CASES)
+def test_equal_search_keys_mean_equal_agent_histories(name, policies, model):
     """Walk every reachable state, every enabled move expanded, and compare
     the histories of each state reached again under a key seen before.
-    ``state_key`` alone merges states whose reads were answered differently."""
-    root = Simulation(CORPUS[name].with_policies(ONE, ONE), model)
-    by_search_key = {root.search_key(): histories(root)}
+    ``state_key`` alone merges states whose reads were answered differently.
+    The key holds no round: under ``LOCAL_ONE`` some key is reached at two
+    rounds, and elsewhere none is."""
+    root = Simulation(CORPUS[name].with_policies(*policies), model)
+    by_search_key = {root.search_key(): (histories(root), root.round)}
     by_state_key = {root.state_key(): histories(root)}
-    stack = [root]
-    merged = split = 0
-    while stack:
-        sim = stack.pop()
-        for move in sim.enumerate_moves(with_selections=True):
-            child = sim.clone()
-            child.apply_round([move])
+    merged = split = two_rounds = 0
+    for _, children in walk(root.scenario, model, key=Simulation.search_key):
+        for _, child in children:
             history = histories(child)
-            split += by_state_key.setdefault(child.state_key(), history) != history
-            key = child.search_key()
-            if key in by_search_key:
-                assert by_search_key[key] == history, key
-                merged += 1
-            else:
-                by_search_key[key] = history
-                stack.append(child)
+            key = child.search_key()  # (state_key(), answers)
+            split += by_state_key.setdefault(key[0], history) != history
+            first, first_round = by_search_key.setdefault(key, (history, child.round))
+            assert first == history, key
+            merged += first is not history
+            two_rounds += first_round != child.round
     assert merged > 0
     assert split > 0 or model == "cm0"
+    assert (two_rounds > 0) == (policies[0] != ONE)

@@ -1,8 +1,9 @@
 """Pin the partition of simulation states that ``state_key`` induces.
 
 Each case walks every reachable state with every enabled move expanded (no
-eager-move reduction), de-duplicates on ``state_key()``, and stops at
-``clients_done``.  It counts the distinct keys with and without ``round``.
+eager-move reduction), de-duplicates on ``state_key()`` with the round,
+and stops at ``clients_done``.  It counts the distinct keys with and
+without the round.
 A key that merges two states, or splits one, changes a count.
 """
 
@@ -15,21 +16,21 @@ from corpus import build
 
 
 def walk(scenario, model):
-    """The reachable states' keys: without round, mapped to the rounds at
-    which each was reached; and the set of full keys."""
+    """The reachable states' keys mapped to the rounds at which each was
+    reached, and the set of (round, key) pairs."""
     root = Simulation(scenario, model)
-    keys = {root.state_key()}
+    keys = {(root.round, root.state_key())}
     rounds: dict = {}
     stack = [root]
     while stack:
         sim = stack.pop()
-        rounds.setdefault(sim.state_key(include_round=False), set()).add(sim.round)
+        rounds.setdefault(sim.state_key(), set()).add(sim.round)
         if sim.clients_done():
             continue
         for move in sim.enumerate_moves(with_selections=True):
             child = sim.clone()
             child.apply_round([move])
-            key = child.state_key()
+            key = child.round, child.state_key()
             if key not in keys:
                 keys.add(key)
                 stack.append(child)
