@@ -12,10 +12,10 @@ request raises ``ConfigError`` before any replay, whatever the budget.  It
 compiles each write to its ((relation, key), value) pairs in the order
 ``db_perform_write`` applies them (``cm0.write_pairs``), and a replay sets
 those pairs without validating or sorting them again.  A replay answers
-reads with the oracle's own ``db_answer_read``.  A store that is part of a
-search state is never written to: a step that writes clones its parent's
-store, and a step that writes nothing shares its parent's store and that
-store's ``state_key()``.
+reads with the oracle's own ``db_answer_read``, once per (read, store key)
+in a check.  A store that is part of a search state is never written to: a
+step that writes clones its parent's store, and a step that writes nothing
+shares its parent's store and that store's ``state_key()``.
 """
 
 from __future__ import annotations
@@ -141,13 +141,20 @@ def _read_values(infos) -> frozenset:
     return frozenset(seen)
 
 
-def _answers_match(flat: FlatStore, cfg: ClusterConfig, batch) -> bool:
-    """Whether every read of the batch, evaluated against ``flat``,
-    reproduces its recorded answer."""
-    for info in batch:
-        if info.kind == "read" and db_answer_read(flat, cfg, info.rid, info.body) != info.answer:
-            return False
-    return True
+def _read_memo(cfg: ClusterConfig):
+    """``reproduces(info, flat, flat_key)``: whether the read ``info``,
+    evaluated against ``flat`` (whose ``state_key()`` is ``flat_key``),
+    reproduces its recorded answer.  Each (request index, store key) is
+    evaluated once per memo, that is once per check."""
+    memo: dict = {}
+
+    def reproduces(info: _ReqInfo, flat: FlatStore, flat_key) -> bool:
+        hit = memo.get((info.index, flat_key))
+        if hit is None:
+            hit = memo[info.index, flat_key] = db_answer_read(flat, cfg, info.rid, info.body) == info.answer
+        return hit
+
+    return reproduces
 
 
 def _replay_writes(flat: FlatStore, batch, skipped: frozenset):
@@ -196,12 +203,17 @@ def _search(root, key, expand, done, budget: int):
     to a state where ``done`` holds.
 
     ``expand(state)`` yields (step, child) pairs in search order; ``key``
-    names what a state's subtree depends on.  A state whose subtree held no
-    goal is remembered by key for the rest of the call, and a child with a
-    remembered key is skipped without being entered.  ``budget`` bounds the
-    states entered, root included.  Returns (steps from the root to the
-    goal, or None when there is none, or ``_OUT_OF_BUDGET``; states
-    entered)."""
+    names what a state's subtree depends on: two states with one key either
+    both reach a goal or neither does.  A state whose subtree held no goal
+    is remembered by key for the rest of the call, and a child with a
+    remembered key is skipped without being entered.  A child may share its
+    parent's key; when that child fails, the search returns to a frame
+    whose own key is remembered, and drops it without expanding its other
+    children, which cannot reach a goal either.  Pruning only subtrees
+    without a goal, the search returns the first goal path in expansion
+    order.  ``budget`` bounds the states entered, root included.  Returns
+    (steps from the root to the goal, or None when there is none, or
+    ``_OUT_OF_BUDGET``; states entered)."""
     nodes = 1
     if nodes > budget:
         return _OUT_OF_BUDGET, nodes
@@ -212,6 +224,8 @@ def _search(root, key, expand, done, budget: int):
     stack = [(key(root), expand(root))]
     while stack:
         state_key, children = stack[-1]
+        if state_key in failed:  # a child with this key has failed
+            children = ()
         for step, child in children:
             child_key = key(child)
             if child_key not in failed:
@@ -250,6 +264,7 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
     """
     cfg = scenario.cfg
     infos = _request_infos(trace, cfg)
+    reproduces = _read_memo(cfg)
     read_values = _read_values(infos)
     everything = (1 << len(infos)) - 1
     lo_from = [math.inf] * (len(infos) + 1)  # lo_from[n]: the smallest lo in infos[n:]
@@ -280,7 +295,7 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
                 now_placed = placed | sum(1 << i.index for i in combo)
                 if now_placed != everything and first_unplaced(now_placed).hi <= point:
                     continue
-                if not _answers_match(flat, cfg, combo):
+                if not all(reproduces(i, flat, flat_key) for i in combo if i.kind == "read"):
                     continue
                 for skipped in _waiver_choices(combo, read_values):
                     flat2 = _replay_writes(flat, combo, skipped)
@@ -354,37 +369,58 @@ def view_equivalent(t1: Trace, t2: Trace) -> bool:
 def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_000_000) -> Verdict:
     """Enumerate serial orders of the requests consistent with every agent's
     own order, replaying each through the single-copy oracle; accept when
-    all recorded answers are reproduced.
+    all recorded answers are reproduced.  The orders are tried in agent
+    order (each state's children by agent name), and the first valid one is
+    the witness.
 
     A search state is (requests done per agent, flat store, the store's
-    ``state_key()``); ``budget`` bounds the states entered, and ``replays``
-    reports them."""
+    ``state_key()``, the state's key).  The key is (canonical progress, the
+    store's ``state_key()``), where the canonical progress advances each
+    agent past its leading reads whose recorded answers the store
+    reproduces.  A read writes nothing, so a read that matches now can be
+    moved to the front of any completion of the state, and the completion
+    stays valid: the store each later request sees is unchanged, and the
+    read is its agent's next request.  A state and its canonical form
+    therefore either both have a completion or both have none, and the
+    failed-state cache stays exact.  Taking a matching read leaves the key
+    as it was, so a read child gets its parent's key without recomputing
+    it.  Each (read, store key) is evaluated once per call.  ``budget``
+    bounds the states entered, and ``replays`` reports them."""
     cfg = scenario.cfg
     infos = _request_infos(trace, cfg)
+    reproduces = _read_memo(cfg)
     by_agent: dict = {}
     for info in sorted(infos, key=lambda i: i.lo):
         by_agent.setdefault(info.agent, []).append(info)
     queues = [by_agent[a] for a in sorted(by_agent)]
     total = tuple(len(queue) for queue in queues)
 
+    def state_of(progress, flat, flat_key):
+        canonical = []
+        for queue, done in zip(queues, progress):
+            while done < len(queue) and queue[done].kind == "read" and reproduces(queue[done], flat, flat_key):
+                done += 1
+            canonical.append(done)
+        return progress, flat, flat_key, (tuple(canonical), flat_key)
+
     def expand(state):
-        progress, flat, flat_key = state
+        progress, flat, flat_key, key = state
         for n, done in enumerate(progress):
             if done == total[n]:
                 continue
             info = queues[n][done]
             now = progress[:n] + (done + 1,) + progress[n + 1:]
             if info.kind == "read":
-                if _answers_match(flat, cfg, (info,)):
-                    yield info.req, (now, flat, flat_key)
+                if reproduces(info, flat, flat_key):
+                    yield info.req, (now, flat, flat_key, key)
                 continue
             flat2 = _replay_writes(flat, (info,), frozenset())
             if flat2 is not None:
-                yield info.req, (now, flat2, flat_key if flat2 is flat else flat2.state_key())
+                yield info.req, state_of(now, flat2, flat_key if flat2 is flat else flat2.state_key())
 
     steps, nodes = _search(
-        ((0,) * len(queues), scenario.initial, scenario.initial.state_key()),
-        key=lambda state: (state[0], state[2]),
+        state_of((0,) * len(queues), scenario.initial, scenario.initial.state_key()),
+        key=lambda state: state[3],
         expand=expand,
         done=lambda state: state[0] == total,
         budget=budget,

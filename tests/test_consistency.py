@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from replisim import (
     view_equivalent,
 )
 from replisim.cm0 import Condition, db_answer_read, db_perform_write
-from replisim.consistency import IncompleteTraceError, _answers_match, _replay_writes, _request_infos
+from replisim.consistency import IncompleteTraceError, _read_memo, _replay_writes, _request_infos, _search
 from replisim.core import UNDEF, ConfigError, FlatStore
 from replisim.predicates import anomaly_read_stale
 from replisim.trace import Trace, TraceEvent
@@ -370,8 +371,8 @@ def test_read_lookups_answer_as_a_scan(data, rid, cond):
     want = db_answer_read(flat, cfg, rid, cond)
     scanned = frozenset((k, v) for (r, k), v in data.items() if r == rid and cond.matches(k, cfg, rid))
     assert want == scanned
-    assert _answers_match(flat, cfg, [replace(info, answer=want)])
-    assert not _answers_match(flat, cfg, [replace(info, answer=want | {((9,), (9,))})])
+    assert _read_memo(cfg)(replace(info, answer=want), flat, flat.state_key())
+    assert not _read_memo(cfg)(replace(info, answer=want | {((9,), (9,))}), flat, flat.state_key())
     assert flat.data == data
 
 
@@ -562,3 +563,110 @@ def test_budget_stops_the_search_after_budget_plus_one_nodes(four_agent_run, che
     v = checker(t, s, budget=budget)
     assert not v.exhaustive and not v.ok() and v.witness == ()
     assert v.replays == budget + 1
+
+
+def test_four_agent_serial_search_enters_each_canonical_state_once(four_agent_run):
+    # Keying a state on its matching leading reads taken first merges the
+    # orders that differ only in where such reads go: 356 states entered,
+    # where keying on the progress as taken entered 659.
+    s, t = four_agent_run
+    assert check_view_serialisable(t, s).replays <= 356
+
+
+def test_search_drops_a_frame_whose_key_has_failed():
+    # p's first child q shares p's key and is a dead end, so p has no goal
+    # either: p's frame is dropped without expanding x, and the search goes
+    # on to root's goal g.
+    graph = {"root": ["p", "g"], "p": ["q", "x"], "q": [], "x": ["y"], "y": [], "g": []}
+    keys = {"root": "root", "p": "p", "q": "p", "x": "x", "y": "y", "g": "g"}
+    expanded = []
+
+    def expand(state):
+        expanded.append(state)
+        return ((f"to-{child}", child) for child in graph[state])
+
+    steps, nodes = _search("root", keys.get, expand, lambda state: state == "g", budget=100)
+    assert steps == ["to-g"]
+    assert expanded == ["root", "p", "q"]
+    assert nodes == 4
+
+
+# ---------------------------------------------------------------------------
+# serialisability against brute force
+# ---------------------------------------------------------------------------
+
+
+def _random_requests(rng):
+    """Two or three agents, each with one to three reads or writes over keys
+    (0) and (1) of x; a read's recorded answer is arbitrary: absent, or one
+    of the values the trace writes or starts with."""
+    values = [(0,), (1,), (2,)]
+    programs = {}
+    for agent in ("a1", "a2", "a3")[: rng.choice((2, 3))]:
+        program = []
+        for n in range(rng.randint(1, 3)):
+            key = (rng.randrange(2),)
+            if rng.random() < 0.5:
+                rows = [] if rng.random() < 0.3 else [(key, rng.choice(values))]
+                program.append((read_payload(key=key), answer_payload(rows)))
+            else:
+                value = UNDEF if rng.random() < 0.2 else rng.choice(values)
+                program.append((("write", "x", ((key, value),)), ("ack", "x")))
+        programs[agent] = program
+    return programs
+
+
+def _trace_of(programs, rng):
+    """Each request's REQ and RESP in turn, the agents interleaved at random."""
+    turns = [agent for agent, program in programs.items() for _ in program]
+    rng.shuffle(turns)
+    events, issued = [], dict.fromkeys(programs, 0)
+    for agent in turns:
+        n = issued[agent]
+        issued[agent] += 1
+        req, resp = programs[agent][n]
+        events += [ev(len(events) + 1, "REQ", agent, f"{agent}#{n}", req),
+                   ev(len(events) + 2, "RESP", agent, f"{agent}#{n}", resp)]
+    return Trace(tuple(events))
+
+
+def _first_serial_order(programs, scenario):
+    """The first interleaving of the agents' programs, in lexicographic agent
+    order, whose replay through the oracle reproduces every answer."""
+    agents = sorted(programs)
+
+    def orders(done):
+        if all(done[a] == len(programs[a]) for a in agents):
+            yield ()
+        for a in agents:
+            if done[a] < len(programs[a]):
+                for rest in orders({**done, a: done[a] + 1}):
+                    yield ((a, done[a]),) + rest
+
+    for order in orders(dict.fromkeys(agents, 0)):
+        flat = scenario.initial.clone()
+        for agent, n in order:
+            (tag, rid, body), resp = programs[agent][n]
+            if tag == "write":
+                db_perform_write(flat, scenario.cfg, rid, dict(body))
+            elif db_answer_read(flat, scenario.cfg, rid, body) != resp[2]:
+                break
+        else:
+            return tuple(f"{agent}#{n}" for agent, n in order)
+    return None
+
+
+def test_serialisability_matches_brute_force_on_random_traces():
+    scenario = simple_scenario()  # x: (0) -> (0); (1) absent
+    rng = random.Random(18)
+    kinds = set()
+    for _ in range(300):
+        programs = _random_requests(rng)
+        want = _first_serial_order(programs, scenario)
+        v = check_view_serialisable(_trace_of(programs, rng), scenario)
+        if want is None:
+            assert (v.kind, v.exhaustive, v.witness) == ("NOT_SERIALISABLE", True, ())
+        else:
+            assert (v.kind, v.exhaustive, v.witness) == ("SERIALISABLE", True, want)
+        kinds.add(v.kind)
+    assert kinds == {"SERIALISABLE", "NOT_SERIALISABLE"}
