@@ -565,7 +565,7 @@ def test_budget_stops_the_search_after_budget_plus_one_nodes(four_agent_run, che
     assert v.replays == budget + 1
 
 
-def test_four_agent_serial_search_enters_each_canonical_state_once(four_agent_run):
+def test_four_agent_serial_search_merges_orders_of_matching_reads(four_agent_run):
     # Keying a state on its matching leading reads taken first merges the
     # orders that differ only in where such reads go: 356 states entered,
     # where keying on the progress as taken entered 659.
