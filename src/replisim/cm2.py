@@ -162,15 +162,15 @@ def _answer_map(triples) -> dict:
 
 
 def _audit(delegate: DelegateState, counts: CountState, merged: dict, log: tuple) -> None:
-    # Counts must equal the sums of the reported vectors, and each collected
-    # key must carry the maximum timestamp seen for it so far.
-    sums: dict = {}
+    # Each (fragment, dc) count must equal the sum of the vectors that data
+    # centre reported, and each collected key must carry the maximum
+    # timestamp seen for it so far.
+    sums = dict.fromkeys(counts.by_fragment_dc, 0)
     for (d, xs, _) in log:
         for j, x in enumerate(xs, start=1):
-            sums[j] = sums.get(j, 0) + x
-    for j, total in sums.items():
-        if counts.by_fragment[j] != total:
-            raise ConfigError(f"delegate {delegate.gid}: count({j}) diverged from its log")
+            sums[(j, d)] += x
+    if sums != counts.by_fragment_dc:
+        raise ConfigError(f"delegate {delegate.gid}: counts diverged from its log")
     if merged != freshest(_answer_map(triples) for (_, _, triples) in log):
         raise ConfigError(f"delegate {delegate.gid}: stale triple survived a merge")
 

@@ -304,7 +304,10 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
                         step = ((point, tuple(i.req for i in combo)), skipped)
                         yield step, (now_placed, flat2, point, key2)
 
-    root = (0, scenario.initial, 0, scenario.initial.state_key())
+    # Points only grow and each exceeds its request's issue index, so the
+    # search starts from the smallest issue index, whatever its sign.
+    start = min((i.lo for i in infos), default=0)
+    root = (0, scenario.initial, start, scenario.initial.state_key())
     steps, nodes = _search(
         root,
         key=lambda state: (state[0], state[3], state[2]),

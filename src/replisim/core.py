@@ -166,6 +166,7 @@ class ClusterConfig:
         self.down_nodes = frozenset(down_nodes)  # (dc, node) pairs
         self.fragment_memo: dict = {}  # (rid, key) -> fragment, filled by hash_fragment
         self.copies: dict = {}
+        self.copy_sets: dict = {}  # (rid, j) -> the same copies as a frozenset, for membership tests
         self.local_groups: dict = {}
         for rid, rel in self.relations.items():
             for j in range(1, rel.fragments + 1):
@@ -175,6 +176,7 @@ class ClusterConfig:
                     for s in range(rel.replication):
                         placed.append((d, 1 + (start + s) % rel.nodes))
                 self.copies[(rid, j)] = tuple(sorted(placed))
+                self.copy_sets[(rid, j)] = frozenset(placed)
             for d in self.offset_ranks:
                 self.local_groups[(rid, d)] = {
                     j: tuple((d, node) for d2, node in self.copies[(rid, j)]
@@ -218,7 +220,7 @@ class ClusterConfig:
             raise ConfigError(f"unknown relation {rid!r}") from None
 
     def is_copy(self, rid: str, j: int, d: int, node: int) -> bool:
-        return (d, node) in self.copies.get((rid, j), ())
+        return (d, node) in self.copy_sets.get((rid, j), ())
 
     def candidates(self, rid: str, j: int) -> tuple:
         """All (dc, node) pairs holding a replica of fragment ``j``."""

@@ -1,9 +1,11 @@
 """Read/write replication policies.
 
-Two views of the same policy: ``complies`` judges an up-front replica
-selection (used where a data centre picks the replicas before acting), and
-``sufficient`` judges response counters accumulated after the fact (used
-where an answer collector decides when it has heard from enough replicas).
+Two views of the same policy, both judged by one per-fragment rule over
+how many of the fragment's copies take part in each data centre:
+``complies`` judges an up-front replica selection (used where a data centre
+picks the replicas before acting), and ``sufficient`` judges response
+counters accumulated after the fact (used where an answer collector decides
+when it has heard from enough replicas).
 ``is_appropriate`` classifies read/write policy pairs that guarantee overlap.
 """
 
@@ -14,32 +16,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import ClusterConfig, ConfigError
+from .core import ClusterConfig, ConfigError, RelationConfig
+
+_KINDS = ("ALL", "ONE", "TWO", "THREE", "QUORUM", "EACH_QUORUM", "LOCAL_ONE", "LOCAL_QUORUM")
+_LOCAL = ("LOCAL_ONE", "LOCAL_QUORUM")
+_MIN_CARD = {"ONE": 1, "TWO": 2, "THREE": 3, "LOCAL_ONE": 1}  # least copies taking part
 
 
 @dataclass(frozen=True)
 class Policy:
-    kind: str  # ALL | ONE | TWO | THREE | QUORUM | EACH_QUORUM | LOCAL_ONE | LOCAL_QUORUM
+    kind: str  # one of _KINDS
     q: Optional[Fraction] = None
     dc: Optional[int] = None
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown policy kind {self.kind}")
         if self.kind in ("QUORUM", "EACH_QUORUM", "LOCAL_QUORUM"):
             if self.q is None or not (0 < self.q < 1):
                 raise ConfigError(f"{self.kind} needs a quorum fraction strictly between 0 and 1")
-        if self.kind in ("LOCAL_ONE", "LOCAL_QUORUM") and self.dc is None:
+        if self.kind in _LOCAL and self.dc is None:
             raise ConfigError(f"{self.kind} needs a data centre")
 
     def __str__(self) -> str:
-        if self.kind == "QUORUM":
-            return f"QUORUM({self.q})"
-        if self.kind == "EACH_QUORUM":
-            return f"EACH_QUORUM({self.q})"
-        if self.kind == "LOCAL_ONE":
-            return f"LOCAL_ONE({self.dc})"
-        if self.kind == "LOCAL_QUORUM":
-            return f"LOCAL_QUORUM({self.q},{self.dc})"
-        return self.kind
+        args = ",".join(str(a) for a in (self.q, self.dc) if a is not None)
+        return f"{self.kind}({args})" if args else self.kind
 
 
 ALL = Policy("ALL")
@@ -62,9 +63,6 @@ def local_one(dc: int) -> Policy:
 
 def local_quorum(q, dc: int) -> Policy:
     return Policy("LOCAL_QUORUM", q=Fraction(q), dc=dc)
-
-
-_MIN_CARD = {"ONE": 1, "TWO": 2, "THREE": 3}
 
 
 def parse_policy(text: str) -> Policy:
@@ -95,6 +93,28 @@ def parse_policy(text: str) -> Policy:
     raise ConfigError(f"unknown policy {text!r}")
 
 
+def _enough(policy: Policy, rel: RelationConfig, by_dc: dict) -> bool:
+    """The per-fragment rule both views share: do ``by_dc[d]`` of the
+    fragment's copies taking part in each data centre ``d`` satisfy the
+    policy?  Every data centre of the relation holds ``rel.replication``
+    copies of each fragment (``ClusterConfig._validate``)."""
+    kind, q, per_dc = policy.kind, policy.q, rel.replication
+    if kind == "EACH_QUORUM":
+        for d in rel.data_centres:
+            if not q * per_dc < by_dc.get(d, 0):
+                return False
+        return True
+    if kind in _LOCAL:  # only the policy's data centre counts
+        taking_part, copies = by_dc.get(policy.dc, 0), per_dc
+    else:
+        taking_part, copies = sum(by_dc.values()), per_dc * len(rel.data_centres)
+    if kind == "ALL":
+        return taking_part == copies
+    if kind in _MIN_CARD:
+        return taking_part >= _MIN_CARD[kind]
+    return q * copies < taking_part  # QUORUM, LOCAL_QUORUM
+
+
 def complies(selection, policy: Policy, cfg: ClusterConfig, rid: str, j: int) -> bool:
     """Does the replica selection G for fragment ``j`` satisfy the policy?
 
@@ -102,89 +122,50 @@ def complies(selection, policy: Policy, cfg: ClusterConfig, rid: str, j: int) ->
     fragment's candidate set.
     """
     g = frozenset(selection)
-    candidates = frozenset(cfg.candidates(rid, j))
+    candidates = cfg.copy_sets[(rid, j)]
     if not g <= candidates:
         raise ConfigError("selection contains non-copy nodes")
-    kind = policy.kind
-    if kind == "ALL":
-        return g == candidates
-    if kind in _MIN_CARD:
-        return len(g) >= _MIN_CARD[kind]
-    if kind == "QUORUM":
-        return policy.q * len(candidates) < len(g)
-    if kind == "EACH_QUORUM":
-        dcs = cfg.relation(rid).data_centres
-        for d in dcs:
-            c_d = sum(1 for (d2, _) in candidates if d2 == d)
-            g_d = sum(1 for (d2, _) in g if d2 == d)
-            if not policy.q * c_d < g_d:
-                return False
-        return True
-    if kind == "LOCAL_ONE":
-        return len(g) >= 1 and all(d2 == policy.dc for (d2, _) in g)
-    if kind == "LOCAL_QUORUM":
-        # Locality plus the global quorum bound on the full candidate set.
-        return all(d2 == policy.dc for (d2, _) in g) and policy.q * len(candidates) < len(g)
-    raise ConfigError(f"unknown policy kind {kind}")  # pragma: no cover
+    rel = cfg.relation(rid)
+    by_dc: dict = {}
+    for d, _ in g:
+        by_dc[d] = by_dc.get(d, 0) + 1
+    if policy.kind in _LOCAL and by_dc.get(policy.dc, 0) != len(g):
+        return False  # a copy outside the policy's data centre takes part
+    # The one place cm1 differs from a cm2 delegate: LOCAL_QUORUM's quorum
+    # is taken over the whole candidate set C, not over the local copies.
+    if policy.kind == "LOCAL_QUORUM" and not policy.q * len(candidates) < len(g):
+        return False
+    return _enough(policy, rel, by_dc)
 
 
 @dataclass(frozen=True)
 class CountState:
-    """Responses seen so far: per fragment, and per fragment and data centre.
+    """Responses seen so far, per (fragment, data centre).
 
     A value: ``add`` returns the successor and leaves this one as it is."""
 
-    by_fragment: dict  # j -> int
     by_fragment_dc: dict  # (j, d) -> int
 
     @classmethod
     def zero(cls, cfg: ClusterConfig, rid: str) -> "CountState":
         rel = cfg.relation(rid)
-        by_j = {j: 0 for j in range(1, rel.fragments + 1)}
-        by_jd = {(j, d): 0 for j in by_j for d in rel.data_centres}
-        return cls(by_j, by_jd)
+        return cls({(j, d): 0 for j in range(1, rel.fragments + 1) for d in rel.data_centres})
 
     def add(self, d: int, xs) -> "CountState":
-        by_j, by_jd = dict(self.by_fragment), dict(self.by_fragment_dc)
+        by_jd = dict(self.by_fragment_dc)
         for j, x in enumerate(xs, start=1):
-            by_j[j] += x
             by_jd[(j, d)] += x
-        return CountState(by_j, by_jd)
+        return CountState(by_jd)
 
 
 def sufficient(counts: CountState, policy: Policy, cfg: ClusterConfig, rid: str) -> bool:
     """Have enough replicas responded, for every fragment of the relation?"""
     rel = cfg.relation(rid)
-    kind = policy.kind
     for j in range(1, rel.fragments + 1):
-        gamma = len(cfg.candidates(rid, j))
-        c = counts.by_fragment[j]
-        if kind == "ALL":
-            ok = c == gamma
-        elif kind in _MIN_CARD:
-            ok = c >= _MIN_CARD[kind]
-        elif kind == "QUORUM":
-            ok = policy.q * gamma < c
-        elif kind == "EACH_QUORUM":
-            ok = all(
-                policy.q * _delta(cfg, rid, j, d) < counts.by_fragment_dc[(j, d)]
-                for d in rel.data_centres
-            )
-        elif kind == "LOCAL_QUORUM":
-            ok = policy.q * _delta(cfg, rid, j, policy.dc) < counts.by_fragment_dc.get(
-                (j, policy.dc), 0
-            )
-        elif kind == "LOCAL_ONE":
-            ok = counts.by_fragment_dc.get((j, policy.dc), 0) >= 1
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown policy kind {kind}")
-        if not ok:
+        by_dc = {d: counts.by_fragment_dc[(j, d)] for d in rel.data_centres}
+        if not _enough(policy, rel, by_dc):
             return False
     return True
-
-
-def _delta(cfg: ClusterConfig, rid: str, j: int, d: int) -> int:
-    return sum(1 for (d2, _) in cfg.candidates(rid, j) if d2 == d)
 
 
 def is_appropriate(read: Policy, write: Policy) -> bool:
@@ -211,8 +192,9 @@ def enumerate_compliant_selections(
     out = []
     for size in range(1, len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            if complies(combo, policy, cfg, rid, j):
-                out.append(frozenset(combo))
+            g = frozenset(combo)
+            if complies(g, policy, cfg, rid, j):
+                out.append(g)
                 if len(out) == bound:
                     return out
     return out

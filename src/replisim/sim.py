@@ -271,8 +271,7 @@ class Simulation:
         they were built in (``__init__``, ``CountState.zero``), and steps
         only update existing keys, so they need no sort.  A message's
         receiver is part of its ident, so the mailboxes key as one
-        ident-sorted tuple.  A delegate's per-fragment counts are the sums
-        of its per-(fragment, dc) counts, so only the latter count.
+        ident-sorted tuple.
 
         ``round`` is how many steps a run took to reach the state, a fact
         about the run: under ``LOCAL_ONE`` two runs meet in one state one

@@ -285,11 +285,18 @@ def _brute_force_sufficient(count_by_dc, policy, candidates, dcs):
 
 def test_criterion_7_policy_truth_tables():
     t0 = time.time()
-    layouts = [((1,), 1), ((1,), 2), ((1,), 3), ((1, 2), 1), ((1, 2), 2), ((1, 2), 3), ((1,), 5)]
+    layouts = [
+        make_cfg(dcs=dcs, nodes=repl, replication=repl)
+        for dcs, repl in [((1,), 1), ((1,), 2), ((1,), 3), ((1, 2), 1), ((1, 2), 2), ((1, 2), 3), ((1,), 5)]
+    ]
+    # two fragments on overlapping copies: fragment 2 sits on nodes 2 and 3 of each data centre
+    layouts.append(make_cfg(dcs=(1, 2), fragments=2, nodes=3, replication=2))
     compared = 0
-    for dcs, repl in layouts:
-        cfg = make_cfg(dcs=dcs, nodes=repl, replication=repl)
-        candidates = sorted(cfg.candidates("x", 1))
+    for cfg in layouts:
+        rel = cfg.relation("x")
+        dcs, repl, last = rel.data_centres, rel.replication, rel.fragments
+        candidates_of = {j: sorted(cfg.candidates("x", j)) for j in range(1, last + 1)}
+        candidates = candidates_of[last]
         assert 1 <= len(candidates) <= 6
         policies = [ALL, ONE, TWO, THREE, quorum(HALF), quorum(Fraction(2, 3)), each_quorum(HALF)]
         for d in dcs:
@@ -301,18 +308,23 @@ def test_criterion_7_policy_truth_tables():
         ]
         for policy in policies:
             for g in subsets:
-                got = complies(g, policy, cfg, "x", 1)
+                got = complies(g, policy, cfg, "x", last)
                 want = _brute_force_complies(g, policy, candidates, dcs)
                 assert got == want, (dcs, repl, str(policy), g)
                 compared += 1
-            for counts in itertools.product(range(len(candidates) // len(dcs) + 1), repeat=len(dcs)):
-                by_dc = dict(zip(dcs, counts))
+            # one vector of per-fragment counts for each data centre
+            for vectors in itertools.product(itertools.product(range(repl + 1), repeat=last), repeat=len(dcs)):
                 cs = CountState.zero(cfg, "x")
-                for d, n in by_dc.items():
-                    cs = cs.add(d, (n,))
+                for d, xs in zip(dcs, vectors):
+                    cs = cs.add(d, xs)
                 got = sufficient(cs, policy, cfg, "x")
-                want = _brute_force_sufficient(by_dc, policy, candidates, dcs)
-                assert got == want, (dcs, repl, str(policy), by_dc)
+                want = all(
+                    _brute_force_sufficient(
+                        {d: xs[j - 1] for d, xs in zip(dcs, vectors)}, policy, candidates_of[j], dcs
+                    )
+                    for j in candidates_of
+                )
+                assert got == want, (dcs, repl, str(policy), vectors)
                 compared += 1
     # strict-majority boundary at q = 1/2 for odd candidate counts
     for m in (3, 5):

@@ -70,7 +70,6 @@ def test_new_delegate_counts_are_zero():
     store, ticks = make_state(cfg)
     eff = delegate_external_req(store, ticks, cfg, 1, read_req())
     delegate = eff.updates[("delegate", "g!a1#0")]
-    assert all(v == 0 for v in delegate.counts.by_fragment.values())
     assert all(v == 0 for v in delegate.counts.by_fragment_dc.values())
     assert delegate.answer == {}
 
@@ -235,7 +234,7 @@ def test_read_all_waits_for_every_copy():
     delegate = fresh_delegate(cfg)
     eff = collect_respond(delegate, cfg, ALL, local_answer([((0,), (5,), Timestamp(2, 1, 1))]))
     assert not eff.sends  # gamma = 2, one response so far
-    assert eff.updates[("delegate", delegate.gid)].counts.by_fragment[1] == 1
+    assert eff.updates[("delegate", delegate.gid)].counts.by_fragment_dc == {(1, 1): 0, (1, 2): 1}
 
 
 def test_tombstones_dropped_only_at_respond():
@@ -268,16 +267,16 @@ def test_write_all_acks_when_counts_reach_gamma():
 def test_ack_order_does_not_change_counts():
     cfg = make_cfg()
 
-    def total_after(order):
+    def counts_after(order):
         # THREE is not satisfied by two acks, so each step yields a successor
         delegate = fresh_delegate(cfg, kind="write")
         for sender in order:
             msg = Message(LOCAL_ACK, "a1#0", sender, "g!a1#0", payload=("x", (1,)))
             delegate = collect_respond(delegate, cfg, THREE, msg).updates[("delegate", delegate.gid)]
-        return dict(delegate.counts.by_fragment), dict(delegate.counts.by_fragment_dc)
+        return dict(delegate.counts.by_fragment_dc)
 
-    assert total_after(["d1", "d2"]) == total_after(["d2", "d1"])
-    assert total_after(["d1", "d2"])[0] == {1: 2}
+    assert counts_after(["d1", "d2"]) == counts_after(["d2", "d1"])
+    assert counts_after(["d1", "d2"]) == {(1, 1): 1, (1, 2): 1}
 
 
 def test_wrong_message_kind_rejected():

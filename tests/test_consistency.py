@@ -178,6 +178,18 @@ def test_compatibility_witness_replays_exactly():
     assert points == sorted(points)
 
 
+@pytest.mark.parametrize("first", [0, -5])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])  # two compatible intro cm1 runs, two not
+def test_compatibility_does_not_depend_on_where_indices_start(seed, first):
+    s = load_scenario("intro")
+    t = run(s, "cm1", SeededSchedule(seed)).trace
+    shift = first - t.events[0].idx
+    shifted = Trace(tuple(replace(e, idx=e.idx + shift) for e in t.events))
+    v, w = check_view_compatible(t, s), check_view_compatible(shifted, s)
+    assert (w.kind, w.exhaustive, w.replays, w.waived) == (v.kind, v.exhaustive, v.replays, v.waived)
+    assert w.witness == tuple((point + shift, reqs) for point, reqs in v.witness)
+
+
 def test_counterexample_trace_incompatible_and_not_serialisable():
     s = load_scenario("counterexample")
     res = search_schedules(s, "cm2", anomaly_read_stale)

@@ -67,6 +67,11 @@ def test_selection_outside_candidates_rejected():
         complies([(1, 9)], ONE, cfg, "x", 1)
 
 
+def test_unknown_policy_kind_refused():
+    with pytest.raises(ConfigError, match="unknown policy kind"):
+        Policy("MOST")
+
+
 def test_quorum_fraction_bounds():
     with pytest.raises(ConfigError):
         Policy("QUORUM", q=Fraction(1))
@@ -90,7 +95,6 @@ def test_count_state_add_returns_the_successor():
     zero = CountState.zero(cfg, "x")
     counts = zero.add(1, (2, 1))
     assert zero == CountState.zero(cfg, "x")
-    assert counts.by_fragment == {1: 2, 2: 1}
     assert counts.by_fragment_dc == {(1, 1): 2, (2, 1): 1, (1, 2): 0, (2, 2): 0}
 
 

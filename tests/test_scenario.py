@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from replisim import ScenarioError, load_scenario, parse_scenario
-from replisim.policies import ALL, ONE
+from replisim import ScenarioError, SeededSchedule, load_scenario, parse_scenario, run
+from replisim.policies import ALL, ONE, local_quorum
 from replisim.scenario import bundled_scenarios
+
+from corpus import SCENARIOS
 
 
 def test_bundled_names():
@@ -162,6 +166,19 @@ policy.write = ONE
     with pytest.raises(ScenarioError):
         s.validate_for_model("cm2")
     s.validate_for_model("cm0")  # the flat model ignores policies
+
+
+def test_local_quorum_is_judged_over_all_copies_in_cm1_and_local_ones_in_cm2():
+    # x has one copy in each of two data centres.  cm1 takes LOCAL_QUORUM's
+    # quorum over the whole candidate set (1/2 * 2 < |G| needs both copies,
+    # but only one is in dc 1); a cm2 delegate takes it over dc 1's copies
+    # (1/2 * 1 < 1 holds once dc 1 has answered).
+    w_rr = next(s for s in SCENARIOS if s.name == "w_rr")
+    scenario = w_rr.with_policies(local_quorum(Fraction(1, 2), 1), ALL)
+    with pytest.raises(ScenarioError, match="is unsatisfiable on x fragment 1"):
+        run(scenario, "cm1", SeededSchedule(0))
+    result = run(scenario, "cm2", SeededSchedule(0))
+    assert result.completed and len(result.trace.events) == 6
 
 
 def test_all_policy_with_down_node_never_sufficient():
