@@ -35,7 +35,7 @@ print()
 
 print("minimal compliant selections, lexicographic:")
 for policy in (ONE, TWO, quorum(HALF), each_quorum(HALF), ALL):
-    sels = enumerate_compliant_selections(cfg, "x", 1, policy, 3)
+    sels = enumerate_compliant_selections(cfg, "x", 1, policy)[:3]
     show = [sorted(s) for s in sels[:2]]
     print(f"   {str(policy):18} -> {len(sels)}+ options, first {show}")
 print()

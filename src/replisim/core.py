@@ -152,7 +152,9 @@ class ClusterConfig:
     its alive copies in data centre ``d``.  Placement is a deterministic
     ring assignment: fragment j occupies ``replication`` consecutive node
     slots starting at node ``1 + (j-1) mod nodes`` in every data centre of
-    the relation.
+    the relation.  Two memos fill as they are read: ``fragment_memo`` holds
+    each (relation, key)'s fragment, and ``selection_memo`` each
+    (relation, fragment, policy)'s list of compliant replica selections.
     """
 
     def __init__(
@@ -165,6 +167,8 @@ class ClusterConfig:
         self.offset_ranks = dict(offset_ranks)
         self.down_nodes = frozenset(down_nodes)  # (dc, node) pairs
         self.fragment_memo: dict = {}  # (rid, key) -> fragment, filled by hash_fragment
+        # (rid, j, policy) -> compliant selections, filled by enumerate_compliant_selections
+        self.selection_memo: dict = {}
         self.copies: dict = {}
         self.copy_sets: dict = {}  # (rid, j) -> the same copies as a frozenset, for membership tests
         self.local_groups: dict = {}
@@ -228,9 +232,6 @@ class ClusterConfig:
 
     def alive(self, d: int, node: int) -> bool:
         return (d, node) not in self.down_nodes
-
-    def alive_local_copies(self, rid: str, j: int, d: int) -> tuple:
-        return tuple(node for _, node in self.local_groups[(rid, d)][j])
 
     def lowest_offset_dc(self) -> int:
         return min(self.offset_ranks, key=lambda d: self.offset_ranks[d])

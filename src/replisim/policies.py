@@ -177,24 +177,21 @@ def is_appropriate(read: Policy, write: Policy) -> bool:
     return False
 
 
-def enumerate_compliant_selections(
-    cfg: ClusterConfig, rid: str, j: int, policy: Policy, bound: Optional[int] = None
-) -> list:
-    """Up to ``bound`` compliant selections (all of them when ``bound`` is
-    None), smallest first, lexicographic.
+def enumerate_compliant_selections(cfg: ClusterConfig, rid: str, j: int, policy: Policy) -> list:
+    """Every compliant selection for fragment ``j``, smallest first, then
+    lexicographic, each a sorted tuple of (dc, node) pairs.  Built once per
+    (relation, fragment, policy) and kept in ``cfg.selection_memo``.
 
     An empty result means the policy cannot be satisfied on this fragment
     (for example THREE with only two replicas).
     """
-    if bound is not None and bound < 1:
-        raise ConfigError("bound must be >= 1")
-    candidates = sorted(cfg.candidates(rid, j))
-    out = []
-    for size in range(1, len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            g = frozenset(combo)
-            if complies(g, policy, cfg, rid, j):
-                out.append(g)
-                if len(out) == bound:
-                    return out
+    out = cfg.selection_memo.get((rid, j, policy))
+    if out is None:
+        candidates = sorted(cfg.candidates(rid, j))
+        out = cfg.selection_memo[(rid, j, policy)] = [
+            combo
+            for size in range(1, len(candidates) + 1)
+            for combo in itertools.combinations(candidates, size)
+            if complies(combo, policy, cfg, rid, j)
+        ]
     return out

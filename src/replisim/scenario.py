@@ -80,7 +80,7 @@ class Scenario:
                     continue
                 for j in range(1, rel.fragments + 1):
                     if model == "cm1":
-                        if not enumerate_compliant_selections(self.cfg, rid, j, policy, 1):
+                        if not enumerate_compliant_selections(self.cfg, rid, j, policy):
                             problems.append(
                                 (0, f"{label} policy {policy} is unsatisfiable on {rid} fragment {j}")
                             )

@@ -215,7 +215,6 @@ class Simulation:
         self.round = 0
         self.answered: dict = {}  # req -> payload of its RESP event
         self.executed: list = []  # descriptor tuples per round, for replay
-        self.options: dict = {}  # (rid, request kind) -> _fragment_options, shared by clones
         # agent names in move order, fixed per scenario and shared by clones
         self.clients = tuple(sorted(scenario.programs))
         self.dc_agents = tuple(dc_agent(d) for d in self.cfg.all_dcs())
@@ -242,7 +241,6 @@ class Simulation:
         s.round = self.round
         s.answered = dict(self.answered)
         s.executed = list(self.executed)
-        s.options = self.options
         s.clients, s.dc_agents = self.clients, self.dc_agents
         return s
 
@@ -350,19 +348,13 @@ class Simulation:
 
     def _fragment_options(self, msg: Message) -> list:
         """Per fragment of the request's relation, all its compliant
-        selections, smallest first, each a sorted tuple of (dc, node) pairs.
-        They depend only on the scenario, so they are built once per
-        (relation, request kind) and ``Simulation``, and its clones share
-        them.  ``validate_for_model`` has made sure there is at least one."""
-        rid = msg.payload[0]
-        per_fragment = self.options.get((rid, msg.kind))
-        if per_fragment is None:
-            policy = self._policy_for(msg.kind)
-            per_fragment = self.options[rid, msg.kind] = []
-            for j in range(1, self.cfg.relation(rid).fragments + 1):
-                options = enumerate_compliant_selections(self.cfg, rid, j, policy)
-                per_fragment.append((j, [tuple(sorted(g)) for g in options]))
-        return per_fragment
+        selections (``enumerate_compliant_selections``).
+        ``validate_for_model`` has made sure there is at least one."""
+        rid, policy = msg.payload[0], self._policy_for(msg.kind)
+        return [
+            (j, enumerate_compliant_selections(self.cfg, rid, j, policy))
+            for j in range(1, self.cfg.relation(rid).fragments + 1)
+        ]
 
     def selection_options(self, msg: Message) -> list:
         """Cartesian product of compliant selections across fragments.  An

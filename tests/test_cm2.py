@@ -176,7 +176,10 @@ def test_local_key_reads_answer_as_a_scan(contents, cond, d):
     # must be what folding each local fragment whole and filtering gives.
     cfg, store = contents
     ticks = dict.fromkeys(cfg.offset_ranks, 2)
-    groups = {j: tuple((d, n) for n in cfg.alive_local_copies("x", j, d)) for j in (1, 2)}
+    groups = {
+        j: tuple((d2, n) for d2, n in cfg.candidates("x", j) if d2 == d and cfg.alive(d2, n))
+        for j in (1, 2)
+    }
     scan = frozenset(
         (k, v, t)
         for j, group in groups.items()

@@ -148,23 +148,23 @@ def test_appropriate_combinations():
 
 def test_three_with_two_candidates_is_unsatisfiable():
     cfg = make_cfg()
-    assert enumerate_compliant_selections(cfg, "x", 1, THREE, 10) == []
+    assert enumerate_compliant_selections(cfg, "x", 1, THREE) == []
 
 
 def test_one_enumerates_singletons_first():
     cfg = make_cfg(dcs=(1,), nodes=3, replication=3)
-    sels = enumerate_compliant_selections(cfg, "x", 1, ONE, 3)
-    assert sels == [frozenset({(1, 1)}), frozenset({(1, 2)}), frozenset({(1, 3)})]
+    sels = enumerate_compliant_selections(cfg, "x", 1, ONE)[:3]
+    assert sels == [((1, 1),), ((1, 2),), ((1, 3),)]
 
 
 def test_quorum_first_selection_is_minimal():
     cfg = make_cfg(dcs=(1,), nodes=5, replication=5)
-    sels = enumerate_compliant_selections(cfg, "x", 1, quorum(HALF), 1)
+    sels = enumerate_compliant_selections(cfg, "x", 1, quorum(HALF))[:1]
     assert len(sels) == 1 and len(sels[0]) == 3
     # cross-check against a brute-force subset filter
     candidates = cfg.candidates("x", 1)
     brute = [
-        frozenset(combo)
+        combo
         for size in range(1, 6)
         for combo in itertools.combinations(sorted(candidates), size)
         if complies(combo, quorum(HALF), cfg, "x", 1)
@@ -222,7 +222,7 @@ def test_compliant_selection_counts_are_sufficient():
     # the collection-time predicate true for the same policy.
     for cfg in _configs_up_to_six():
         for policy in _policies_for(cfg):
-            for g in enumerate_compliant_selections(cfg, "x", 1, policy, 64):
+            for g in enumerate_compliant_selections(cfg, "x", 1, policy):
                 cs = CountState.zero(cfg, "x")
                 for d in cfg.relation("x").data_centres:
                     cs = cs.add(d, (sum(1 for (d2, _) in g if d2 == d),))

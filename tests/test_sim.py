@@ -15,6 +15,7 @@ from replisim import (
     run,
     search_schedules,
 )
+from replisim import policies
 from replisim.predicates import print_pair
 from replisim.trace import PRINT, REQ, RESP, TraceError
 
@@ -167,6 +168,32 @@ def test_exhaustive_cm1_search_refuses_a_fragment_it_cannot_cover():
     assert run(s, "cm1", SeededSchedule(0)).completed  # a seeded run draws from all of them
 
 
+def test_exhaustive_cm1_search_refuses_a_selection_product_it_cannot_cover():
+    # 63 selections per fragment are within the 64 a search covers, but two
+    # fragments combine them into 63 * 63 = 3,969, more than 512
+    s = parse_scenario(
+        """
+cluster.datacentres = 1
+cluster.relation.x.arity = 1
+cluster.relation.x.coarity = 1
+cluster.relation.x.datacentres = 1
+cluster.relation.x.fragments = 2
+cluster.relation.x.nodes = 6
+cluster.relation.x.replication = 6
+policy.read = ONE
+policy.write = ONE
+agent.a1.home = 1
+agent.a1.program = read x true
+""",
+        name="two_fragments_of_six",
+    )
+    with pytest.raises(ConfigError, match="selection space too large to enumerate"):
+        search_schedules(s, "cm1", lambda trace, scenario: False)
+    with pytest.raises(ConfigError, match="selection space too large to enumerate"):
+        enumerate_traces(s, "cm1")
+    assert run(s, "cm1", SeededSchedule(0)).completed
+
+
 def test_seeded_cm1_runs_draw_from_every_compliant_selection():
     # smallest first, the first 64 selections are the groups of 1-4 copies
     s = seven_copies()
@@ -177,6 +204,36 @@ def test_seeded_cm1_runs_draw_from_every_compliant_selection():
         ((_, group),) = dc[3]
         sizes.add(len(group))
     assert sizes == {1, 2, 3, 4, 5, 6, 7}
+
+
+def test_each_fragments_selections_are_judged_once_per_configuration(monkeypatch):
+    # six copies under ALL/ALL: 2**6 - 1 = 63 subsets to judge, once for the
+    # scenario's configuration, however many runs and validations read them
+    s = parse_scenario(
+        """
+cluster.datacentres = 2
+cluster.relation.x.arity = 1
+cluster.relation.x.coarity = 1
+cluster.relation.x.nodes = 3
+cluster.relation.x.replication = 3
+policy.read = ALL
+policy.write = ALL
+agent.a1.home = 1
+agent.a1.program = write x {(0) -> (1)}; read x key=(0)
+""",
+        name="six_copies",
+    )
+    calls = []
+    complies = policies.complies
+
+    def counted(*args):
+        calls.append(args)
+        return complies(*args)
+
+    monkeypatch.setattr(policies, "complies", counted)
+    for seed in (0, 1):
+        assert run(s, "cm1", SeededSchedule(seed)).completed
+    assert len(calls) == 63
 
 
 def test_conflicting_simultaneous_writes_discard_the_run():
