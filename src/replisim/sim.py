@@ -102,6 +102,13 @@ def describe_descriptor(desc: tuple) -> str:
     return f"{desc[0]}[{'|'.join(parts)}]"
 
 
+def _group_move(prefix: tuple, box: dict, ident: Optional[tuple]) -> Move:
+    """The move of ``ident`` in a ``Simulation._move_groups`` group (a send's is None)."""
+    if ident is None:
+        return Move(prefix)
+    return Move(prefix + ((ident, None) if prefix[0] == "dc" else (ident,)), box[ident])
+
+
 def _ident_str(ident: tuple) -> str:
     kind, req, sender, receiver = ident
     return f"{kind}:{req}:{sender}>{receiver}"
@@ -138,8 +145,7 @@ class SeededSchedule:
         """One enabled move per step, drawn from a PRNG; a cm1 ``dc`` move
         draws its selections from it too.  Stops when no move is enabled."""
         rng = random.Random(self.seed)
-        while moves := sim.enumerate_moves(with_selections=False):
-            move = moves[rng.randrange(len(moves))]
+        while move := sim._pick_move(rng.randrange):
             if move.tag == "dc" and sim.model == "cm1":
                 move = sim.attach_selections(move, rng)
             yield [move]
@@ -201,10 +207,12 @@ class Simulation:
             self.flat = scenario.initial.clone()
             self.replicas = None
             self.ticks = None
+            self.stores = ((("db",), DB_AGENT),)  # (descriptor prefix, agent), in move order
         else:
             self.flat = None
             self.replicas = seed_replicas(self.cfg, scenario.initial)
             self.ticks = dict.fromkeys(self.cfg.offset_ranks, START_TICK)  # dc -> clock tick
+            self.stores = tuple((("dc", dc_agent(d)), dc_agent(d)) for d in self.cfg.all_dcs())
         self.pc = {a: 0 for a in scenario.programs}
         self.status = {a: ("ready",) for a in scenario.programs}
         self.outs = {a: () for a in scenario.programs}
@@ -215,9 +223,9 @@ class Simulation:
         self.round = 0
         self.answered: dict = {}  # req -> payload of its RESP event
         self.executed: list = []  # descriptor tuples per round, for replay
-        # agent names in move order, fixed per scenario and shared by clones
+        # client names in move order; these and ``stores`` are fixed per
+        # scenario and shared by clones
         self.clients = tuple(sorted(scenario.programs))
-        self.dc_agents = tuple(dc_agent(d) for d in self.cfg.all_dcs())
         if self.replicas is not None:
             self._check_invariants(
                 {(rid, j, k) for (rid, j, _, _), copy in self.replicas.data.items() for k in copy}
@@ -241,7 +249,7 @@ class Simulation:
         s.round = self.round
         s.answered = dict(self.answered)
         s.executed = list(self.executed)
-        s.clients, s.dc_agents = self.clients, self.dc_agents
+        s.clients, s.stores = self.clients, self.stores
         return s
 
     def home_agent(self, client: str) -> str:
@@ -310,38 +318,51 @@ class Simulation:
 
     # -- move enumeration ---------------------------------------------------
 
-    def enumerate_moves(self, with_selections: bool) -> list:
-        moves = []
-        for ident in sorted(self.inflight):
-            moves.append(Move(("deliver", ident), self.inflight[ident]))
+    def _move_groups(self) -> list:
+        """The enabled moves as non-empty groups, in ``enumerate_moves``
+        order: ``(prefix, box)`` stands for ``Move(prefix + (ident,),
+        box[ident])`` per ident of ``box`` in sorted order (``_group_move``),
+        and a ``send``'s box is ``{None: None}``."""
+        groups = [(("deliver",), self.inflight)] if self.inflight else []
         for a in self.clients:
             st = self.status[a]
-            if st[0] == "ready" and self.pc[a] < len(self.scenario.programs[a]):
-                moves.append(Move(("send", a)))
-            elif st[0] == "waiting":
-                box = self.mailbox.get(a, {})
-                for ident in sorted(box):
-                    if ident[1] == st[1]:
-                        moves.append(Move(("recv", a, ident), box[ident]))
-        if self.model == "cm0":
-            box = self.mailbox.get(DB_AGENT, {})
+            if st[0] == "ready":
+                if self.pc[a] < len(self.scenario.programs[a]):
+                    groups.append((("send", a), {None: None}))
+            elif (box := self.mailbox.get(a)) and (box := {i: m for i, m in box.items() if i[1] == st[1]}):
+                groups.append((("recv", a), box))
+        for prefix, agent in self.stores:
+            if box := self.mailbox.get(agent):
+                groups.append((prefix, box))
+        for gid in sorted(self.delegates):
+            if box := self.mailbox.get(gid):
+                groups.append((("collect", gid), box))
+        return groups
+
+    def enumerate_moves(self, with_selections: bool) -> list:
+        moves = []
+        for prefix, box in self._move_groups():
             for ident in sorted(box):
-                moves.append(Move(("db", ident), box[ident]))
-        else:
-            for agent in self.dc_agents:
-                box = self.mailbox.get(agent, {})
-                for ident in sorted(box):
+                if prefix[0] == "dc" and self.model == "cm1" and with_selections:
                     msg = box[ident]
-                    if self.model == "cm1" and with_selections:
-                        for sel in self.selection_options(msg):
-                            moves.append(Move(("dc", agent, ident, sel), msg))
-                    else:
-                        moves.append(Move(("dc", agent, ident, None), msg))
-            for gid in sorted(self.delegates):
-                box = self.mailbox.get(gid, {})
-                for ident in sorted(box):
-                    moves.append(Move(("collect", gid, ident), box[ident]))
+                    moves += [Move(prefix + (ident, sel), msg) for sel in self.selection_options(msg)]
+                else:
+                    moves.append(_group_move(prefix, box, ident))
         return moves
+
+    def _pick_move(self, pick: Callable[[int], int]) -> Optional[Move]:
+        """``enumerate_moves(with_selections=False)[pick(n)]`` for the ``n``
+        enabled moves, building only that move; ``None`` when ``n`` is 0."""
+        groups = self._move_groups()
+        sizes = [len(box) for _, box in groups]
+        if not sizes:
+            return None
+        i = pick(sum(sizes))
+        for (prefix, box), n in zip(groups, sizes):
+            if i < n:
+                return _group_move(prefix, box, sorted(box)[i])
+            i -= n
+        raise IndexError(f"move index {i} past the enabled moves")
 
     def _policy_for(self, kind: str):
         return self.scenario.read_policy if kind == REQ_READ else self.scenario.write_policy
@@ -633,12 +654,12 @@ class Simulation:
         order-insensitive (conditional timestamped writes and clock joins),
         so this keeps runs deterministic."""
         while True:
-            moves = self.enumerate_moves(with_selections=False)
-            if not moves:
+            move = self._pick_move(lambda n: 0)
+            if move is None:
                 return True
             if self.round >= step_limit:
                 return False
-            self.apply_round([moves[0]])
+            self.apply_round([move])
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +836,8 @@ def search_schedules(
     drained in place, as ``run`` drains it, which runs the invariant checks
     and can trip the step limit; the predicate sees the drained trace.
     ``explored`` counts the states popped from the stack, revisits included:
-    the root, and one clone and one applied move for each other state.
+    the root, and one applied move for each other state, made on a clone
+    of its parent or, for the parent's last child, on the parent itself.
     ``budget`` caps it.  ``exhausted`` is True when the search ran out of
     states within budget with no branch cut at the step limit.
     """
@@ -854,9 +876,9 @@ def search_schedules(
         visited[key] = min(first, sim.round), sleep
         children = []
         covered = dict(sleep)  # the sleep set plus the moves expanded before
-        for move in moves:
+        for i, move in enumerate(moves, start=1):
             fp = footprint(move)
-            child = sim.clone()
+            child = sim.clone() if i < len(moves) else sim  # nothing reads sim after its last child
             child.apply_round([move])  # one move's updates cannot conflict
             children.append((child, {d: f for d, f in covered.items() if independent(f, fp)}))
             covered[move.desc] = fp
@@ -923,10 +945,11 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
     root = node(Simulation(scenario, model))
     while stack:
         n, sim = stack.pop()
-        for move in _expansion(sim):
-            child = sim.clone()
+        moves, seen = _expansion(sim), len(sim.events)
+        for i, move in enumerate(moves, start=1):
+            child = sim.clone() if i < len(moves) else sim  # nothing reads sim after its last child
             child.apply_round([move])  # one move's updates cannot conflict
-            event = next(((e.kind, e.agent, e.req, e.payload) for e in child.events[len(sim.events):]), None)
+            event = next(((e.kind, e.agent, e.req, e.payload) for e in child.events[seen:]), None)
             edges[n].setdefault(event, []).append(node(child))
 
     @cache
@@ -958,15 +981,17 @@ def enumerate_traces(
     only an eager move where a state has one (``_expansion``), and the set
     is the unreduced one.  ``max_states`` caps the incomplete states of that
     graph.  No walk recurses, so no recursion limit caps a run's length.
+    The automaton is deterministic, so distinct paths are distinct traces,
+    and each event is built once per path prefix that ends in it.
     """
     start, transitions = _trace_automaton(scenario, model, max_states)
-    traces = set()
-    stack = [(start, ())]  # (state, events of the path to it)
+    traces = []
+    stack = [(start, ())]  # (state, trace events of the path to it)
     while stack:
         q, path = stack.pop()
         if 0 in q:
-            traces.add(Trace(events=tuple(TraceEvent(i, *e) for i, e in enumerate(path, start=1))))
-        stack.extend((r, path + (event,)) for event, r in transitions(q))
+            traces.append(Trace(events=path))
+        stack.extend((r, path + (TraceEvent(len(path) + 1, *event),)) for event, r in transitions(q))
     return frozenset(traces)
 
 

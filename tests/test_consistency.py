@@ -14,6 +14,7 @@ from replisim import (
     search_schedules,
     view_equivalent,
 )
+from replisim import consistency
 from replisim.cm0 import Condition, db_answer_read, db_perform_write
 from replisim.consistency import IncompleteTraceError, _read_memo, _replay_writes, _request_infos, _search
 from replisim.core import UNDEF, ConfigError, FlatStore
@@ -583,6 +584,31 @@ def test_four_agent_serial_search_merges_orders_of_matching_reads(four_agent_run
     # where keying on the progress as taken entered 659.
     s, t = four_agent_run
     assert check_view_serialisable(t, s).replays <= 356
+
+
+def test_serial_check_replays_each_write_once_per_store(four_agent_run, monkeypatch):
+    # Each (write, store key) is replayed once per call, so no two store
+    # clones start from one write and one store: 108 clones, where replaying
+    # the write at every visit made 452.
+    s, t = four_agent_run
+    clones, replayed = [0], []
+    clone, replay = FlatStore.clone, consistency._replay_writes
+
+    def counted_clone(flat):
+        clones[0] += 1
+        return clone(flat)
+
+    def recorded_replay(flat, batch, skipped):
+        after = replay(flat, batch, skipped)
+        if after is not None and after is not flat:
+            replayed.append((tuple(info.req for info in batch), flat.state_key()))
+        return after
+
+    monkeypatch.setattr(FlatStore, "clone", counted_clone)
+    monkeypatch.setattr(consistency, "_replay_writes", recorded_replay)
+    assert check_view_serialisable(t, s).ok()
+    assert len(set(replayed)) == len(replayed) == clones[0]
+    assert clones[0] <= 108
 
 
 def test_search_drops_a_frame_whose_key_has_failed():

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from replisim import (
+    ALL,
+    ONE,
     ConfigError,
     ExplicitSchedule,
     RunDiscarded,
@@ -17,9 +21,10 @@ from replisim import (
 )
 from replisim import policies
 from replisim.predicates import print_pair
+from replisim.sim import MODELS
 from replisim.trace import PRINT, REQ, RESP, TraceError
 
-from corpus import build
+from corpus import SCENARIOS, build, walk
 
 
 def test_same_seed_same_bytes():
@@ -27,6 +32,59 @@ def test_same_seed_same_bytes():
     texts = {run(s, m, SeededSchedule(5)).trace.to_text() for m in ("cm0",)}
     again = run(s, "cm0", SeededSchedule(5)).trace.to_text()
     assert texts == {again}
+
+
+class ListSchedule(SeededSchedule):
+    """A seeded schedule that draws from the full list of enabled moves:
+    one PRNG index into ``enumerate_moves(with_selections=False)`` per
+    step, then a cm1 ``dc`` move's selections."""
+
+    def rounds(self, sim):
+        rng = random.Random(self.seed)
+        while moves := sim.enumerate_moves(with_selections=False):
+            move = moves[rng.randrange(len(moves))]
+            if move.tag == "dc" and sim.model == "cm1":
+                move = sim.attach_selections(move, rng)
+            yield [move]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_seeded_runs_draw_as_from_the_move_list(model):
+    # A seeded step builds only the move it draws; its trace and schedule
+    # are those of a draw from the full list.
+    for base in SCENARIOS:
+        for pair in ((ONE, ALL), (ALL, ALL)):
+            scenario = base.with_policies(*pair)
+            for seed in range(4):
+                got = run(scenario, model, SeededSchedule(seed))
+                want = run(scenario, model, ListSchedule(seed))
+                assert got.trace.to_text() == want.trace.to_text(), (scenario.name, seed)
+                assert got.schedule_steps == want.schedule_steps
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_drawn_and_drained_moves_are_those_of_the_move_list(model):
+    # In every state, index i draws enumerate_moves(False)[i], and drain
+    # takes the first listed move.
+    checked = 0
+    for base in SCENARIOS:
+        for sim, _ in walk(base.with_policies(ONE, ALL), model, 60):
+            moves = sim.enumerate_moves(with_selections=False)
+
+            def draw(i):
+                def pick(n):
+                    assert n == len(moves)
+                    return i
+                return sim._pick_move(pick)
+
+            assert [draw(i) for i in range(len(moves))] == moves
+            checked += len(moves)
+            if model == "cm1" and moves and moves[0].tag == "dc":
+                continue  # needs selections; a drain, after every answer, meets no dc step
+            drained = sim.clone()
+            drained.drain(sim.round + 1)  # one move at most
+            assert drained.executed[sim.round:] == ([(moves[0].desc,)] if moves else [])
+    assert checked > 0
 
 
 def test_different_seeds_can_differ():
