@@ -387,9 +387,9 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
     therefore either both have a completion or both have none, and the
     failed-state cache stays exact.  Taking a matching read leaves the key
     as it was, so a read child gets its parent's key without recomputing
-    it.  Per call, each (read, store key) is evaluated once, each (write,
-    store key) replayed once and each (agent, done, store key) advanced
-    once.  ``budget`` bounds the states entered, ``replays`` reports them."""
+    it.  Per call, each (read, store key) is evaluated once and each (write,
+    store key) replayed once.  ``budget`` bounds the states entered,
+    ``replays`` reports them."""
     cfg = scenario.cfg
     infos = _request_infos(trace, cfg)
     reproduces = _read_memo(cfg)
@@ -398,21 +398,15 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
         by_agent.setdefault(info.agent, []).append(info)
     queues = [by_agent[a] for a in sorted(by_agent)]
     total = tuple(len(queue) for queue in queues)
-    advanced: dict = {}  # (agent position, done, store key) -> canonical done
     written: dict = {}  # (write index, store key) -> (store, store key) after it, or None
     stores: dict = {}  # store key -> (store, store key), the first store with those contents
 
     def state_of(progress, flat, flat_key):
         canonical = []
-        for n, (queue, done) in enumerate(zip(queues, progress)):
-            if done < len(queue) and queue[done].kind == "read":
-                if (n, done, flat_key) not in advanced:
-                    ahead = done
-                    while (ahead < len(queue) and queue[ahead].kind == "read"
-                           and reproduces(queue[ahead], flat, flat_key)):
-                        ahead += 1
-                    advanced[n, done, flat_key] = ahead
-                done = advanced[n, done, flat_key]
+        for queue, done in zip(queues, progress):
+            while (done < len(queue) and queue[done].kind == "read"
+                   and reproduces(queue[done], flat, flat_key)):
+                done += 1
             canonical.append(done)
         return progress, flat, flat_key, (tuple(canonical), flat_key)
 

@@ -195,6 +195,24 @@ class RunResult:
         return ExplicitSchedule(self.schedule_steps)
 
 
+# ``state_key()``'s components in key order, each built from the state; a
+# ``Simulation`` caches them in ``_key`` until a round changes them
+_KEY_PARTS = (
+    lambda s: tuple(s.pc.values()),
+    lambda s: tuple(s.status.values()),
+    lambda s: tuple(s.outs.values()),
+    lambda s: tuple(s.ticks.values()) if s.ticks is not None else (),
+    lambda s: s.flat.state_key() if s.model == "cm0" else s.replicas.state_key(),
+    lambda s: tuple(msg for _, msg in sorted(s.inflight.items())),
+    lambda s: tuple(msg for _, msg in sorted(i for box in s.mailbox.values() for i in box.items())),
+    lambda s: tuple((gid, tuple(d.counts.by_fragment_dc.values()), frozenset(d.answer.items()))
+                    for gid, d in sorted(s.delegates.items())),
+)
+_INFLIGHT, _MAILBOX = 5, 6
+# the component each update location's tag changes
+_PART_OF = {"pc": 0, "status": 1, "out": 2, "clock": 3, "flat": 4, "rep": 4, "delegate": 7}
+
+
 class Simulation:
     def __init__(self, scenario: Scenario, model: str):
         if model not in MODELS:
@@ -226,6 +244,7 @@ class Simulation:
         # client names in move order; these and ``stores`` are fixed per
         # scenario and shared by clones
         self.clients = tuple(sorted(scenario.programs))
+        self._key: list = [None] * len(_KEY_PARTS)  # cached components, None once stale
         if self.replicas is not None:
             self._check_invariants(
                 {(rid, j, k) for (rid, j, _, _), copy in self.replicas.data.items() for k in copy}
@@ -250,6 +269,7 @@ class Simulation:
         s.answered = dict(self.answered)
         s.executed = list(self.executed)
         s.clients, s.stores = self.clients, self.stores
+        s._key = list(self._key)  # the components are immutable, so shared
         return s
 
     def home_agent(self, client: str) -> str:
@@ -286,22 +306,18 @@ class Simulation:
         client's ``recv``, while its answer or ack is in flight or in the
         client's mailbox, and after the ``recv`` the client's ``pc`` and
         ``status`` show it.  Neither is in the key.
+
+        Each component (``_KEY_PARTS``) is cached until ``apply_round``
+        changes it, so stored keys share the components a round left alone.
+        Code that edits a ``Simulation``'s maps directly must reset ``_key``
+        to all ``None`` afterwards.
         """
-        store = self.flat.state_key() if self.model == "cm0" else self.replicas.state_key()
-        boxed = sorted(item for box in self.mailbox.values() for item in box.items())
-        return (
-            tuple(self.pc.values()),
-            tuple(self.status.values()),
-            tuple(self.outs.values()),
-            tuple(self.ticks.values()) if self.ticks is not None else (),
-            store,
-            tuple(msg for _, msg in sorted(self.inflight.items())),
-            tuple(msg for _, msg in boxed),
-            tuple(
-                (gid, tuple(d.counts.by_fragment_dc.values()), frozenset(d.answer.items()))
-                for gid, d in sorted(self.delegates.items())
-            ),
-        )
+        key = self._key
+        if None in key:
+            for i, part in enumerate(key):
+                if part is None:
+                    key[i] = _KEY_PARTS[i](self)
+        return tuple(key)
 
     def search_key(self) -> tuple:
         """``search_schedules``' de-duplication key: ``state_key()`` plus
@@ -339,9 +355,10 @@ class Simulation:
                 groups.append((("collect", gid), box))
         return groups
 
-    def enumerate_moves(self, with_selections: bool) -> list:
+    def enumerate_moves(self, with_selections: bool, _groups: Optional[list] = None) -> list:
+        """Every enabled move; ``_groups`` is this state's ``_move_groups()``, if at hand."""
         moves = []
-        for prefix, box in self._move_groups():
+        for prefix, box in self._move_groups() if _groups is None else _groups:
             for ident in sorted(box):
                 if prefix[0] == "dc" and self.model == "cm1" and with_selections:
                     msg = box[ident]
@@ -415,8 +432,12 @@ class Simulation:
             raise ScheduleError(f"unknown move descriptor {desc!r}")
         sel = desc[3] if desc[0] == "dc" else None
         name = desc if sel is None else desc[:3] + (None,)
-        move = next((m for m in self.enumerate_moves(with_selections=False) if m.desc == name), None)
-        if move is None:
+        for prefix, box in self._move_groups():  # the group the name starts with, if enabled
+            ident = name[len(prefix)] if len(name) > len(prefix) else None
+            if name[:len(prefix)] == prefix and ident in list(box):  # a bad ident may not hash
+                move = _group_move(prefix, box, ident)
+                break
+        else:
             raise ScheduleError(
                 f"move {describe_descriptor(desc)} is not enabled at round {self.round}"
             )
@@ -545,22 +566,28 @@ class Simulation:
         self.round += 1
         self.executed.append(tuple(m.desc for m in moves))
         # messages: taken ones first, then fresh sends
+        key = self._key
         for move in moves:
             msg = move.msg
             if msg is None:
                 continue
+            ident = msg.ident()
+            key[_MAILBOX] = None
             if move.tag == "deliver":
-                del self.inflight[msg.ident()]
+                del self.inflight[ident]
+                key[_INFLIGHT] = None
                 # a late message to a deleted delegate is dropped
                 if not msg.receiver.startswith("g!") or msg.receiver in self.delegates:
-                    self.mailbox.setdefault(msg.receiver, {})[msg.ident()] = msg
-            elif self.mailbox.get(msg.receiver, {}).pop(msg.ident(), None) is None:
+                    self.mailbox.setdefault(msg.receiver, {})[ident] = msg
+            elif self.mailbox.get(msg.receiver, {}).pop(ident, None) is None:
                 raise SimInvariantError(f"consumed message not in mailbox: {msg}")
         for eff in effects:
             for msg in eff.sends:
-                if msg.ident() in self.inflight:
+                ident = msg.ident()
+                if ident in self.inflight:
                     raise SimInvariantError(f"duplicate in-flight message {msg}")
-                self.inflight[msg.ident()] = msg
+                self.inflight[ident] = msg
+                key[_INFLIGHT] = None
         self._apply_updates(merged)
         for move, eff in zip(moves, effects):
             event = self._event(move, eff.sends)
@@ -579,17 +606,25 @@ class Simulation:
                     raise SimInvariantError(
                         f"clock at dc {d} behind {t} after processing its message"
                     )
-        self._check_invariants({(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"})
+        if written := {(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"}:
+            self._check_invariants(written)
+
+    def _own_event(self, move: Move) -> Optional[str]:
+        """The event kind ``move`` emits whatever it sends: REQ for a request's
+        delivery, PRINT for a ``recv`` that completes a printing read."""
+        tag = move.desc[0]
+        if tag == "deliver":
+            return REQ if move.msg.kind in REQUEST_KINDS else None
+        return PRINT if tag == "recv" and self._printing_step(move) is not None else None
 
     def _event(self, move: Move, sends: list) -> Optional[TraceEvent]:
-        """The trace event of a move in this round: REQ when a request is
-        delivered, RESP when the step sends a client its answer or ack, and
-        PRINT when a ``recv`` completes a printing read."""
-        msg = move.msg
-        if move.tag == "deliver" and msg.kind in REQUEST_KINDS:
+        """The trace event of a move in this round: its ``_own_event``, or
+        else RESP when the step sends a client its answer or ack."""
+        msg, own = move.msg, self._own_event(move)
+        if own == REQ:
             op = "read" if msg.kind == REQ_READ else "write"
             return TraceEvent(self.round, REQ, msg.sender, msg.req, (op,) + msg.payload)
-        if move.tag == "recv" and self._printing_step(move) is not None:
+        if own == PRINT:
             return TraceEvent(self.round, PRINT, move.agent, msg.req, ("print",) + msg.payload)
         for sent in sends:
             if sent.kind in (ANSWER, ACK):
@@ -597,6 +632,7 @@ class Simulation:
         return None
 
     def _apply_updates(self, merged: dict) -> None:
+        key = self._key
         for loc, value in merged.items():
             tag = loc[0]
             if tag == "flat":
@@ -622,10 +658,12 @@ class Simulation:
                 if value is None:  # answered: the delegate and its mailbox go
                     del self.delegates[gid]
                     self.mailbox.pop(gid, None)
+                    key[_MAILBOX] = None
                 else:
                     self.delegates[gid] = value
             else:  # pragma: no cover
                 raise ConfigError(f"unknown update location {loc!r}")
+            key[_PART_OF[tag]] = None
 
     def _check_invariants(self, keys: Iterable[tuple]) -> None:
         """Copies of each (rid, j, key) in ``keys`` agree on the value at the
@@ -842,7 +880,7 @@ def search_schedules(
     states within budget with no branch cut at the step limit.
     """
     root = Simulation(scenario, model)
-    visited: dict = {}  # search key -> (least round, sleep set) it was expanded with
+    visited: dict = {}  # search key -> [least round, sleep set] it was expanded with
     explored = 0
     cut = False  # a branch was skipped at the step limit
     stack = [(root, {})]  # (state, sleep set as descriptor -> footprint)
@@ -851,12 +889,14 @@ def search_schedules(
         explored += 1
         if explored > budget:
             return SearchResult(None, None, False, explored)
-        key = sim.search_key()
-        first, stored = visited.get(key, (sim.round + 1, {}))
+        # a new key's entry first reads as not yet expanded; one cut at the
+        # step limit keeps it, so it is visited afresh when reached sooner
+        entry = visited.setdefault(sim.search_key(), [sim.round + 1, {}])
+        first, stored = entry
         if sim.round >= first and stored.keys() <= sleep.keys():
             continue
         if sim.clients_done():
-            visited[key] = sim.round, {}  # never expanded: a later revisit is cut
+            entry[:] = sim.round, {}  # never expanded: a later revisit is cut
             steps = tuple(sim.executed)
             if not sim.drain(step_limit):
                 cut = True
@@ -873,7 +913,7 @@ def search_schedules(
         else:
             moves = [m for m in _expansion(sim) if m.desc in stored and m.desc not in sleep]
             sleep = {d: f for d, f in sleep.items() if d in stored}
-        visited[key] = min(first, sim.round), sleep
+        entry[:] = min(first, sim.round), sleep
         children = []
         covered = dict(sleep)  # the sleep set plus the moves expanded before
         for i, move in enumerate(moves, start=1):
@@ -892,7 +932,7 @@ def _expansion(sim: Simulation) -> list:
     persistent set, after Godefroid, LNCS 1032).
 
     An eager move is a ``deliver``, ``send`` or ``recv`` that emits no event
-    (none of them sends an answer or ack, so ``_event`` needs no sends).  It
+    (none of them sends an answer or ack, so ``_own_event`` decides).  It
     touches only its agent's ``pc``/``status`` or one message's place (in
     flight, in a mailbox, or dropped at a dead delegate, as the delegate's
     deletion would drop it).  No other enabled move touches the same, the
@@ -900,10 +940,16 @@ def _expansion(sim: Simulation) -> list:
     completed run from the state either contains it, and moving it to the
     front keeps the run's events, or completes without it, and the same run
     after it emits the same events.  Any eager move will do.
+    Candidates come from those three groups of ``_move_groups()``; the full
+    list, with its cm1 selections, is built only where none is eager.
     """
-    moves = sorted(sim.enumerate_moves(with_selections=True), key=_search_priority)
-    eager = (m for m in moves if m.tag in ("deliver", "send", "recv") and sim._event(m, ()) is None)
-    return next(([move] for move in eager), moves)
+    groups = sim._move_groups()
+    eager = [move for prefix, box in groups if prefix[0] in ("deliver", "send", "recv")
+             for move in (_group_move(prefix, box, ident) for ident in box)
+             if sim._own_event(move) is None]
+    if eager:
+        return [min(eager, key=_search_priority)]
+    return sorted(sim.enumerate_moves(True, _groups=groups), key=_search_priority)
 
 
 def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
@@ -924,14 +970,13 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
     def node(sim: Simulation) -> int:
         if sim.clients_done():
             return 0
-        key = sim.state_key()
-        if key not in ids:
-            if len(ids) >= max_states:
+        n = ids.setdefault(sim.state_key(), len(edges))
+        if n == len(edges):
+            if n > max_states:
                 raise ConfigError(f"trace enumeration exceeded {max_states} states")
-            ids[key] = len(edges)
             edges.append({})
-            stack.append((ids[key], sim))
-        return ids[key]
+            stack.append((n, sim))
+        return n
 
     def closure(nodes: list) -> frozenset:
         closed = set(nodes)

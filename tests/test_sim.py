@@ -180,6 +180,16 @@ def test_cm2_schedule_must_not_name_selections():
     assert run(s, "cm2", ExplicitSchedule(steps)).completed
 
 
+def test_a_descriptor_with_an_unhashable_ident_is_not_enabled():
+    # e.g. a schedule read back from JSON, whose idents come back as lists
+    sim = Simulation(load_scenario("counterexample"), "cm0")
+    sim.apply_round([sim.resolve_descriptor(("send", "a1"))])
+    ident = ("req_write", "a1#0", "a1", "db")
+    assert sim.resolve_descriptor(("deliver", ident)).desc == ("deliver", ident)
+    with pytest.raises(ScheduleError, match="is not enabled"):
+        sim.resolve_descriptor(("deliver", list(ident)))
+
+
 def test_explicit_schedule_underrun_is_an_error():
     s = load_scenario("counterexample")
     r = run(s, "cm0", SeededSchedule(9))
