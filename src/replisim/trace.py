@@ -11,7 +11,8 @@ The readers raise ``TraceError`` on any other escape, atoms that touch, an
 unterminated string, unbalanced parentheses, tokens after the term, an
 unknown payload or condition tag, a name where an atom is expected (or the
 reverse), a hash-range fragment that is not an integer, a write that names
-one key twice, and an event kind other than REQ, RESP or PRINT.
+one key twice, and an event kind other than REQ, RESP or PRINT.  The writer
+refuses a field whose text holds a line break, which would split its line.
 """
 
 from __future__ import annotations
@@ -84,18 +85,21 @@ TOKEN_RE = re.compile(
     r"|[A-Za-z_][A-Za-z0-9_/]*(?:-[A-Za-z0-9_]+)*|\S"
 )
 _PUNCT = frozenset(("->", "(", ")", "{", "}", ";", ",", "="))
+# Each token with the whitespace after it, so one findall reads them all.  The
+# space is taken after the token, not before: a leading (\s*) would backtrack
+# over a run of trailing spaces once per space.
+_SPACED_TOKEN_RE = re.compile("(" + TOKEN_RE.pattern + r")(\s*)")
 
 
 def read_tokens(text: str) -> list:
     """TOKEN_RE's tokens of text.  Two tokens that are not punctuation must
     be apart, so ``12-3`` or ``1"a"`` is refused, not read as two atoms."""
-    tokens, end = [], -1
-    for m in TOKEN_RE.finditer(text):
-        tok = m.group()
-        if m.start() == end and tok not in _PUNCT and tokens[-1] not in _PUNCT:
+    tokens, apart = [], True
+    for tok, space in _SPACED_TOKEN_RE.findall(text):
+        if not apart and tok not in _PUNCT:
             raise TraceError(f"no space between {tokens[-1]!r} and {tok!r}")
         tokens.append(tok)
-        end = m.end()
+        apart = space or tok in _PUNCT
     return tokens
 
 
@@ -143,22 +147,23 @@ def checked_write_set(pairs) -> tuple:
 
 def _read_term(text: str) -> tuple:
     """One parenthesized term, as nested tuples whose leaves are raw tokens."""
-    stack = [[]]
+    top, outer = [], []
     for tok in read_tokens(text):
         if tok == "(":
-            stack.append([])
+            outer.append(top)
+            top = []
         elif tok == ")":
-            if len(stack) == 1:
+            if not outer:
                 raise TraceError("unbalanced parenthesis")
-            term = tuple(stack.pop())
-            stack[-1].append(term)
+            term, top = tuple(top), outer.pop()
+            top.append(term)
         else:
-            stack[-1].append(tok)
-    if len(stack) > 1:
+            top.append(tok)
+    if outer:
         raise TraceError("missing closing parenthesis")
-    if len(stack[0]) != 1 or not isinstance(stack[0][0], tuple):
+    if len(top) != 1 or not isinstance(top[0], tuple):
         raise TraceError("expected one parenthesized term and nothing after it")
-    return stack[0][0]
+    return top[0]
 
 
 def _as_tuple(node) -> tuple:
@@ -265,12 +270,21 @@ class Trace:
         for key, value in self.meta:
             lines.append(f"# {key}={value}")
         lines.extend(e.render() for e in self.events)
-        return "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+        # A str.splitlines separator in a field would split its line on
+        # reading; a "\r" would also merge with the "\n" that follows it.
+        if "\r" in text or len(text.splitlines()) != len(lines):
+            n = next(n for n, line in enumerate(lines) if line.splitlines() != [line]) - 1
+            field = (f"meta {self.meta[n][0]!r}" if n < len(self.meta)
+                     else f"the event of request {self.events[n - len(self.meta)].req!r}")
+            raise TraceError(f"cannot write {field}: it holds a line break")
+        return text
 
     @classmethod
     def from_text(cls, text: str) -> "Trace":
         events = []
         meta = []
+        payloads = {}  # each distinct payload text is parsed once
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
@@ -288,7 +302,10 @@ class Trace:
                 idx, kind, agent, req, payload = m.groups()
                 if kind not in (REQ, RESP, PRINT):
                     raise TraceError(f"unknown event kind {kind!r}")
-                events.append(TraceEvent(int(idx), kind, agent, req, parse_payload(payload)))
+                value = payloads.get(payload)
+                if value is None:
+                    value = payloads[payload] = parse_payload(payload)
+                events.append(TraceEvent(int(idx), kind, agent, req, value))
             except TraceError as exc:
                 raise TraceError(f"line {lineno}: cannot parse {line!r}: {exc}") from None
         return cls(events=tuple(events), meta=tuple(meta))

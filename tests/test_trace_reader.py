@@ -1,0 +1,169 @@
+"""The trace reader: one regex pass per text, one parse per distinct payload,
+and a writer that never writes what the reader cannot read back.
+
+``read_tokens`` takes each token with the whitespace after it from one
+``findall``; it must still give exactly the tokens and the errors of the
+plain loop over ``TOKEN_RE.finditer`` kept below.  ``Trace.from_text`` parses
+each distinct payload text once per call.
+"""
+
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from replisim import trace as trace_module
+from replisim.cm0 import Condition
+from replisim.trace import (
+    REQ,
+    RESP,
+    TOKEN_RE,
+    Trace,
+    TraceError,
+    TraceEvent,
+    _PUNCT,
+    parse_payload,
+    read_tokens,
+)
+
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def reference_tokens(text: str) -> list:
+    """The plain rule: every ``TOKEN_RE`` match, refusing two non-punctuation
+    tokens that touch."""
+    tokens, end = [], -1
+    for m in TOKEN_RE.finditer(text):
+        tok = m.group()
+        if m.start() == end and tok not in _PUNCT and tokens[-1] not in _PUNCT:
+            raise TraceError(f"no space between {tokens[-1]!r} and {tok!r}")
+        tokens.append(tok)
+        end = m.end()
+    return tokens
+
+
+def outcome(read, text):
+    try:
+        return ("tokens", read(text))
+    except TraceError as exc:
+        return ("error", str(exc))
+
+
+PIECES = st.one_of(
+    st.sampled_from(list('()"\\-=;,{}>_/')),
+    st.sampled_from(["key-eq", "key-in", "hash-range", "undef", "x", "a1#0", "->", "-3", '\\"', "\\\\"]),
+    st.text("0123456789", min_size=1, max_size=3),
+    st.text("abcXYZ_/09", min_size=1, max_size=4),
+    st.sampled_from([" ", "  ", "\t", "\x0c", "\u2028", "\n", "\r\n", "\xa0"]),
+    st.characters(),
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(PIECES, max_size=24).map("".join))
+def test_tokens_and_errors_match_the_finditer_loop(text):
+    assert outcome(read_tokens, text) == outcome(reference_tokens, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(" " * 200_000, id="spaces-only"),
+        pytest.param(" " * 200_000 + "(ack x)", id="leading-spaces"),
+        pytest.param("(ack x)" + " " * 200_000, id="trailing-spaces"),
+        pytest.param("(ack" + " \t" * 100_000 + "x)", id="inner-spaces"),
+    ],
+)
+def test_tokenizing_runs_of_whitespace_takes_linear_time(text):
+    start = time.perf_counter()
+    tokens = read_tokens(text)
+    assert time.perf_counter() - start < 0.5
+    assert tokens == reference_tokens(text)
+
+
+# ---------------------------------------------------------------------------
+# The payload memo in Trace.from_text
+# ---------------------------------------------------------------------------
+
+WRITE = "(write x ((0) (1)) ((2) undef))"
+ACK = "(ack x)"
+
+
+def _line(idx: int, kind: str, req: str, payload: str) -> str:
+    return f"idx={idx} kind={kind} agent=a1 req={req} payload={payload}"
+
+
+def test_a_repeated_payload_reads_as_the_unmemoised_parse():
+    rows = [(n, REQ if n % 2 else RESP, f"a1#{n // 2}", WRITE if n % 2 else ACK) for n in range(1, 41)]
+    text = "\n".join(_line(*row) for row in rows)
+    want = tuple(TraceEvent(idx, kind, "a1", req, parse_payload(p)) for idx, kind, req, p in rows)
+    assert Trace.from_text(text).events == want
+
+
+def test_a_malformed_payload_is_reported_at_its_first_line():
+    bad = "(write x ((12-3) (1)))"
+    lines = [_line(1, REQ, "a1#0", WRITE), _line(1, RESP, "a1#0", ACK), _line(2, REQ, "a1#1", bad),
+             _line(3, RESP, "a1#1", ACK), _line(4, REQ, "a1#2", bad)]
+    with pytest.raises(TraceError) as err:
+        Trace.from_text("\n".join(lines))
+    assert str(err.value) == f"line 3: cannot parse {lines[2]!r}: no space between '12' and '-3'"
+
+
+def test_the_memo_holds_only_parsed_payloads_and_lives_for_one_call(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_payload(text)
+
+    monkeypatch.setattr(trace_module, "parse_payload", counted)
+    good = "\n".join(_line(n, REQ, f"a1#{n}", WRITE if n % 3 else ACK) for n in range(9))
+    Trace.from_text(good)
+    assert sorted(calls) == sorted([ACK, WRITE])
+    Trace.from_text(good)
+    assert len(calls) == 4
+
+    # A payload that fails leaves nothing behind: the next read parses it
+    # again and fails the same way.
+    bad = good + "\n" + _line(9, REQ, "a1#9", "(frob x)")
+    del calls[:]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(TraceError) as err:
+            Trace.from_text(bad)
+        errors.append(str(err.value))
+    assert calls.count("(frob x)") == 2 and errors[0] == errors[1]
+    assert errors[0].startswith("line 10: ")
+
+
+# ---------------------------------------------------------------------------
+# Trace.to_text refuses what from_text cannot read back
+# ---------------------------------------------------------------------------
+
+
+def _write_event(atom: str) -> TraceEvent:
+    return TraceEvent(1, REQ, "a1", "a1#0", ("write", "x", (((atom,), (1,)),)))
+
+
+@pytest.mark.parametrize("sep", list(LINE_BREAKS), ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+def test_to_text_refuses_a_line_break_in_a_string_atom(sep):
+    trace = Trace(events=(TraceEvent(0, REQ, "a1", "a1#7", ("ack", "x")), _write_event(f"a{sep}b")))
+    with pytest.raises(TraceError, match="request 'a1#0'"):
+        trace.to_text()
+
+
+@pytest.mark.parametrize("sep", list(LINE_BREAKS), ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+@pytest.mark.parametrize("value", ["a{}b", "ab{}"])
+def test_to_text_refuses_a_line_break_in_a_meta_value(sep, value):
+    trace = Trace(events=(_write_event("a"),), meta=(("model", "cm2"), ("scenario", value.format(sep))))
+    with pytest.raises(TraceError, match="meta 'scenario'"):
+        trace.to_text()
+
+
+def test_a_tab_round_trips():
+    trace = Trace(
+        events=(_write_event("a\tb"), TraceEvent(2, RESP, "a1", "a1#0", ("ack", "x")),
+                TraceEvent(3, REQ, "a1", "a1#1", ("read", "x", Condition.key_eq(("\t",))))),
+        meta=(("scenario", "a\tb"),),
+    )
+    assert Trace.from_text(trace.to_text()) == trace
