@@ -12,6 +12,7 @@ messages is the only nondeterminism, and the only source of anomalies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .cm0 import check_writeset
 from .core import (
@@ -44,7 +45,8 @@ class DelegateState:
     """Per-request answer collector, scheduled like any other agent.
 
     A delegate is a value: each ``collect`` step replaces it with its
-    successor, and the step that answers deletes it."""
+    successor, and the step that answers deletes it.  So its part of a
+    simulation's state key is built once per value, by ``key_part``."""
 
     gid: str
     req: str
@@ -55,6 +57,10 @@ class DelegateState:
     counts: CountState
     answer: dict = field(default_factory=dict)  # key -> (value, timestamp)
     log: tuple = ()  # ((sender_dc, xs, triples), ...) for audit checks
+
+    @cached_property
+    def key_part(self) -> tuple:
+        return self.gid, tuple(self.counts.by_fragment_dc.values()), frozenset(self.answer.items())
 
 
 def handle_locally(

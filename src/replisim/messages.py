@@ -26,13 +26,29 @@ LOCAL_ACK = "local_ack"
 REQUEST_KINDS = (REQ_READ, REQ_WRITE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
+    """A message value.  Its hash, ``hash((kind, req, sender, receiver,
+    payload))``, is kept in ``_hash`` from first use: every state key a walk
+    stores hashes its messages.  A copy or pickle is built from the fields."""
+
     kind: str
     req: str  # originating request id, e.g. "a1#0"
     sender: str
     receiver: str
     payload: tuple = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.kind, self.req, self.sender, self.receiver, self.payload))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return Message, (self.kind, self.req, self.sender, self.receiver, self.payload)
 
     def ident(self) -> tuple:
         return (self.kind, self.req, self.sender, self.receiver)

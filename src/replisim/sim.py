@@ -203,10 +203,9 @@ _KEY_PARTS = (
     lambda s: tuple(s.outs.values()),
     lambda s: tuple(s.ticks.values()) if s.ticks is not None else (),
     lambda s: s.flat.state_key() if s.model == "cm0" else s.replicas.state_key(),
-    lambda s: tuple(msg for _, msg in sorted(s.inflight.items())),
-    lambda s: tuple(msg for _, msg in sorted(i for box in s.mailbox.values() for i in box.items())),
-    lambda s: tuple((gid, tuple(d.counts.by_fragment_dc.values()), frozenset(d.answer.items()))
-                    for gid, d in sorted(s.delegates.items())),
+    lambda s: tuple([s.inflight[i] for i in sorted(s.inflight)]),
+    lambda s: tuple([s.mailbox[i[3]][i] for i in sorted([i for box in s.mailbox.values() for i in box])]),
+    lambda s: tuple([s.delegates[gid].key_part for gid in sorted(s.delegates)]),
 )
 _INFLIGHT, _MAILBOX = 5, 6
 # the component each update location's tag changes
@@ -241,9 +240,10 @@ class Simulation:
         self.round = 0
         self.answered: dict = {}  # req -> payload of its RESP event
         self.executed: list = []  # descriptor tuples per round, for replay
-        # client names in move order; these and ``stores`` are fixed per
-        # scenario and shared by clones
+        # client names in move order, and their program lengths; these and
+        # ``stores`` are fixed per scenario and shared by clones
         self.clients = tuple(sorted(scenario.programs))
+        self.lengths = {a: len(scenario.programs[a]) for a in self.clients}
         self._key: list = [None] * len(_KEY_PARTS)  # cached components, None once stale
         if self.replicas is not None:
             self._check_invariants(
@@ -268,7 +268,7 @@ class Simulation:
         s.round = self.round
         s.answered = dict(self.answered)
         s.executed = list(self.executed)
-        s.clients, s.stores = self.clients, self.stores
+        s.clients, s.lengths, s.stores = self.clients, self.lengths, self.stores
         s._key = list(self._key)  # the components are immutable, so shared
         return s
 
@@ -281,10 +281,10 @@ class Simulation:
         return f"{client}#{index}"
 
     def clients_done(self) -> bool:
-        return all(
-            self.status[a] == ("ready",) and self.pc[a] >= len(self.scenario.programs[a])
-            for a in self.scenario.programs
-        )
+        for a, n in self.lengths.items():
+            if self.pc[a] < n or self.status[a] != ("ready",):
+                return False
+        return True
 
     def trace(self, meta: tuple = ()) -> Trace:
         return Trace(events=tuple(self.events), meta=meta)
@@ -343,7 +343,7 @@ class Simulation:
         for a in self.clients:
             st = self.status[a]
             if st[0] == "ready":
-                if self.pc[a] < len(self.scenario.programs[a]):
+                if self.pc[a] < self.lengths[a]:
                     groups.append((("send", a), {None: None}))
             elif (box := self.mailbox.get(a)) and (box := {i: m for i, m in box.items() if i[1] == st[1]}):
                 groups.append((("recv", a), box))
@@ -494,14 +494,14 @@ class Simulation:
         a = move.agent
         eff = StepEffect()
         eff.update(("status", a), ("ready",))
-        step = self._printing_step(move)
+        step = self._printing_step(a, move.msg.req)
         if step is not None:
             eff.update(("out", a), self.outs[a] + ((step.rid, move.msg.payload[1]),))
         return eff
 
-    def _printing_step(self, move: Move):
-        """The read step whose answer a ``recv`` move prints, or None."""
-        step = self.scenario.programs[move.agent][int(move.msg.req.split("#", 1)[1])]
+    def _printing_step(self, agent: str, req: str):
+        """The read step whose answer ``agent``'s ``recv`` of ``req``'s reply prints, or None."""
+        step = self.scenario.programs[agent][int(req.split("#", 1)[1])]
         return step if step.kind == "read" and step.print_answer else None
 
     def _db_step(self, move: Move) -> StepEffect:
@@ -573,7 +573,7 @@ class Simulation:
                 continue
             ident = msg.ident()
             key[_MAILBOX] = None
-            if move.tag == "deliver":
+            if move.desc[0] == "deliver":
                 del self.inflight[ident]
                 key[_INFLIGHT] = None
                 # a late message to a deleted delegate is dropped
@@ -598,10 +598,10 @@ class Simulation:
                     self.answered[event.req] = event.payload
                 self.events.append(event)
         for move in moves:
-            msg = move.msg
-            if move.tag == "dc" and msg.kind == FWD and msg.payload[0] == REQ_WRITE:
+            desc, msg = move.desc, move.msg
+            if desc[0] == "dc" and msg.kind == FWD and msg.payload[0] == REQ_WRITE:
                 # the message-passing clock condition holds after a forwarded write
-                d, t = int(move.agent[1:]), msg.payload[3]
+                d, t = int(desc[1][1:]), msg.payload[3]
                 if catch_up(self.cfg, self.ticks, d, t):
                     raise SimInvariantError(
                         f"clock at dc {d} behind {t} after processing its message"
@@ -612,10 +612,10 @@ class Simulation:
     def _own_event(self, move: Move) -> Optional[str]:
         """The event kind ``move`` emits whatever it sends: REQ for a request's
         delivery, PRINT for a ``recv`` that completes a printing read."""
-        tag = move.desc[0]
+        tag, msg = move.desc[0], move.msg
         if tag == "deliver":
-            return REQ if move.msg.kind in REQUEST_KINDS else None
-        return PRINT if tag == "recv" and self._printing_step(move) is not None else None
+            return REQ if msg.kind in REQUEST_KINDS else None
+        return PRINT if tag == "recv" and self._printing_step(move.desc[1], msg.req) is not None else None
 
     def _event(self, move: Move, sends: list) -> Optional[TraceEvent]:
         """The trace event of a move in this round: its ``_own_event``, or
@@ -828,12 +828,11 @@ class SearchResult:
     explored: int
 
 
-def _search_priority(move: Move) -> tuple:
+def _search_priority(desc: tuple, msg: Optional[Message]) -> tuple:
     """Exploration order for the schedule search (not part of the schedule
-    semantics); see the ranks in MOVE_KINDS."""
-    rank = MOVE_KINDS[move.tag].rank
-    msg_kind = move.msg.kind if move.msg is not None else None
-    return rank.get(msg_kind, rank[None]) + (move.desc,)
+    semantics) of the move ``desc`` that takes ``msg``; see MOVE_KINDS' ranks."""
+    rank = MOVE_KINDS[desc[0]].rank
+    return rank.get(msg.kind if msg is not None else None, rank[None]) + (desc,)
 
 
 def search_schedules(
@@ -940,16 +939,25 @@ def _expansion(sim: Simulation) -> list:
     completed run from the state either contains it, and moving it to the
     front keeps the run's events, or completes without it, and the same run
     after it emits the same events.  Any eager move will do.
-    Candidates come from those three groups of ``_move_groups()``; the full
-    list, with its cm1 selections, is built only where none is eager.
+    Candidates are ranked straight from those three groups of
+    ``_move_groups()``, and only the move picked is built; the full list,
+    with its cm1 selections, is built only where none is eager.
     """
     groups = sim._move_groups()
-    eager = [move for prefix, box in groups if prefix[0] in ("deliver", "send", "recv")
-             for move in (_group_move(prefix, box, ident) for ident in box)
-             if sim._own_event(move) is None]
-    if eager:
-        return [min(eager, key=_search_priority)]
-    return sorted(sim.enumerate_moves(True, _groups=groups), key=_search_priority)
+    best = None  # (priority, prefix, box, ident) of the eager move that comes first so far
+    for prefix, box in groups:
+        tag = prefix[0]
+        if tag == "recv" and sim._printing_step(prefix[1], next(iter(box))[1]) is not None:
+            continue  # the box holds replies to the one request its client waits for
+        if tag in ("deliver", "send", "recv"):
+            for ident, msg in box.items():
+                if tag != "deliver" or msg.kind not in REQUEST_KINDS:
+                    priority = _search_priority(prefix if ident is None else prefix + (ident,), msg)
+                    if best is None or priority < best[0]:
+                        best = priority, prefix, box, ident
+    if best is not None:
+        return [_group_move(*best[1:])]
+    return sorted(sim.enumerate_moves(True, _groups=groups), key=lambda m: _search_priority(m.desc, m.msg))
 
 
 def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
@@ -994,7 +1002,8 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
         for i, move in enumerate(moves, start=1):
             child = sim.clone() if i < len(moves) else sim  # nothing reads sim after its last child
             child.apply_round([move])  # one move's updates cannot conflict
-            event = next(((e.kind, e.agent, e.req, e.payload) for e in child.events[seen:]), None)
+            e = child.events[-1] if len(child.events) > seen else None  # one move, at most one event
+            event = e and (e.kind, e.agent, e.req, e.payload)
             edges[n].setdefault(event, []).append(node(child))
 
     @cache
@@ -1026,17 +1035,21 @@ def enumerate_traces(
     only an eager move where a state has one (``_expansion``), and the set
     is the unreduced one.  ``max_states`` caps the incomplete states of that
     graph.  No walk recurses, so no recursion limit caps a run's length.
-    The automaton is deterministic, so distinct paths are distinct traces,
-    and each event is built once per path prefix that ends in it.
+    The automaton is deterministic, so distinct paths are distinct traces.
+    Each (rank, event) is built once, as one ``TraceEvent`` every path shares.
     """
     start, transitions = _trace_automaton(scenario, model, max_states)
     traces = []
+    shared: dict = {}  # (rank, event) -> its TraceEvent
     stack = [(start, ())]  # (state, trace events of the path to it)
     while stack:
         q, path = stack.pop()
         if 0 in q:
             traces.append(Trace(events=path))
-        stack.extend((r, path + (TraceEvent(len(path) + 1, *event),)) for event, r in transitions(q))
+        idx = len(path) + 1
+        for event, r in transitions(q):
+            e = shared.get((idx, event)) or shared.setdefault((idx, event), TraceEvent(idx, *event))
+            stack.append((r, path + (e,)))
     return frozenset(traces)
 
 

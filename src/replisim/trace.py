@@ -12,7 +12,9 @@ unterminated string, unbalanced parentheses, tokens after the term, an
 unknown payload or condition tag, a name where an atom is expected (or the
 reverse), a hash-range fragment that is not an integer, a write that names
 one key twice, and an event kind other than REQ, RESP or PRINT.  The writer
-refuses a field whose text holds a line break, which would split its line.
+refuses a field whose text holds a line break, which would split its line,
+and meta that would read back changed: a key that holds ``=``, starts with
+whitespace or with ``replisim-trace``, or a value that ends with whitespace.
 """
 
 from __future__ import annotations
@@ -278,6 +280,13 @@ class Trace:
             field = (f"meta {self.meta[n][0]!r}" if n < len(self.meta)
                      else f"the event of request {self.events[n - len(self.meta)].req!r}")
             raise TraceError(f"cannot write {field}: it holds a line break")
+        for key, value in self.meta:  # from_text strips each line and splits it at its first "="
+            fault = ("its key holds '='" if "=" in key
+                     else "its key starts with whitespace" if key[:1].isspace()
+                     else "its key starts with 'replisim-trace'" if key.startswith("replisim-trace")
+                     else "its value ends with whitespace" if value[-1:].isspace() else None)
+            if fault:
+                raise TraceError(f"cannot write meta {key!r}: {fault}")
         return text
 
     @classmethod

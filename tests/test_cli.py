@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -75,6 +76,17 @@ def test_validation_error_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["run", str(bad), "--model", "cm0", "--seed", "0"], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_run_of_a_scenario_whose_name_ends_in_a_space_exits_2(tmp_path, capsys):
+    # the scenario is named after its file, "sp ace ", which a trace's meta
+    # line cannot carry: reading it back would strip the space
+    path = tmp_path / "sp ace .scn"
+    path.write_text(resources.files("replisim").joinpath("scenarios/counterexample.scn").read_text("utf-8"),
+                    encoding="utf-8")
+    code, _, err = run_cli(["run", str(path), "--model", "cm0", "--seed", "0"], capsys)
+    assert code == 2
+    assert "meta 'scenario'" in err
 
 
 def test_unsatisfiable_policy_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ plain loop over ``TOKEN_RE.finditer`` kept below.  ``Trace.from_text`` parses
 each distinct payload text once per call.
 """
 
+import re
 import time
 
 import pytest
@@ -158,6 +159,28 @@ def test_to_text_refuses_a_line_break_in_a_meta_value(sep, value):
     trace = Trace(events=(_write_event("a"),), meta=(("model", "cm2"), ("scenario", value.format(sep))))
     with pytest.raises(TraceError, match="meta 'scenario'"):
         trace.to_text()
+
+
+@pytest.mark.parametrize("key, value, fault", [
+    ("k=1", "v", "its key holds '='"),
+    (" k", "v", "its key starts with whitespace"),
+    ("\tk", "v", "its key starts with whitespace"),
+    ("replisim-trace", "v2", "its key starts with 'replisim-trace'"),
+    ("replisim-trace-note", "v", "its key starts with 'replisim-trace'"),
+    ("scenario", "sp ace ", "its value ends with whitespace"),
+    ("scenario", "a\t", "its value ends with whitespace"),
+], ids=("equals-in-key", "space-before-key", "tab-before-key", "header-key", "header-prefix-key",
+        "space-after-value", "tab-after-value"))
+def test_to_text_refuses_meta_that_would_read_back_changed(key, value, fault):
+    trace = Trace(events=(_write_event("a"),), meta=(("model", "cm2"), (key, value)))
+    with pytest.raises(TraceError, match=re.escape(f"cannot write meta {key!r}: {fault}")):
+        trace.to_text()
+
+
+def test_meta_that_reads_back_unchanged_is_kept():
+    meta = (("k ", "v"), ("k", " v"), ("k", "a=b"), ("", ""), ("x-replisim-trace", "v"), ("s", "a\tb"))
+    trace = Trace(events=(_write_event("a"),), meta=meta)
+    assert Trace.from_text(trace.to_text()) == trace
 
 
 def test_a_tab_round_trips():
