@@ -109,12 +109,15 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
     infos = []
     for index, (hi, lo, req) in enumerate(sorted(windows)):
         payload, resp = reqs[req].payload, resps[req].payload
-        if payload[0] not in ("read", "write") or len(payload) != 3:
+        if len(payload) != 3 or payload[0] not in ("read", "write"):
             raise IncompleteTraceError(f"request {req} is neither a read nor a write")
         tag, rid, body = payload
-        want = "answer" if tag == "read" else "ack"
-        if resp[0] != want:
-            raise IncompleteTraceError(f"{tag} request {req} is answered by {resp[0]}, not {want}")
+        want, size = ("answer", 3) if tag == "read" else ("ack", 2)
+        got = resp[0] if resp else "nothing"
+        if got != want:
+            raise IncompleteTraceError(f"{tag} request {req} is answered by {got}, not {want}")
+        if len(resp) != size:
+            raise IncompleteTraceError(f"{tag} request {req} is answered by an {want} of {len(resp)} fields")
         if resp[1] != rid:
             raise IncompleteTraceError(f"request {req} on {rid} is answered on {resp[1]}")
         if tag == "read":
@@ -387,9 +390,26 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
     therefore either both have a completion or both have none, and the
     failed-state cache stays exact.  Taking a matching read leaves the key
     as it was, so a read child gets its parent's key without recomputing
-    it.  Per call, each (read, store key) is evaluated once and each (write,
-    store key) replayed once.  ``budget`` bounds the states entered,
-    ``replays`` reports them."""
+    it.
+
+    A value a read still needs is never lost (the reads-from argument of
+    Gibbons and Korach, "Testing shared memories", 1997): a write child is
+    not yielded when the write changes a location from ``old`` while a read
+    undone in the child's progress has the row (location, ``old``) in its
+    recorded answer, and no undone write that may precede that read writes
+    ``old`` back there.  Any other agent's undone write may precede it, but
+    one of the reader's own agent only when it is queued before the read.
+    Every completion of such a child runs the read on a store without that
+    row, so only subtrees without a completion are cut: the search order,
+    the first witness and the failed-state cache stay exact.  The root is
+    judged by the same rule over every row of every read's answer that the
+    initial store does not hold, and a root that fails it has no children.
+    The rule then holds at every state entered, for every row an undone
+    read needs: a write step changes only the locations it writes, a row it
+    stops holding is an ``old`` it checked, and a write it uses up writes a
+    row the store now holds.  Per call, each (read, store key) is evaluated
+    once and each (write, store key) replayed once.  ``budget`` bounds the
+    states entered, ``replays`` reports them."""
     cfg = scenario.cfg
     infos = _request_infos(trace, cfg)
     reproduces = _read_memo(cfg)
@@ -398,6 +418,16 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
         by_agent.setdefault(info.agent, []).append(info)
     queues = [by_agent[a] for a in sorted(by_agent)]
     total = tuple(len(queue) for queue in queues)
+    readers: dict = {}  # (location, value) -> (agent, position) of each read whose answer holds it
+    writers: dict = {}  # (location, value) -> (agent, position) of each write that writes it
+    for n, queue in enumerate(queues):
+        for pos, info in enumerate(queue):
+            if info.kind == "read":
+                for k, v in info.answer:
+                    readers.setdefault(((info.rid, k), v), []).append((n, pos))
+            else:
+                for row in info.pairs:
+                    writers.setdefault(row, []).append((n, pos))
     written: dict = {}  # (write index, store key) -> (store, store key) after it, or None
     stores: dict = {}  # store key -> (store, store key), the first store with those contents
 
@@ -410,6 +440,15 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
             canonical.append(done)
         return progress, flat, flat_key, (tuple(canonical), flat_key)
 
+    def lost(progress, row) -> bool:
+        # A read undone in ``progress`` needs ``row``, which the store does
+        # not hold, and no undone write that may precede the read writes it.
+        for n, pos in readers.get(row, ()):
+            if pos >= progress[n] and not any(
+                    wpos >= progress[wn] and (wn != n or wpos < pos) for wn, wpos in writers.get(row, ())):
+                return True
+        return False
+
     def expand(state):
         progress, flat, flat_key, key = state
         for n, done in enumerate(progress):
@@ -421,6 +460,8 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
                 if reproduces(info, flat, flat_key):
                     yield info.req, (now, flat, flat_key, key)
                 continue
+            if any(lost(now, (loc, old)) for loc, v in info.pairs if (old := flat.data.get(loc, UNDEF)) != v):
+                continue
             if (info.index, flat_key) not in written:
                 after = _replay_writes(flat, (info,), frozenset())
                 if after is not None:  # one store per contents, so memo keys match by identity
@@ -430,10 +471,12 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
             if (after := written[info.index, flat_key]) is not None:
                 yield info.req, state_of(now, *after)
 
+    start, initial = (0,) * len(queues), scenario.initial
+    feasible = not any(initial.data.get(loc, UNDEF) != v and lost(start, (loc, v)) for loc, v in readers)
     steps, nodes = _search(
-        state_of((0,) * len(queues), scenario.initial, scenario.initial.state_key()),
+        state_of(start, initial, initial.state_key()),
         key=lambda state: state[3],
-        expand=expand,
+        expand=expand if feasible else lambda state: (),
         done=lambda state: state[0] == total,
         budget=budget,
     )

@@ -313,9 +313,21 @@ WRITE_X = ("write", "x", (((0,), (1,)),))
             (ev(1, "REQ", "a1", "a1#0", WRITE_X), ev(2, "RESP", "a1", "a1#0", ("ack", "y"))),
             "on x is answered on y",
         ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", WRITE_X), ev(2, "RESP", "a1", "a1#0", ("ack",))),
+            "answered by an ack of 1 fields",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()), ev(2, "RESP", "a1", "a1#0", ("answer", "x"))),
+            "answered by an answer of 2 fields",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()), ev(2, "RESP", "a1", "a1#0", ())),
+            "answered by nothing, not answer",
+        ),
     ],
     ids=["two-reqs", "two-resps", "write-answered", "read-acked", "read-other-relation",
-         "write-other-relation"],
+         "write-other-relation", "short-ack", "short-answer", "empty-answer"],
 )
 @pytest.mark.parametrize("checker", [check_view_compatible, check_view_serialisable])
 def test_inconsistent_trace_rejected(events, message, checker):
@@ -611,6 +623,70 @@ def test_serial_check_replays_each_write_once_per_store(four_agent_run, monkeypa
     assert clones[0] <= 108
 
 
+# ---------------------------------------------------------------------------
+# serialisability: a write step that loses a value a pending read needs
+# ---------------------------------------------------------------------------
+
+
+LOST_VALUE_SCENARIO = build("lost_value", [("a1", 1, "read x key=(0)")], init=("x", "(0) -> (0), (1) -> (0)"))
+
+
+def _in_turn(*requests):
+    """A trace of (agent, request, response) payloads, each request issued
+    and answered before the next one is issued."""
+    events, counts = [], {}
+    for agent, req, resp in requests:
+        n = counts[agent] = counts.get(agent, -1) + 1
+        events += [ev(len(events) + 1, "REQ", agent, f"{agent}#{n}", req),
+                   ev(len(events) + 2, "RESP", agent, f"{agent}#{n}", resp)]
+    return Trace(tuple(events))
+
+
+def _write(agent, key, value):
+    return agent, ("write", "x", (((key,), (value,)),)), ("ack", "x")
+
+
+def _read(agent, key, value):
+    return agent, read_payload(key=(key,)), answer_payload([((key,), (value,))])
+
+
+def test_a_write_that_loses_a_value_a_pending_read_needs_is_not_taken():
+    # a2 reads (0) as 0 after reading (1) as 1, so it must read (1) after
+    # a1#2 but (0) before a1#1, which a1 issues first: no serial order.
+    # Once a1#1 writes (0) := 1, no write left puts 0 back for a2#2 (a1#0
+    # wrote it, but is done), so that step and every order below it are
+    # cut: 8 states entered, where searching below such steps entered 27.
+    t = _in_turn(_write("a1", 0, 0), _write("a1", 0, 1), _write("a1", 1, 1),
+                 _read("a2", 0, 0), _read("a2", 1, 1), _read("a2", 0, 0), _write("a3", 1, 2), _read("a3", 1, 2))
+    v = check_view_serialisable(t, LOST_VALUE_SCENARIO)
+    assert (v.kind, v.exhaustive, v.replays) == ("NOT_SERIALISABLE", True, 8)
+
+
+def test_a_restoring_write_queued_after_the_reader_does_not_save_the_value():
+    # a2#1 writes 0 back, but only after a2#0 has read it, so a1#0 before
+    # a2#0 is still cut: 4 states entered, where counting a2#1 as a
+    # restoring write entered 5.
+    t = _in_turn(_write("a1", 0, 1), _read("a2", 0, 0), _write("a2", 0, 0))
+    v = check_view_serialisable(t, LOST_VALUE_SCENARIO)
+    assert (v.render(), v.replays) == ("verdict=SERIALISABLE exhaustive=true witness=a2#0,a1#0,a2#1", 4)
+
+
+def test_a_restoring_write_queued_before_the_reader_saves_the_value():
+    # a2#0 writes 0 back before a2#1 reads it, so a1#0 may go first, and
+    # the first order in agent order is the witness.
+    t = _in_turn(_write("a1", 0, 1), _write("a2", 0, 0), _read("a2", 0, 0))
+    v = check_view_serialisable(t, LOST_VALUE_SCENARIO)
+    assert (v.render(), v.replays) == ("verdict=SERIALISABLE exhaustive=true witness=a1#0,a2#0,a2#1", 4)
+
+
+def test_a_read_of_a_value_nothing_writes_fails_at_the_root():
+    # Nothing writes 7 and the store does not hold it, so the root has no
+    # children: 1 state entered, where searching the writes' orders entered 11.
+    t = _in_turn(_write("a1", 0, 1), _write("a1", 0, 2), _write("a2", 1, 1), _write("a2", 0, 3), _read("a3", 1, 7))
+    v = check_view_serialisable(t, LOST_VALUE_SCENARIO)
+    assert (v.kind, v.exhaustive, v.replays) == ("NOT_SERIALISABLE", True, 1)
+
+
 def test_search_drops_a_frame_whose_key_has_failed():
     # p's first child q shares p's key and is a dead end, so p has no goal
     # either: p's frame is dropped without expanding x, and the search goes
@@ -635,20 +711,21 @@ def test_search_drops_a_frame_whose_key_has_failed():
 
 
 def _random_requests(rng):
-    """Two or three agents, each with one to three reads or writes over keys
-    (0) and (1) of x; a read's recorded answer is arbitrary: absent, or one
-    of the values the trace writes or starts with."""
-    values = [(0,), (1,), (2,)]
+    """Two or three agents, each with one to four reads or writes over keys
+    (0) and (1) of x.  Values are drawn from two, so writes often overwrite
+    a value some read answers; a read's recorded answer is absent or one of
+    those values."""
+    values = [(0,), (1,)]
     programs = {}
     for agent in ("a1", "a2", "a3")[: rng.choice((2, 3))]:
         program = []
-        for n in range(rng.randint(1, 3)):
+        for n in range(rng.randint(1, 4)):
             key = (rng.randrange(2),)
             if rng.random() < 0.5:
-                rows = [] if rng.random() < 0.3 else [(key, rng.choice(values))]
+                rows = [] if rng.random() < 0.2 else [(key, rng.choice(values))]
                 program.append((read_payload(key=key), answer_payload(rows)))
             else:
-                value = UNDEF if rng.random() < 0.2 else rng.choice(values)
+                value = UNDEF if rng.random() < 0.1 else rng.choice(values)
                 program.append((("write", "x", ((key, value),)), ("ack", "x")))
         programs[agent] = program
     return programs
@@ -670,28 +747,32 @@ def _trace_of(programs, rng):
 
 def _first_serial_order(programs, scenario):
     """The first interleaving of the agents' programs, in lexicographic agent
-    order, whose replay through the oracle reproduces every answer."""
+    order, whose replay through the oracle reproduces every answer.  An
+    order is dropped at its first read that does not reproduce its answer,
+    with every order that shares that prefix."""
     agents = sorted(programs)
 
-    def orders(done):
+    def extend(done, flat):
         if all(done[a] == len(programs[a]) for a in agents):
-            yield ()
+            return ()
         for a in agents:
-            if done[a] < len(programs[a]):
-                for rest in orders({**done, a: done[a] + 1}):
-                    yield ((a, done[a]),) + rest
-
-    for order in orders(dict.fromkeys(agents, 0)):
-        flat = scenario.initial.clone()
-        for agent, n in order:
-            (tag, rid, body), resp = programs[agent][n]
+            n = done[a]
+            if n == len(programs[a]):
+                continue
+            (tag, rid, body), resp = programs[a][n]
             if tag == "write":
-                db_perform_write(flat, scenario.cfg, rid, dict(body))
-            elif db_answer_read(flat, scenario.cfg, rid, body) != resp[2]:
-                break
-        else:
-            return tuple(f"{agent}#{n}" for agent, n in order)
-    return None
+                after = flat.clone()
+                db_perform_write(after, scenario.cfg, rid, dict(body))
+            elif db_answer_read(flat, scenario.cfg, rid, body) == resp[2]:
+                after = flat
+            else:
+                continue
+            rest = extend({**done, a: n + 1}, after)
+            if rest is not None:
+                return (f"{a}#{n}",) + rest
+        return None
+
+    return extend(dict.fromkeys(agents, 0), scenario.initial)
 
 
 def test_serialisability_matches_brute_force_on_random_traces():
