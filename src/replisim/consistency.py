@@ -124,6 +124,9 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
             if cfg is not None:
                 body.check_arity(cfg, rid)
             answer, pairs = resp[2], ()
+            if not isinstance(answer, (set, frozenset)) or not all(
+                    isinstance(row, tuple) and len(row) == 2 for row in answer):
+                raise IncompleteTraceError(f"read request {req} is answered by other than a set of (key, value) rows")
         else:
             if cfg is not None:
                 for k, v in body:

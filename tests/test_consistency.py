@@ -325,9 +325,19 @@ WRITE_X = ("write", "x", (((0,), (1,)),))
             (ev(1, "REQ", "a1", "a1#0", read_payload()), ev(2, "RESP", "a1", "a1#0", ())),
             "answered by nothing, not answer",
         ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()), ev(2, "RESP", "a1", "a1#0", ("answer", "x", 5))),
+            r"answered by other than a set of \(key, value\) rows",
+        ),
+        (
+            (ev(1, "REQ", "a1", "a1#0", read_payload()),
+             ev(2, "RESP", "a1", "a1#0", answer_payload([((0,), (0,), (1,))]))),
+            r"answered by other than a set of \(key, value\) rows",
+        ),
     ],
     ids=["two-reqs", "two-resps", "write-answered", "read-acked", "read-other-relation",
-         "write-other-relation", "short-ack", "short-answer", "empty-answer"],
+         "write-other-relation", "short-ack", "short-answer", "empty-answer", "answer-not-a-set",
+         "answer-row-not-a-pair"],
 )
 @pytest.mark.parametrize("checker", [check_view_compatible, check_view_serialisable])
 def test_inconsistent_trace_rejected(events, message, checker):
