@@ -32,11 +32,7 @@ def answer_read_req(
         for k, (v, _) in freshest(replicas.copies(rid, j, group), keys).items()
         if v is not UNDEF and cond.matches(k, cfg, rid)
     )
-    eff = StepEffect()
-    eff.sends.append(
-        Message(ANSWER, msg.req, dc_agent(d), msg.sender, payload=(rid, rows))
-    )
-    return eff
+    return StepEffect(sends=[Message(ANSWER, msg.req, dc_agent(d), msg.sender, payload=(rid, rows))])
 
 
 def perform_write_req(
@@ -50,9 +46,8 @@ def perform_write_req(
     rid, pairs = msg.payload
     p = dict(pairs)
     check_writeset(p, cfg, rid)
-    eff = StepEffect()
     t_current, advance = issue(cfg, ticks, d)  # one timestamp per request
-    eff.updates.update(advance)
+    eff = StepEffect(advance)
     eff.updates.update(replicas.conditional_write(rid, selections, p, t_current))
     for d2 in sorted({d2 for group in selections.values() for d2, _ in group}):
         eff.updates.update(catch_up(cfg, ticks, d2, t_current))

@@ -113,9 +113,8 @@ def delegate_external_req(
 ) -> StepEffect:
     """Home data centre step: draw a timestamp, spawn the delegate, handle
     the request locally and forward it to every other data centre."""
-    eff = StepEffect()
     t_current, advance = issue(cfg, ticks, d)
-    eff.updates.update(advance)
+    eff = StepEffect(advance)
     is_read = msg.kind == REQ_READ
     rid = msg.payload[0]
     body = msg.payload[1]

@@ -7,7 +7,8 @@ owned by exactly one simulation instance.  Nothing does I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Union
 
 Atom = Union[int, str]
@@ -64,21 +65,31 @@ def sorted_pairs(pairs) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
+class Timestamp(tuple):
     """Logical time ``tick`` plus the issuing data centre's offset rank.
 
-    Timestamps order and compare on (tick, rank); ranks are injective per
-    data centre, so timestamps issued by distinct data centres are never
-    equal.  ``NEG_INF`` (tick 0) sits below every issued timestamp.
+    Built as ``Timestamp(tick, dc, rank)`` and laid out as the tuple
+    ``(tick, rank, dc)``, so it orders, compares and hashes as a tuple does.
+    Ranks are injective per data centre (``ClusterConfig._validate``), so
+    timestamps of one configuration order and compare on (tick, rank), and
+    timestamps issued by distinct data centres are never equal.
+    ``NEG_INF`` (tick 0) sits below every issued timestamp.
     """
 
-    tick: int
-    dc: int = field(compare=False)
-    rank: int
+    __slots__ = ()
+
+    def __new__(cls, tick: int, dc: int, rank: int) -> "Timestamp":
+        return tuple.__new__(cls, (tick, rank, dc))
+
+    tick = property(itemgetter(0))
+    rank = property(itemgetter(1))
+    dc = property(itemgetter(2))
+
+    def __getnewargs__(self) -> tuple:
+        return self[0], self[2], self[1]
 
     def is_neg_inf(self) -> bool:
-        return self.tick == 0
+        return self[0] == 0
 
     def __repr__(self) -> str:
         if self.is_neg_inf():

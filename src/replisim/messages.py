@@ -13,6 +13,7 @@ sets, moves the messages the steps took and records the trace events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 # Message kinds
 REQ_READ = "req_read"
@@ -62,10 +63,12 @@ def delegate_agent(req: str) -> str:
     return f"g!{req}"
 
 
-@dataclass
 class StepEffect:
-    updates: dict = field(default_factory=dict)  # location -> value
-    sends: list = field(default_factory=list)  # Message
+    __slots__ = ("updates", "sends")
+
+    def __init__(self, updates: Optional[dict] = None, sends: Optional[list] = None):
+        self.updates = {} if updates is None else updates  # location -> value
+        self.sends = [] if sends is None else sends  # Message
 
     def update(self, loc: tuple, value) -> None:
         self.updates[loc] = value

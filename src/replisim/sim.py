@@ -102,6 +102,9 @@ def describe_descriptor(desc: tuple) -> str:
     return f"{desc[0]}[{'|'.join(parts)}]"
 
 
+_SEND_BOX = {None: None}  # every send group's box, shared and never written
+
+
 def _group_move(prefix: tuple, box: dict, ident: Optional[tuple]) -> Move:
     """The move of ``ident`` in a ``Simulation._move_groups`` group (a send's is None)."""
     if ident is None:
@@ -338,13 +341,13 @@ class Simulation:
         """The enabled moves as non-empty groups, in ``enumerate_moves``
         order: ``(prefix, box)`` stands for ``Move(prefix + (ident,),
         box[ident])`` per ident of ``box`` in sorted order (``_group_move``),
-        and a ``send``'s box is ``{None: None}``."""
+        and a ``send``'s box is ``_SEND_BOX``."""
         groups = [(("deliver",), self.inflight)] if self.inflight else []
         for a in self.clients:
             st = self.status[a]
             if st[0] == "ready":
                 if self.pc[a] < self.lengths[a]:
-                    groups.append((("send", a), {None: None}))
+                    groups.append((("send", a), _SEND_BOX))
             elif (box := self.mailbox.get(a)) and (box := {i: m for i, m in box.items() if i[1] == st[1]}):
                 groups.append((("recv", a), box))
         for prefix, agent in self.stores:
@@ -371,14 +374,16 @@ class Simulation:
         """``enumerate_moves(with_selections=False)[pick(n)]`` for the ``n``
         enabled moves, building only that move; ``None`` when ``n`` is 0."""
         groups = self._move_groups()
-        sizes = [len(box) for _, box in groups]
-        if not sizes:
+        n = 0
+        for _, box in groups:
+            n += len(box)
+        if not n:
             return None
-        i = pick(sum(sizes))
-        for (prefix, box), n in zip(groups, sizes):
-            if i < n:
+        i = pick(n)
+        for prefix, box in groups:
+            if i < len(box):
                 return _group_move(prefix, box, sorted(box)[i])
-            i -= n
+            i -= len(box)
         raise IndexError(f"move index {i} past the enabled moves")
 
     def _policy_for(self, kind: str):
@@ -471,7 +476,7 @@ class Simulation:
     # -- step execution ------------------------------------------------------
 
     def execute_move(self, move: Move) -> StepEffect:
-        return MOVE_KINDS[move.tag].run(self, move)
+        return MOVE_KINDS[move.desc[0]].run(self, move)
 
     def _deliver(self, move: Move) -> StepEffect:
         return StepEffect()  # the engine moves the message
@@ -480,20 +485,15 @@ class Simulation:
         a = move.agent
         step = self.scenario.programs[a][self.pc[a]]
         req = self.req_id(a, self.pc[a])
-        eff = StepEffect()
         if step.kind == "read":
             msg = Message(REQ_READ, req, a, self.home_agent(a), payload=(step.rid, step.cond))
         else:
             msg = Message(REQ_WRITE, req, a, self.home_agent(a), payload=(step.rid, step.pairs))
-        eff.sends.append(msg)
-        eff.update(("pc", a), self.pc[a] + 1)
-        eff.update(("status", a), ("waiting", req))
-        return eff
+        return StepEffect({("pc", a): self.pc[a] + 1, ("status", a): ("waiting", req)}, [msg])
 
     def _client_recv(self, move: Move) -> StepEffect:
         a = move.agent
-        eff = StepEffect()
-        eff.update(("status", a), ("ready",))
+        eff = StepEffect({("status", a): ("ready",)})
         step = self._printing_step(a, move.msg.req)
         if step is not None:
             eff.update(("out", a), self.outs[a] + ((step.rid, move.msg.payload[1]),))
@@ -506,16 +506,12 @@ class Simulation:
 
     def _db_step(self, move: Move) -> StepEffect:
         msg = move.msg
-        eff = StepEffect()
         rid = msg.payload[0]
         if msg.kind == REQ_READ:
             rows = db_answer_read(self.flat, self.cfg, rid, msg.payload[1])
-            eff.sends.append(Message(ANSWER, msg.req, DB_AGENT, msg.sender, payload=(rid, rows)))
-        else:
-            for k, v in msg.payload[1]:
-                eff.update(("flat", rid, k), v)
-            eff.sends.append(Message(ACK, msg.req, DB_AGENT, msg.sender, payload=(rid,)))
-        return eff
+            return StepEffect(sends=[Message(ANSWER, msg.req, DB_AGENT, msg.sender, payload=(rid, rows))])
+        updates = {("flat", rid, k): v for k, v in msg.payload[1]}
+        return StepEffect(updates, [Message(ACK, msg.req, DB_AGENT, msg.sender, payload=(rid,))])
 
     def _dc_step(self, move: Move) -> StepEffect:
         d = int(move.agent[1:])
@@ -564,7 +560,7 @@ class Simulation:
             if len(set(sent)) < len(sent):
                 raise RunDiscarded(f"round {self.round + 1}: two moves send the same message")
         self.round += 1
-        self.executed.append(tuple(m.desc for m in moves))
+        self.executed.append(tuple([m.desc for m in moves]))
         # messages: taken ones first, then fresh sends
         key = self._key
         for move in moves:
@@ -578,8 +574,10 @@ class Simulation:
                 key[_INFLIGHT] = None
                 # a late message to a deleted delegate is dropped
                 if not msg.receiver.startswith("g!") or msg.receiver in self.delegates:
-                    self.mailbox.setdefault(msg.receiver, {})[ident] = msg
-            elif self.mailbox.get(msg.receiver, {}).pop(ident, None) is None:
+                    if (box := self.mailbox.get(msg.receiver)) is None:
+                        box = self.mailbox[msg.receiver] = {}
+                    box[ident] = msg
+            elif (box := self.mailbox.get(msg.receiver)) is None or box.pop(ident, None) is None:
                 raise SimInvariantError(f"consumed message not in mailbox: {msg}")
         for eff in effects:
             for msg in eff.sends:
@@ -588,7 +586,8 @@ class Simulation:
                     raise SimInvariantError(f"duplicate in-flight message {msg}")
                 self.inflight[ident] = msg
                 key[_INFLIGHT] = None
-        self._apply_updates(merged)
+        if merged:  # a delivery writes nothing
+            self._apply_updates(merged)
         for move, eff in zip(moves, effects):
             event = self._event(move, eff.sends)
             if event is not None:
@@ -606,7 +605,7 @@ class Simulation:
                     raise SimInvariantError(
                         f"clock at dc {d} behind {t} after processing its message"
                     )
-        if written := {(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"}:
+        if merged and (written := {(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"}):
             self._check_invariants(written)
 
     def _own_event(self, move: Move) -> Optional[str]:

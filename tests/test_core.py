@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from replisim.core import (
     issue,
     seed_replicas,
 )
+from replisim.messages import FWD, REQ_WRITE, Message
 
 
 def make_cfg(fragments=1, dcs=(1, 2), nodes=1, replication=1, hash_max=255, arity=1):
@@ -107,6 +110,31 @@ def test_distinct_dcs_never_produce_equal_timestamps(n1, n2, dc1, dc2):
     t1, t2 = Timestamp(n1, *dc1), Timestamp(n2, *dc2)
     if dc1 != dc2:
         assert t1 != t2
+
+
+def test_timestamps_of_one_configuration_order_and_compare_on_tick_and_rank():
+    # ranks run against data-centre order, so (tick, rank) and (tick, dc) disagree
+    cfg = ClusterConfig(make_cfg(dcs=(1, 2, 3)).relations, {1: 3, 2: 1, 3: 2})
+    seeded = Timestamp(1, cfg.lowest_offset_dc(), 1)
+    stamps = [NEG_INF, seeded] + [
+        issue(cfg, dict.fromkeys(cfg.offset_ranks, tick), d)[0] for tick in range(2, 5) for d in (1, 2, 3)
+    ]
+    for a in stamps:
+        for b in stamps:
+            ka, kb = (a.tick, a.rank), (b.tick, b.rank)
+            assert (a < b, a <= b, a == b, a > b) == (ka < kb, ka <= kb, ka == kb, ka > kb), (a, b)
+            assert a != b or (a.dc == b.dc and hash(a) == hash(b))
+    assert sorted(stamps)[2:5] == [Timestamp(2, 2, 1), Timestamp(2, 3, 2), Timestamp(2, 1, 3)]
+
+
+def test_copies_and_pickles_keep_a_timestamps_value_hash_and_repr():
+    fwd = Message(FWD, "a1#0", "d1", "d2", (REQ_WRITE, "x", (((0,), (1,)),), Timestamp(2, 1, 1)))
+    for value in (Timestamp(3, 2, 1), NEG_INF, fwd):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+            assert hash(twin) == hash(value) and repr(twin) == repr(value)
+    t = pickle.loads(pickle.dumps(Timestamp(3, 2, 1)))
+    assert (t.tick, t.dc, t.rank, repr(t)) == (3, 2, 1, "t(3,d2)")
 
 
 def test_fresh_timestamp_returns_then_advances():

@@ -352,6 +352,32 @@ def test_step_limit_can_cut_the_drain():
     assert cut.sim.inflight or any(cut.sim.mailbox.values())
 
 
+def test_a_completed_state_that_cannot_drain_leaves_the_search_unexhausted(monkeypatch):
+    s = load_scenario("counterexample")
+    drain, drained = Simulation.drain, []
+
+    def never(trace, scenario):
+        return False
+
+    def counted(sim, step_limit):
+        drained.append(drain(sim, step_limit))
+        return drained[-1]
+
+    monkeypatch.setattr(Simulation, "drain", counted)
+    full = search_schedules(s, "cm2", never)
+    assert (full.witness, full.exhausted, drained) == (None, True, [True] * 14)
+    drained.clear()
+    cut = search_schedules(s, "cm2", never, step_limit=27)
+    assert (cut.witness, cut.exhausted, drained) == (None, False, [False] * 3)
+    # a limit of 27 also cuts incomplete states; on the drains alone it
+    # leaves the walk as it was, and their failures are the only cut
+    drained.clear()
+    monkeypatch.setattr(Simulation, "drain", lambda sim, step_limit: counted(sim, 27))
+    alone = search_schedules(s, "cm2", never)
+    assert (alone.witness, alone.exhausted, alone.explored) == (None, False, full.explored)
+    assert drained.count(False) == 10 and len(drained) == 14
+
+
 def test_enumerate_traces_contains_seeded_outcomes():
     s = load_scenario("counterexample")
     traces = enumerate_traces(s, "cm0")

@@ -20,7 +20,8 @@ import pytest
 
 from replisim import (ALL, ONE, ExplicitSchedule, SeededSchedule, Simulation, enumerate_traces,
                       load_scenario)
-from replisim.messages import REQUEST_KINDS, Message
+from replisim.core import Timestamp
+from replisim.messages import FWD, REQ_WRITE, REQUEST_KINDS, Message
 from replisim.policies import local_one
 from replisim.sim import MODELS, _expansion, _search_priority
 
@@ -148,15 +149,17 @@ def test_message_hash_is_the_hash_of_its_fields():
 
 
 def test_a_replaced_or_copied_message_hashes_its_own_fields():
-    m = Message("req_write", "a1#0", "a1", "d1", ("x", (((0,), (1,)),)))
-    hash(m)
-    for changed in (dataclasses.replace(m, req="a1#1"), dataclasses.replace(m, payload=("y", ())),
-                    dataclasses.replace(m)):
-        assert hash(changed) == hash(_fields(changed))
-    fresh = Message(*_fields(m))  # its hash not yet asked for
-    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), copy.copy(fresh),
-                 pickle.loads(pickle.dumps(fresh))):
-        assert twin == m and hash(twin) == hash(_fields(m))
+    write = ("x", (((0,), (1,)),))
+    fwd = Message(FWD, "a1#0", "d1", "d2", (REQ_WRITE,) + write + (Timestamp(2, 1, 1),))
+    for m in (Message("req_write", "a1#0", "a1", "d1", write), fwd):
+        hash(m)
+        for changed in (dataclasses.replace(m, req="a1#1"), dataclasses.replace(m, payload=("y", ())),
+                        dataclasses.replace(m)):
+            assert hash(changed) == hash(_fields(changed))
+        fresh = Message(*_fields(m))  # its hash not yet asked for
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m)), copy.copy(fresh),
+                     pickle.loads(pickle.dumps(fresh))):
+            assert twin == m and hash(twin) == hash(_fields(m))
 
 
 def test_delegate_key_part_equals_one_built_from_scratch():
