@@ -4,11 +4,12 @@ A predicate takes (trace, scenario) and returns True on traces exhibiting
 the behaviour being hunted.  Predicates here read only each agent's own
 payload history, in that agent's order: its requests, their answers and its
 prints.  ``search_schedules`` de-duplicates on ``Simulation.search_key``,
-which fixes exactly that history, and its eager-move reduction shifts only
-the rounds of events, not their order.  So the search finds a witness for
-these predicates whenever some run has one, budget and step limit allowing.
-A predicate that reads raw step indices or the order of events across
-agents has no such guarantee.
+which fixes exactly that history, and its eager-move reduction keeps each
+agent's own events in their order while it shifts their rounds and their
+order across agents.  So the search finds a witness for these predicates
+whenever some run has one, budget and step limit allowing.  A predicate
+that reads raw step indices or the order of events across agents has no
+such guarantee.
 """
 
 from __future__ import annotations

@@ -243,10 +243,11 @@ class Simulation:
         self.round = 0
         self.answered: dict = {}  # req -> payload of its RESP event
         self.executed: list = []  # descriptor tuples per round, for replay
-        # client names in move order, and their program lengths; these and
-        # ``stores`` are fixed per scenario and shared by clones
-        self.clients = tuple(sorted(scenario.programs))
-        self.lengths = {a: len(scenario.programs[a]) for a in self.clients}
+        # each client in move order with its ``send`` and ``recv`` prefixes, and
+        # the program lengths; these and ``stores`` are fixed per scenario and
+        # shared by clones
+        self.clients = tuple((a, ("send", a), ("recv", a)) for a in sorted(scenario.programs))
+        self.lengths = {a: len(scenario.programs[a]) for a, _, _ in self.clients}
         self._key: list = [None] * len(_KEY_PARTS)  # cached components, None once stale
         if self.replicas is not None:
             self._check_invariants(
@@ -343,19 +344,20 @@ class Simulation:
         box[ident])`` per ident of ``box`` in sorted order (``_group_move``),
         and a ``send``'s box is ``_SEND_BOX``."""
         groups = [(("deliver",), self.inflight)] if self.inflight else []
-        for a in self.clients:
+        for a, send, recv in self.clients:
             st = self.status[a]
             if st[0] == "ready":
                 if self.pc[a] < self.lengths[a]:
-                    groups.append((("send", a), _SEND_BOX))
+                    groups.append((send, _SEND_BOX))
             elif (box := self.mailbox.get(a)) and (box := {i: m for i, m in box.items() if i[1] == st[1]}):
-                groups.append((("recv", a), box))
+                groups.append((recv, box))
         for prefix, agent in self.stores:
             if box := self.mailbox.get(agent):
                 groups.append((prefix, box))
-        for gid in sorted(self.delegates):
-            if box := self.mailbox.get(gid):
-                groups.append((("collect", gid), box))
+        if self.delegates:
+            for gid in sorted(self.delegates):
+                if box := self.mailbox.get(gid):
+                    groups.append((("collect", gid), box))
         return groups
 
     def enumerate_moves(self, with_selections: bool, _groups: Optional[list] = None) -> list:
@@ -847,17 +849,20 @@ def search_schedules(
 
     Three reductions cut the search, each after Godefroid (LNCS 1032):
 
-    - Persistent sets.  ``_expansion``, the rule ``enumerate_traces`` uses,
-      expands only the first eager move where a state has one.  Only moves
-      that emit no event are moved, so every agent's own payload history is
-      kept; the rounds of events shift.
+    - Persistent sets.  ``_expansion`` under its view rule expands only the
+      first eager move where a state has one, and every ``deliver``,
+      ``send`` and ``recv`` is eager.  Every agent's own (kind, req,
+      payload) history is kept; the rounds of events and their order across
+      agents shift.  ``enumerate_traces`` keeps the trace rule, which
+      reorders only moves that emit no event.
     - State caching.  States are de-duplicated on ``Simulation.search_key``:
       the state plus each request's answer, without the round.  Equal keys
       mean equal per-agent payload histories, so a predicate that reads only
       those, as the bundled ones do, answers alike for every run through one
-      key.  A predicate that reads the order of events across agents may
-      miss a witness.  A key reached before the round it was stored at is
-      visited afresh, so the step limit cuts no state that is met sooner.
+      key.  A predicate that reads the order of events across agents was
+      never safe here and still is not: it may miss a witness.  A key
+      reached before the round it was stored at is visited afresh, so the
+      step limit cuts no state that is met sooner.
     - Sleep sets.  A state's sleep set holds its parent's sleep set and the
       moves its parent expanded before the move into it, each kept only if
       ``independent`` of that move: both orders reach one key, covered
@@ -907,9 +912,9 @@ def search_schedules(
             cut = True
             continue
         if sim.round < first:
-            moves = [m for m in _expansion(sim) if m.desc not in sleep]
+            moves = [m for m in _expansion(sim, views=True) if m.desc not in sleep]
         else:
-            moves = [m for m in _expansion(sim) if m.desc in stored and m.desc not in sleep]
+            moves = [m for m in _expansion(sim, views=True) if m.desc in stored and m.desc not in sleep]
             sleep = {d: f for d, f in sleep.items() if d in stored}
         entry[:] = min(first, sim.round), sleep
         children = []
@@ -924,20 +929,37 @@ def search_schedules(
     return SearchResult(None, None, not cut, explored)
 
 
-def _expansion(sim: Simulation) -> list:
+def _expansion(sim: Simulation, views: bool) -> list:
     """The moves to expand at ``sim``: the first *eager* move in
     ``_search_priority`` order alone, or else every enabled move (a
-    persistent set, after Godefroid, LNCS 1032).
+    persistent set, after Godefroid, LNCS 1032).  ``views`` picks the rule
+    of eagerness: the view rule for ``search_schedules``, the trace rule
+    for ``_trace_automaton``.
 
-    An eager move is a ``deliver``, ``send`` or ``recv`` that emits no event
-    (none of them sends an answer or ack, so ``_own_event`` decides).  It
-    touches only its agent's ``pc``/``status`` or one message's place (in
-    flight, in a mailbox, or dropped at a dead delegate, as the delegate's
-    deletion would drop it).  No other enabled move touches the same, the
-    moves it enables can only follow it, and nothing disables it.  So every
-    completed run from the state either contains it, and moving it to the
-    front keeps the run's events, or completes without it, and the same run
-    after it emits the same events.  Any eager move will do.
+    A ``deliver``, ``send`` or ``recv`` touches only its agent's
+    ``pc``/``status``/``outs`` or one message's place (in flight, in a
+    mailbox, or dropped at a dead delegate, as the delegate's deletion
+    would drop it): a request's delivery has the footprint ``(ident,)`` and
+    a ``recv`` has ``(agent, ident)``.  No other enabled move touches the
+    same, the moves it enables can only follow it, and nothing disables it,
+    so it stays enabled until it is taken.  So every completed run from the
+    state either contains it, and can take it first, or completes without
+    it, and the same run after it completes too.  Only a move that emits no
+    event can be left out: a completed client has had each of its requests
+    delivered and each reply received.
+
+    Under the trace rule only such a move that emits no event is eager
+    (none of them sends an answer or ack, so ``_own_event`` decides), and
+    taking it first keeps every run's events in their order.  Under the
+    view rule every such move is eager.  The event a request's delivery
+    (REQ) or a printing ``recv`` (PRINT) emits belongs to its own agent,
+    which is blocked until the move is taken and whose earlier events all
+    came before it.  Taking the move first keeps that agent's own event
+    order and payloads, and shifts only rounds and the order of events
+    across agents, which ``search_key()`` and the bundled predicates leave
+    out.  Footprints are the same under both rules, so sleep sets stay sound.
+    Any eager move will do.
+
     Candidates are ranked straight from those three groups of
     ``_move_groups()``, and only the move picked is built; the full list,
     with its cm1 selections, is built only where none is eager.
@@ -946,11 +968,11 @@ def _expansion(sim: Simulation) -> list:
     best = None  # (priority, prefix, box, ident) of the eager move that comes first so far
     for prefix, box in groups:
         tag = prefix[0]
-        if tag == "recv" and sim._printing_step(prefix[1], next(iter(box))[1]) is not None:
+        if not views and tag == "recv" and sim._printing_step(prefix[1], next(iter(box))[1]) is not None:
             continue  # the box holds replies to the one request its client waits for
         if tag in ("deliver", "send", "recv"):
             for ident, msg in box.items():
-                if tag != "deliver" or msg.kind not in REQUEST_KINDS:
+                if views or tag != "deliver" or msg.kind not in REQUEST_KINDS:
                     priority = _search_priority(prefix if ident is None else prefix + (ident,), msg)
                     if best is None or priority < best[0]:
                         best = priority, prefix, box, ident
@@ -997,7 +1019,7 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
     root = node(Simulation(scenario, model))
     while stack:
         n, sim = stack.pop()
-        moves, seen = _expansion(sim), len(sim.events)
+        moves, seen = _expansion(sim, views=False), len(sim.events)
         for i, move in enumerate(moves, start=1):
             child = sim.clone() if i < len(moves) else sim  # nothing reads sim after its last child
             child.apply_round([move])  # one move's updates cannot conflict

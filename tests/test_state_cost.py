@@ -3,8 +3,8 @@ and the values it is built from.
 
 ``_expansion`` reads candidate moves from the ``deliver``, ``send`` and
 ``recv`` groups alone, builds only the move it picks, and the full move
-list only where none of them is eager; it must still pick exactly what the
-plain rule picks.  A ``Simulation`` caches the components of its
+list only where none of them is eager; under either rule it must still
+pick exactly what the plain rule picks.  A ``Simulation`` caches the components of its
 ``state_key()`` until a round changes them; the key must still equal one
 built from scratch, whatever path led to the state.  A ``Message`` caches
 its hash and a ``DelegateState`` its key part; both must equal what their
@@ -23,6 +23,7 @@ from replisim import (ALL, ONE, ExplicitSchedule, SeededSchedule, Simulation, en
 from replisim.core import Timestamp
 from replisim.messages import FWD, REQ_WRITE, REQUEST_KINDS, Message
 from replisim.policies import local_one
+from replisim.trace import PRINT
 from replisim.sim import MODELS, _expansion, _search_priority
 
 from corpus import SCENARIOS, walk
@@ -30,11 +31,14 @@ from corpus import SCENARIOS, walk
 STATES = 100
 
 
-def reference_expansion(sim) -> list:
+def reference_expansion(sim, views: bool) -> list:
     """The plain rule: every enabled move in ``_search_priority`` order, then
-    the first eager one alone, or else the whole list."""
+    the first eager one alone, or else the whole list.  Under the view rule
+    every ``deliver``, ``send`` and ``recv`` is eager, under the trace rule
+    only one that emits no event."""
     moves = sorted(sim.enumerate_moves(with_selections=True), key=lambda m: _search_priority(m.desc, m.msg))
-    eager = (m for m in moves if m.tag in ("deliver", "send", "recv") and sim._event(m, ()) is None)
+    eager = (m for m in moves
+             if m.tag in ("deliver", "send", "recv") and (views or sim._event(m, ()) is None))
     return next(([move] for move in eager), moves)
 
 
@@ -57,8 +61,9 @@ def test_expansion_picks_what_the_plain_rule_picks(model):
         eager = full = 0
         for base in SCENARIOS:
             for sim, children in walk(base.with_policies(*policies), model, STATES):
-                expected = reference_expansion(sim)
-                assert _expansion(sim) == expected, (base.name, policies, sim.executed)
+                expected = reference_expansion(sim, views=False)
+                assert _expansion(sim, views=False) == expected, (base.name, policies, sim.executed)
+                assert _expansion(sim, views=True) == reference_expansion(sim, views=True), sim.executed
                 for move, _ in children:  # the rule: a request's delivery or a printing recv
                     emits = (move.tag == "deliver" and move.msg.kind in REQUEST_KINDS
                              or move.tag == "recv"
@@ -67,6 +72,30 @@ def test_expansion_picks_what_the_plain_rule_picks(model):
                 eager += len(expected) < len(children)
                 full += len(expected) == len(children) > 1
         assert eager > 0 and full > 0, policies
+
+
+def test_the_view_rule_makes_request_deliveries_and_printing_recvs_eager():
+    sim = Simulation(load_scenario("intro"), "cm0")
+
+    def take(tag: str, name: str) -> None:  # name: a send's agent, else the message's request
+        moves = sim.enumerate_moves(True)
+        [move] = [m for m in moves if m.tag == tag and (m.msg.req if m.msg else m.agent) == name]
+        sim.apply_round([move])
+
+    for a in ("a1", "a2", "a3", "a4"):
+        take("send", a)
+    deliveries = sorted(sim.enumerate_moves(True), key=lambda m: _search_priority(m.desc, m.msg))
+    assert [m.tag for m in deliveries] == ["deliver"] * 4
+    assert _expansion(sim, views=True) == [m for m in deliveries if m.msg.req == "a1#0"]
+    assert _expansion(sim, views=False) == deliveries
+    for a in ("a1", "a2", "a3", "a4"):
+        take("deliver", f"{a}#0")
+    take("db", "a3#0")
+    take("deliver", "a3#0")  # a3's answer, which its recv prints
+    [recv] = [m for m in sim.enumerate_moves(True) if m.tag == "recv"]
+    assert sim._event(recv, ()).kind == PRINT
+    assert _expansion(sim, views=True) == [recv]
+    assert len(_expansion(sim, views=False)) == len(sim.enumerate_moves(True)) == 4
 
 
 @pytest.mark.parametrize("model", MODELS)
