@@ -4,12 +4,13 @@ and the values it is built from.
 ``_expansion`` reads candidate moves from the ``deliver``, ``send`` and
 ``recv`` groups alone, builds only the move it picks, and the full move
 list only where none of them is eager; under either rule it must still
-pick exactly what the plain rule picks.  A ``Simulation`` caches the components of its
-``state_key()`` until a round changes them; the key must still equal one
-built from scratch, whatever path led to the state.  A ``Message`` caches
-its hash and a ``DelegateState`` its key part; both must equal what their
-fields give.  ``enumerate_traces`` shares one ``TraceEvent`` per position
-and event among its traces.
+pick exactly what the plain rule picks, and at one ``intro`` state the two
+rules must differ as the view rule says.  A ``Simulation`` caches the
+components of its ``state_key()`` until a round changes them; the key must
+still equal one built from scratch, whatever path led to the state.  A
+``Message`` caches its hash and a ``DelegateState`` its key part; both must
+equal what their fields give.  ``enumerate_traces`` shares one
+``TraceEvent`` per position and event among its traces.
 """
 
 import copy
@@ -23,8 +24,8 @@ from replisim import (ALL, ONE, ExplicitSchedule, SeededSchedule, Simulation, en
 from replisim.core import Timestamp
 from replisim.messages import FWD, REQ_WRITE, REQUEST_KINDS, Message
 from replisim.policies import local_one
-from replisim.trace import PRINT
 from replisim.sim import MODELS, _expansion, _search_priority
+from replisim.trace import PRINT
 
 from corpus import SCENARIOS, walk
 
