@@ -4,7 +4,8 @@ view serialisability.
 Both checkers replay candidate orders against the single-copy oracle (the
 ground-model read/write operations on a flat store) and therefore depend
 only on the trace and the scenario's initial data, never on the schedule
-that produced the trace.
+that produced the trace.  They run one placement search (``_Placements``),
+and each supplies only the steps out of a state and the state's key.
 
 A check first validates every request against the scenario, once, with
 cm0's validators (``Condition.check_arity``, ``check_writeset``): an invalid
@@ -21,8 +22,8 @@ shares its parent's store and that store's ``state_key()``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 # db_perform_write is not called here: a replay sets compiled write pairs.
@@ -81,12 +82,16 @@ class _ReqInfo:
     hi: int  # response issued (inclusive window bound)
     index: int  # position in the (hi, lo, req) order
     pairs: tuple  # a write's cm0.write_pairs; () for reads
+    queue: int  # the agent's position in name order
+    pos: int  # position in the agent's own order
 
 
 def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
     """One record per request, in (hi, lo, req) order, a write with its
-    compiled pairs.  Given ``cfg``, every request is validated against it
-    here, once, with cm0's own validators, before any replay."""
+    compiled pairs.  A trace in which an agent issues a request before its
+    previous one is answered is refused, so an agent's requests come in one
+    order by issue and by answer.  Given ``cfg``, every request is validated
+    against it here, once, with cm0's own validators, before any replay."""
     events = {REQ: {}, RESP: {}}
     for e in trace.events:
         seen = events.get(e.kind)
@@ -106,8 +111,14 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
         if r.agent != a.agent:
             raise IncompleteTraceError(f"request {req} of {r.agent} is answered to {a.agent}")
         windows.append((a.idx, r.idx, req))
+    queues = {agent: n for n, agent in enumerate(sorted({r.agent for r in reqs.values()}))}
+    last: dict = {}  # agent -> its request answered last so far
     infos = []
     for index, (hi, lo, req) in enumerate(sorted(windows)):
+        agent = reqs[req].agent
+        prev = last.get(agent)
+        if prev is not None and lo < prev.hi:
+            raise IncompleteTraceError(f"agent {agent} has requests {prev.req} and {req} open at once")
         payload, resp = reqs[req].payload, resps[req].payload
         if len(payload) != 3 or payload[0] not in ("read", "write"):
             raise IncompleteTraceError(f"request {req} is neither a read nor a write")
@@ -132,19 +143,10 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
                 for k, v in body:
                     check_writeset({k: v}, cfg, rid)
             answer, pairs = None, write_pairs(rid, body)
-        agent = reqs[req].agent
-        infos.append(_ReqInfo(req, agent, tag, rid, body, answer, lo, hi, index, pairs))
+        pos = 0 if prev is None else prev.pos + 1
+        last[agent] = info = _ReqInfo(req, agent, tag, rid, body, answer, lo, hi, index, pairs, queues[agent], pos)
+        infos.append(info)
     return infos
-
-
-def _read_values(infos) -> frozenset:
-    """Every (relation, key, value) some read answer contains."""
-    seen = set()
-    for info in infos:
-        if info.kind == "read":
-            for k, v in info.answer:
-                seen.add((info.rid, k, v))
-    return frozenset(seen)
 
 
 def _read_memo(cfg: ClusterConfig):
@@ -184,24 +186,23 @@ def _replay_writes(flat: FlatStore, batch, skipped: frozenset):
     return flat
 
 
-def _waiver_choices(batch, read_values: frozenset):
+def _waiver_choices(batch, readers):
     """All ways to leave unread write pairs unapplied, the all-applied
-    variant first.  A written value that no agent ever reads does not
-    constrain the flattening, so the replay may drop it; deletions are never
-    read back as values and are always droppable."""
+    variant first.  A written value that no agent ever reads (not in
+    ``readers``) does not constrain the flattening, so the replay may drop
+    it; deletions are never read back as values and are always droppable."""
     waivable = []
     for info in batch:
-        if info.kind != "write":
-            continue
-        for (rid, k), v in info.pairs:
-            if v is UNDEF or (rid, k, v) not in read_values:
-                waivable.append((info.req, k))
+        for loc, v in info.pairs:
+            if v is UNDEF or (loc, v) not in readers:
+                waivable.append((info.req, loc[1]))
     for n in range(len(waivable) + 1):
         for combo in itertools.combinations(waivable, n):
             yield frozenset(combo)
 
 
 _OUT_OF_BUDGET = object()
+_NO_WAIVER = frozenset()
 
 
 def _search(root, key, expand, done, budget: int):
@@ -252,6 +253,97 @@ def _search(root, key, expand, done, budget: int):
     return None, nodes
 
 
+class _Placements:
+    """The search both checkers run.  It places every request, each agent's
+    in the agent's own order, and replays each step against one flat store:
+    a step places a batch of agents' next requests, whose reads see the
+    store before it and whose writes then apply together, less the pairs
+    the step waives.  An agent has one request open at a time
+    (``_request_infos``), so the requests done per agent name every set of
+    placed requests.  A state is (requests done per agent, flat store, the
+    store's ``state_key()``, the state's key), and a checker supplies only
+    the steps out of a state and the key, which names what the state's
+    subtree depends on (``_search``).
+
+    ``write`` drops a step that loses a value an unplaced read needs (the
+    reads-from argument of Gibbons and Korach, "Testing shared memories",
+    1997): the step changes a location from ``old`` while an unplaced read
+    has the row (location, ``old``) in its recorded answer, and no unplaced
+    write that may precede that read writes ``old`` back there.  Such a step
+    has no completion: a read placed later sees the store the step leaves,
+    changed only by writes placed in between, which are other agents' or
+    ones the reader's own agent queues before it.  Only subtrees without a
+    completion are cut, so the search order, the first witness and the
+    failed-state cache stay exact.  The root is judged by the same rule over
+    every row of every read's answer that the initial store does not hold,
+    and a root that fails it has no children.  The rule then holds at every
+    state entered, for every row an unplaced read needs: a step changes only
+    the locations it writes, a row it stops holding is an ``old`` it
+    checked, and a write it places applies every pair whose value a read
+    holds (such a pair is never waived), so the store then holds that row.
+
+    Per check, each (read, store key) is evaluated once and each (batch,
+    waiver, store key) replayed once.  Stores with equal contents are one
+    object per check, so a memo lookup matches keys by identity."""
+
+    def __init__(self, trace: Trace, scenario: Scenario):
+        infos = _request_infos(trace, scenario.cfg)
+        self.reproduces = _read_memo(scenario.cfg)
+        self.queues = [[] for _ in {info.agent for info in infos}]
+        self.readers: dict = {}  # (location, value) -> each read whose answer holds it
+        self.writers: dict = {}  # (location, value) -> each write that writes it
+        for info in infos:  # answer order, which is each agent's own order
+            self.queues[info.queue].append(info)
+            if info.kind == "read":
+                for k, v in info.answer:
+                    self.readers.setdefault(((info.rid, k), v), []).append(info)
+            for row in info.pairs:
+                self.writers.setdefault(row, []).append(info)
+        self.total = tuple(map(len, self.queues))
+        self.root = ((0,) * len(self.queues), scenario.initial, scenario.initial.state_key())
+        self.written: dict = {}  # (batch, waiver, store key) -> (store, store key) after it, or None
+        self.stores: dict = {}  # store key -> (store, store key), the first store with those contents
+
+    def lost(self, progress, row) -> bool:
+        """Whether ``row``, not in the store, is lost to a read not done in ``progress``."""
+        for r in self.readers.get(row, ()):
+            if r.pos >= progress[r.queue] and not any(
+                    w.pos >= progress[w.queue] and (w.queue != r.queue or w.pos < r.pos)
+                    for w in self.writers.get(row, ())):
+                return True
+        return False
+
+    def write(self, flat: FlatStore, flat_key, batch, skipped: frozenset, progress):
+        """(store, store key) once ``batch`` writes its pairs but ``skipped``
+        to ``flat``, leaving ``progress`` done; None when two pairs conflict
+        or the step loses a value that a read not done needs."""
+        for info in batch:
+            for loc, v in info.pairs:
+                if ((old := flat.data.get(loc, UNDEF)) != v and (not skipped or (info.req, loc[1]) not in skipped)
+                        and self.lost(progress, (loc, old))):
+                    return None
+        memo = (batch, skipped, flat_key)
+        if memo not in self.written:
+            after = _replay_writes(flat, batch, skipped)
+            if after is not None:
+                key = flat_key if after is flat else after.state_key()
+                after = self.stores.setdefault(key, (after, key))
+            self.written[memo] = after
+        return self.written[memo]
+
+    def search(self, root, children, budget: int, kinds) -> Verdict:
+        """The verdict ``kinds[0]``, with the first witness below ``root`` in
+        ``children`` order and the pairs it waives, or else ``kinds[1]``."""
+        progress, flat = root[:2]
+        feasible = not any(flat.data.get(loc, UNDEF) != v and self.lost(progress, (loc, v)) for loc, v in self.readers)
+        steps, nodes = _search(root, itemgetter(3), children if feasible else lambda state: (),
+                               lambda state: state[0] == self.total, budget)
+        if steps is _OUT_OF_BUDGET or steps is None:
+            return Verdict(kinds[1], exhaustive=steps is None, replays=nodes)
+        waived = frozenset().union(*(skipped for _, skipped in steps))
+        return Verdict(kinds[0], True, tuple(batch for batch, _ in steps), nodes, tuple(sorted(waived)))
+
+
 def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_000) -> Verdict:
     """Search for one execution point per request, inside its issue/answer
     window, such that replaying the requests in point order against a single
@@ -264,74 +356,54 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
     the witness assignment, otherwise INCOMPATIBLE (exhaustive when the
     search space was fully covered).
 
-    A search state is (placed requests as a bitmask over the (hi, lo, req)
-    order, flat store, last point, the store's ``state_key()``); ``budget``
-    bounds the states entered, and ``replays`` reports them.
-    """
-    cfg = scenario.cfg
-    infos = _request_infos(trace, cfg)
-    reproduces = _read_memo(cfg)
-    read_values = _read_values(infos)
-    everything = (1 << len(infos)) - 1
-    lo_from = [math.inf] * (len(infos) + 1)  # lo_from[n]: the smallest lo in infos[n:]
-    for info in reversed(infos):
-        lo_from[info.index] = min(info.lo, lo_from[info.index + 1])
+    A step of the placement search (``_Placements``) places a batch at one
+    point, after the last point and inside every member's window.  The
+    unplaced request answered first must be in the batch or after it, so a
+    batch holds only requests issued before that answer, which are agents'
+    next requests: an agent issues a request only once its previous one is
+    answered.  Batches are tried by size, each size in (hi, lo, req) order,
+    and each batch with every waiver of its unread write pairs, the
+    all-applied one first.  A state's key is (requests done per agent, the
+    store's ``state_key()``, last point).
 
-    def first_unplaced(placed: int) -> _ReqInfo:
-        return infos[(~placed & (placed + 1)).bit_length() - 1]
+    A batch that loses a value an unplaced read needs has no completion.
+    Every later batch comes at a later point, so a read placed later sees
+    the store this batch leaves; a read in the batch saw the store before
+    it, and is done, as is every write in the batch.  A waived pair changes
+    nothing, and a pair whose value some read holds is never waived, so a
+    waiver neither loses such a value nor keeps a write from putting it
+    back.  ``budget`` bounds the states entered, ``replays`` reports them."""
+    place = _Placements(trace, scenario)
+    queues, readers, reproduces, write = place.queues, place.readers, place.reproduces, place.write
 
-    def expand(state):
-        # The unplaced request with the smallest ``hi`` must be placed in
-        # the batch or after it, so a batch holds only requests issued
-        # before that bound: any other member would push the point past it.
-        placed, flat, last_point, flat_key = state
-        first = first_unplaced(placed)
-        bound = first.hi
-        order = []
-        n = first.index
-        while lo_from[n] < bound:
-            if not placed >> n & 1 and infos[n].lo < bound:
-                order.append(infos[n])
-            n += 1
+    def children(state):
+        progress, flat, flat_key, (_, _, last_point) = state
+        nexts = [queue[done] for queue, done in zip(queues, progress) if done < len(queue)]
+        nexts.sort(key=attrgetter("index"))
+        bound = nexts[0].hi
+        order = [info for info in nexts if info.lo < bound]
         for size in range(1, len(order) + 1):
-            for combo in itertools.combinations(order, size):
-                point = max(last_point + 1, max(i.lo + 1 for i in combo))
-                if any(point > i.hi for i in combo):
+            for batch in itertools.combinations(order, size):
+                point = max(last_point + 1, max(info.lo for info in batch) + 1)
+                if point > bound or point == bound and any(i.hi == bound and i not in batch for i in order):
                     continue
-                now_placed = placed | sum(1 << i.index for i in combo)
-                if now_placed != everything and first_unplaced(now_placed).hi <= point:
+                if not all(reproduces(info, flat, flat_key) for info in batch if info.kind == "read"):
                     continue
-                if not all(reproduces(i, flat, flat_key) for i in combo if i.kind == "read"):
-                    continue
-                for skipped in _waiver_choices(combo, read_values):
-                    flat2 = _replay_writes(flat, combo, skipped)
-                    if flat2 is not None:
-                        key2 = flat_key if flat2 is flat else flat2.state_key()
-                        step = ((point, tuple(i.req for i in combo)), skipped)
-                        yield step, (now_placed, flat2, point, key2)
+                now = list(progress)
+                for info in batch:
+                    now[info.queue] += 1
+                now = tuple(now)
+                step = (point, tuple(info.req for info in batch))
+                for skipped in _waiver_choices(batch, readers):
+                    if (after := write(flat, flat_key, batch, skipped, now)) is not None:
+                        yield (step, skipped), (now, *after, (now, after[1], point))
 
     # Points only grow and each exceeds its request's issue index, so the
     # search starts from the smallest issue index, whatever its sign.
-    start = min((i.lo for i in infos), default=0)
-    root = (0, scenario.initial, start, scenario.initial.state_key())
-    steps, nodes = _search(
-        root,
-        key=lambda state: (state[0], state[3], state[2]),
-        expand=expand,
-        done=lambda state: state[0] == everything,
-        budget=budget,
-    )
-    if steps is _OUT_OF_BUDGET:
-        return Verdict(INCOMPATIBLE, exhaustive=False, replays=nodes)
-    if steps is None:
-        return Verdict(INCOMPATIBLE, exhaustive=True, replays=nodes)
-    return Verdict(
-        COMPATIBLE,
-        exhaustive=True,
-        witness=tuple(batch for batch, _ in steps),
-        replays=nodes,
-        waived=tuple(sorted(frozenset().union(*(skipped for _, skipped in steps)))),
-    )
+    start = min((queue[0].lo for queue in queues), default=0)
+    progress, flat, flat_key = place.root
+    return place.search((progress, flat, flat_key, (progress, flat_key, start)), children, budget,
+                        (COMPATIBLE, INCOMPATIBLE))
 
 
 def is_serial(trace: Trace) -> bool:
@@ -340,17 +412,11 @@ def is_serial(trace: Trace) -> bool:
     requests have simultaneous answers."""
     infos = _request_infos(trace)
     events = [e for e in trace.events if e.kind in (REQ, RESP)]
-    resp_idx = {i.req: i.hi for i in infos}
     for info in infos:
-        for e in events:
-            if e.req == info.req:
-                continue
-            if info.lo <= e.idx <= info.hi:
-                if e.idx == info.lo or e.idx == info.hi:
-                    continue
-                return False
+        if any(e.req != info.req and info.lo < e.idx < info.hi for e in events):
+            return False
     for a, b in itertools.combinations(infos, 2):
-        if a.lo == b.lo and resp_idx[a.req] != resp_idx[b.req]:
+        if a.lo == b.lo and a.hi != b.hi:
             return False
     return True
 
@@ -382,57 +448,20 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
     order (each state's children by agent name), and the first valid one is
     the witness.
 
-    A search state is (requests done per agent, flat store, the store's
-    ``state_key()``, the state's key).  The key is (canonical progress, the
-    store's ``state_key()``), where the canonical progress advances each
-    agent past its leading reads whose recorded answers the store
-    reproduces.  A read writes nothing, so a read that matches now can be
-    moved to the front of any completion of the state, and the completion
-    stays valid: the store each later request sees is unchanged, and the
-    read is its agent's next request.  A state and its canonical form
-    therefore either both have a completion or both have none, and the
-    failed-state cache stays exact.  Taking a matching read leaves the key
-    as it was, so a read child gets its parent's key without recomputing
-    it.
-
-    A value a read still needs is never lost (the reads-from argument of
-    Gibbons and Korach, "Testing shared memories", 1997): a write child is
-    not yielded when the write changes a location from ``old`` while a read
-    undone in the child's progress has the row (location, ``old``) in its
-    recorded answer, and no undone write that may precede that read writes
-    ``old`` back there.  Any other agent's undone write may precede it, but
-    one of the reader's own agent only when it is queued before the read.
-    Every completion of such a child runs the read on a store without that
-    row, so only subtrees without a completion are cut: the search order,
-    the first witness and the failed-state cache stay exact.  The root is
-    judged by the same rule over every row of every read's answer that the
-    initial store does not hold, and a root that fails it has no children.
-    The rule then holds at every state entered, for every row an undone
-    read needs: a write step changes only the locations it writes, a row it
-    stops holding is an ``old`` it checked, and a write it uses up writes a
-    row the store now holds.  Per call, each (read, store key) is evaluated
-    once and each (write, store key) replayed once.  ``budget`` bounds the
-    states entered, ``replays`` reports them."""
-    cfg = scenario.cfg
-    infos = _request_infos(trace, cfg)
-    reproduces = _read_memo(cfg)
-    by_agent: dict = {}
-    for info in sorted(infos, key=lambda i: i.lo):
-        by_agent.setdefault(info.agent, []).append(info)
-    queues = [by_agent[a] for a in sorted(by_agent)]
-    total = tuple(len(queue) for queue in queues)
-    readers: dict = {}  # (location, value) -> (agent, position) of each read whose answer holds it
-    writers: dict = {}  # (location, value) -> (agent, position) of each write that writes it
-    for n, queue in enumerate(queues):
-        for pos, info in enumerate(queue):
-            if info.kind == "read":
-                for k, v in info.answer:
-                    readers.setdefault(((info.rid, k), v), []).append((n, pos))
-            else:
-                for row in info.pairs:
-                    writers.setdefault(row, []).append((n, pos))
-    written: dict = {}  # (write index, store key) -> (store, store key) after it, or None
-    stores: dict = {}  # store key -> (store, store key), the first store with those contents
+    A step of the placement search (``_Placements``) is one agent's next
+    request.  A state's key is (canonical progress, the store's
+    ``state_key()``), where the canonical progress advances each agent past
+    its leading reads whose recorded answers the store reproduces.  A read
+    writes nothing, so a read that matches now can be moved to the front of
+    any completion of the state, and the completion stays valid: the store
+    each later request sees is unchanged, and the read is its agent's next
+    request.  A state and its canonical form therefore either both have a
+    completion or both have none, and the failed-state cache stays exact.
+    Taking a matching read leaves the key as it was, so a read child gets
+    its parent's key without recomputing it.  ``budget`` bounds the states
+    entered, ``replays`` reports them."""
+    place = _Placements(trace, scenario)
+    queues, reproduces, write = place.queues, place.reproduces, place.write
 
     def state_of(progress, flat, flat_key):
         canonical = []
@@ -443,48 +472,17 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
             canonical.append(done)
         return progress, flat, flat_key, (tuple(canonical), flat_key)
 
-    def lost(progress, row) -> bool:
-        # A read undone in ``progress`` needs ``row``, which the store does
-        # not hold, and no undone write that may precede the read writes it.
-        for n, pos in readers.get(row, ()):
-            if pos >= progress[n] and not any(
-                    wpos >= progress[wn] and (wn != n or wpos < pos) for wn, wpos in writers.get(row, ())):
-                return True
-        return False
-
-    def expand(state):
+    def children(state):
         progress, flat, flat_key, key = state
-        for n, done in enumerate(progress):
-            if done == total[n]:
+        for n, (queue, done) in enumerate(zip(queues, progress)):
+            if done == len(queue):
                 continue
-            info = queues[n][done]
+            info = queue[done]
             now = progress[:n] + (done + 1,) + progress[n + 1:]
             if info.kind == "read":
                 if reproduces(info, flat, flat_key):
-                    yield info.req, (now, flat, flat_key, key)
-                continue
-            if any(lost(now, (loc, old)) for loc, v in info.pairs if (old := flat.data.get(loc, UNDEF)) != v):
-                continue
-            if (info.index, flat_key) not in written:
-                after = _replay_writes(flat, (info,), frozenset())
-                if after is not None:  # one store per contents, so memo keys match by identity
-                    key2 = flat_key if after is flat else after.state_key()
-                    after = stores.setdefault(key2, (after, key2))
-                written[info.index, flat_key] = after
-            if (after := written[info.index, flat_key]) is not None:
-                yield info.req, state_of(now, *after)
+                    yield (info.req, _NO_WAIVER), (now, flat, flat_key, key)
+            elif (after := write(flat, flat_key, (info,), _NO_WAIVER, now)) is not None:
+                yield (info.req, _NO_WAIVER), state_of(now, *after)
 
-    start, initial = (0,) * len(queues), scenario.initial
-    feasible = not any(initial.data.get(loc, UNDEF) != v and lost(start, (loc, v)) for loc, v in readers)
-    steps, nodes = _search(
-        state_of(start, initial, initial.state_key()),
-        key=lambda state: state[3],
-        expand=expand if feasible else lambda state: (),
-        done=lambda state: state[0] == total,
-        budget=budget,
-    )
-    if steps is _OUT_OF_BUDGET:
-        return Verdict(NOT_SERIALISABLE, exhaustive=False, replays=nodes)
-    if steps is None:
-        return Verdict(NOT_SERIALISABLE, exhaustive=True, replays=nodes)
-    return Verdict(SERIALISABLE, exhaustive=True, witness=tuple(steps), replays=nodes)
+    return place.search(state_of(*place.root), children, budget, (SERIALISABLE, NOT_SERIALISABLE))
