@@ -267,12 +267,12 @@ def test_serial_trace_is_its_own_witness():
 
 
 def test_budget_exhaustion_is_reported_not_final():
-    # a2 reads (0) as absent after a1 wrote it twice over, so no placement
-    # reproduces that, but no lost value shows it before the read: the
-    # search needs 3 states to decide.
-    s = LOST_VALUE_SCENARIO
+    # a2 reads (0) as absent, but (0) holds 0 and nothing deletes it, so no
+    # placement reproduces that.  The answer holds no row, so no value is
+    # lost on the way, and a1's unread writes may each be waived: the
+    # search enters 6 states before it decides.
     t = _in_turn(_write("a1", 0, 1), _write("a1", 0, 2), ("a2", read_payload(), answer_payload([])))
-    v = check_view_compatible(t, s, budget=2)
+    v = check_view_compatible(t, LOST_VALUE_SCENARIO, budget=2)
     assert v.kind == "INCOMPATIBLE" and not v.exhaustive
 
 
@@ -875,8 +875,8 @@ def _assert_witness_replays(v, trace, scenario):
     infos = {i.req: i for i in _request_infos(trace)}
     read = {(i.rid, k, val) for i in infos.values() if i.kind == "read" for k, val in i.answer}
     for req, k in v.waived:
-        info = infos[req]
-        assert dict(info.body)[k] is UNDEF or (info.rid, k, dict(info.body)[k]) not in read
+        value = dict(infos[req].body)[k]
+        assert value is UNDEF or (infos[req].rid, k, value) not in read
     flat, last, placed = scenario.initial, None, []
     for point, reqs in v.witness:
         assert last is None or last < point
@@ -894,7 +894,7 @@ def _assert_witness_replays(v, trace, scenario):
 def test_compatibility_matches_brute_force_on_overlapping_traces():
     scenario = simple_scenario()  # x: (0) -> (0); (1) absent
     rng = random.Random(28)
-    seen = set()
+    kinds, batched, waived = set(), 0, 0
     for _ in range(600):
         t = _overlapping_trace(rng)
         v = check_view_compatible(t, scenario)
@@ -902,7 +902,7 @@ def test_compatibility_matches_brute_force_on_overlapping_traces():
         assert (v.kind, v.exhaustive) == ("COMPATIBLE" if want else "INCOMPATIBLE", True)
         if v.ok():
             _assert_witness_replays(v, t, scenario)
-            seen.update(("batch",) if any(len(reqs) > 1 for _, reqs in v.witness) else ())
-            seen.update(("waived",) if v.waived else ())
-        seen.add(v.kind)
-    assert seen == {"COMPATIBLE", "INCOMPATIBLE", "batch", "waived"}
+            batched += any(len(reqs) > 1 for _, reqs in v.witness)
+            waived += bool(v.waived)
+        kinds.add(v.kind)
+    assert kinds == {"COMPATIBLE", "INCOMPATIBLE"} and batched and waived
