@@ -88,10 +88,8 @@ class _ReqInfo:
 
 def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
     """One record per request, in (hi, lo, req) order, a write with its
-    compiled pairs.  A trace in which an agent issues a request before its
-    previous one is answered is refused, so an agent's requests come in one
-    order by issue and by answer.  Given ``cfg``, every request is validated
-    against it here, once, with cm0's own validators, before any replay."""
+    compiled pairs.  Given ``cfg``, every request is validated against it
+    here, once, with cm0's own validators, before any replay."""
     events = {REQ: {}, RESP: {}}
     for e in trace.events:
         seen = events.get(e.kind)
@@ -117,8 +115,6 @@ def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:
     for index, (hi, lo, req) in enumerate(sorted(windows)):
         agent = reqs[req].agent
         prev = last.get(agent)
-        if prev is not None and lo < prev.hi:
-            raise IncompleteTraceError(f"agent {agent} has requests {prev.req} and {req} open at once")
         payload, resp = reqs[req].payload, resps[req].payload
         if len(payload) != 3 or payload[0] not in ("read", "write"):
             raise IncompleteTraceError(f"request {req} is neither a read nor a write")
@@ -202,7 +198,6 @@ def _waiver_choices(batch, readers):
 
 
 _OUT_OF_BUDGET = object()
-_NO_WAIVER = frozenset()
 
 
 def _search(root, key, expand, done, budget: int):
@@ -258,12 +253,12 @@ class _Placements:
     in the agent's own order, and replays each step against one flat store:
     a step places a batch of agents' next requests, whose reads see the
     store before it and whose writes then apply together, less the pairs
-    the step waives.  An agent has one request open at a time
-    (``_request_infos``), so the requests done per agent name every set of
-    placed requests.  A state is (requests done per agent, flat store, the
-    store's ``state_key()``, the state's key), and a checker supplies only
-    the steps out of a state and the key, which names what the state's
-    subtree depends on (``_search``).
+    the step waives.  It refuses a trace in which an agent issues a request
+    before its previous one is answered, so the requests done per agent
+    name every set of placed requests.  A state is (requests done per
+    agent, flat store, the store's ``state_key()``, the state's key), and a
+    checker supplies only the steps out of a state and the key, which names
+    what the state's subtree depends on (``_search``).
 
     ``write`` drops a step that loses a value an unplaced read needs (the
     reads-from argument of Gibbons and Korach, "Testing shared memories",
@@ -292,15 +287,18 @@ class _Placements:
         self.queues = [[] for _ in {info.agent for info in infos}]
         self.readers: dict = {}  # (location, value) -> each read whose answer holds it
         self.writers: dict = {}  # (location, value) -> each write that writes it
-        for info in infos:  # answer order, which is each agent's own order
-            self.queues[info.queue].append(info)
+        for info in infos:  # answer order
+            queue = self.queues[info.queue]
+            if queue and info.lo < queue[-1].hi:
+                raise IncompleteTraceError(f"agent {info.agent} has requests {queue[-1].req} and {info.req} open at once")
+            queue.append(info)
             if info.kind == "read":
                 for k, v in info.answer:
                     self.readers.setdefault(((info.rid, k), v), []).append(info)
             for row in info.pairs:
                 self.writers.setdefault(row, []).append(info)
         self.total = tuple(map(len, self.queues))
-        self.root = ((0,) * len(self.queues), scenario.initial, scenario.initial.state_key())
+        self.initial = scenario.initial
         self.written: dict = {}  # (batch, waiver, store key) -> (store, store key) after it, or None
         self.stores: dict = {}  # store key -> (store, store key), the first store with those contents
 
@@ -313,7 +311,7 @@ class _Placements:
                 return True
         return False
 
-    def write(self, flat: FlatStore, flat_key, batch, skipped: frozenset, progress):
+    def write(self, flat: FlatStore, flat_key, batch, progress, skipped: frozenset = frozenset()):
         """(store, store key) once ``batch`` writes its pairs but ``skipped``
         to ``flat``, leaving ``progress`` done; None when two pairs conflict
         or the step loses a value that a read not done needs."""
@@ -331,17 +329,21 @@ class _Placements:
             self.written[memo] = after
         return self.written[memo]
 
-    def search(self, root, children, budget: int, kinds) -> Verdict:
-        """The verdict ``kinds[0]``, with the first witness below ``root`` in
-        ``children`` order and the pairs it waives, or else ``kinds[1]``."""
-        progress, flat = root[:2]
+    def search(self, key_of, children, budget: int, kinds) -> Verdict:
+        """The verdict ``kinds[0]``, with the first witness in ``children``
+        order and the pairs it waives, or else ``kinds[1]``.  The root is the
+        initial store with nothing done, keyed ``key_of(progress, store,
+        store key)``.  A step is a witness item, or a (batch, waiver) pair."""
+        progress, flat, flat_key = (0,) * len(self.queues), self.initial, self.initial.state_key()
+        root = (progress, flat, flat_key, key_of(progress, flat, flat_key))
         feasible = not any(flat.data.get(loc, UNDEF) != v and self.lost(progress, (loc, v)) for loc, v in self.readers)
         steps, nodes = _search(root, itemgetter(3), children if feasible else lambda state: (),
                                lambda state: state[0] == self.total, budget)
         if steps is _OUT_OF_BUDGET or steps is None:
             return Verdict(kinds[1], exhaustive=steps is None, replays=nodes)
-        waived = frozenset().union(*(skipped for _, skipped in steps))
-        return Verdict(kinds[0], True, tuple(batch for batch, _ in steps), nodes, tuple(sorted(waived)))
+        waived = frozenset().union(*(step[1] for step in steps if isinstance(step, tuple)))
+        witness = tuple(step[0] if isinstance(step, tuple) else step for step in steps)
+        return Verdict(kinds[0], True, witness, nodes, tuple(sorted(waived)))
 
 
 def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_000) -> Verdict:
@@ -395,14 +397,13 @@ def check_view_compatible(trace: Trace, scenario: Scenario, budget: int = 1_000_
                 now = tuple(now)
                 step = (point, tuple(info.req for info in batch))
                 for skipped in _waiver_choices(batch, readers):
-                    if (after := write(flat, flat_key, batch, skipped, now)) is not None:
+                    if (after := write(flat, flat_key, batch, now, skipped)) is not None:
                         yield (step, skipped), (now, *after, (now, after[1], point))
 
     # Points only grow and each exceeds its request's issue index, so the
     # search starts from the smallest issue index, whatever its sign.
     start = min((queue[0].lo for queue in queues), default=0)
-    progress, flat, flat_key = place.root
-    return place.search((progress, flat, flat_key, (progress, flat_key, start)), children, budget,
+    return place.search(lambda progress, flat, flat_key: (progress, flat_key, start), children, budget,
                         (COMPATIBLE, INCOMPATIBLE))
 
 
@@ -463,14 +464,14 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
     place = _Placements(trace, scenario)
     queues, reproduces, write = place.queues, place.reproduces, place.write
 
-    def state_of(progress, flat, flat_key):
+    def key_of(progress, flat, flat_key):
         canonical = []
         for queue, done in zip(queues, progress):
             while (done < len(queue) and queue[done].kind == "read"
                    and reproduces(queue[done], flat, flat_key)):
                 done += 1
             canonical.append(done)
-        return progress, flat, flat_key, (tuple(canonical), flat_key)
+        return tuple(canonical), flat_key
 
     def children(state):
         progress, flat, flat_key, key = state
@@ -481,8 +482,8 @@ def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_00
             now = progress[:n] + (done + 1,) + progress[n + 1:]
             if info.kind == "read":
                 if reproduces(info, flat, flat_key):
-                    yield (info.req, _NO_WAIVER), (now, flat, flat_key, key)
-            elif (after := write(flat, flat_key, (info,), _NO_WAIVER, now)) is not None:
-                yield (info.req, _NO_WAIVER), state_of(now, *after)
+                    yield info.req, (now, flat, flat_key, key)
+            elif (after := write(flat, flat_key, (info,), now)) is not None:
+                yield info.req, (now, *after, key_of(now, *after))
 
-    return place.search(state_of(*place.root), children, budget, (SERIALISABLE, NOT_SERIALISABLE))
+    return place.search(key_of, children, budget, (SERIALISABLE, NOT_SERIALISABLE))

@@ -92,6 +92,21 @@ def test_simultaneous_requests_with_split_answers_are_not_serial():
     assert not is_serial(t)
 
 
+@pytest.mark.parametrize("second", [1, 2])
+def test_is_serial_judges_one_agents_overlapping_requests(second):
+    # The checkers refuse an agent with two requests open at once;
+    # is_serial judges such a trace by its windows alone.
+    t = Trace(
+        (
+            ev(1, "REQ", "a1", "a1#0", read_payload()),
+            ev(second, "REQ", "a1", "a1#1", read_payload()),
+            ev(3, "RESP", "a1", "a1#0", answer_payload([])),
+            ev(3, "RESP", "a1", "a1#1", answer_payload([])),
+        )
+    )
+    assert is_serial(t) == (second == 1)
+
+
 def test_seeded_cm0_single_client_runs_are_serial():
     s = build("serial", [("a1", 1, "read x key=(0); write x {(0) -> (1)}")])
     r = run(s, "cm0", SeededSchedule(3))
@@ -160,24 +175,7 @@ def test_compatibility_witness_replays_exactly():
     t = run(s, "cm0", SeededSchedule(1)).trace
     v = check_view_compatible(t, s)
     assert v.kind == "COMPATIBLE"
-    infos = {i.req: i for i in _request_infos(t)}
-    flat = s.initial.clone()
-    skipped = set(v.waived)
-    points = []
-    for point, reqs in v.witness:
-        points.append(point)
-        for req in reqs:
-            info = infos[req]
-            assert info.lo < point <= info.hi
-            if info.kind == "read":
-                assert db_answer_read(flat, s.cfg, info.rid, info.body) == info.answer
-        for req in reqs:
-            info = infos[req]
-            if info.kind == "write":
-                for k, val in info.body:
-                    if (req, k) not in skipped:
-                        db_perform_write(flat, s.cfg, info.rid, {k: val})
-    assert points == sorted(points)
+    _assert_witness_replays(v, t, s)
 
 
 @pytest.mark.parametrize("first", [0, -5])
@@ -872,6 +870,9 @@ def _compatible_by_brute_force(trace, scenario) -> bool:
 
 
 def _assert_witness_replays(v, trace, scenario):
+    """A compatibility witness places every request once, inside its window,
+    at increasing points; each read reproduces its answer on the store
+    before its batch, and only pairs whose values no read holds are waived."""
     infos = {i.req: i for i in _request_infos(trace)}
     read = {(i.rid, k, val) for i in infos.values() if i.kind == "read" for k, val in i.answer}
     for req, k in v.waived:
