@@ -132,7 +132,6 @@ class MoveKind:
     fields: tuple  # descriptor fields after the tag, from _FIELDS
     run: Callable  # (sim, move) -> StepEffect
     rank: dict  # search rank by message kind; None ranks every other kind
-    footprint: Callable  # move -> (tokens written, tokens only read); see independent()
 
 
 # ---------------------------------------------------------------------------
@@ -716,65 +715,14 @@ _DELIVER_RANK = {
 }
 _STORE_RANK = {REQ_WRITE: (5, 0), REQ_READ: (5, 1), None: (7,)}
 
-# Footprint tokens: a message's ident, a client or delegate name, a relation
-# as ("rel", rid), and STORE, which stands for the replicas, the clocks and
-# the delegate table that every dc and collect move may read and write.
-STORE = ("store",)
-
-
-def _deliver_footprint(move: Move) -> tuple:
-    # commutes with a collect that deletes the receiving delegate: delivered
-    # first, the message leaves with the delegate's mailbox; after, it is dropped
-    return (move.msg.ident(),), ()
-
-
-def _send_footprint(move: Move) -> tuple:
-    return (move.agent,), ()
-
-
-def _recv_footprint(move: Move) -> tuple:
-    return (move.agent, move.msg.ident()), ()
-
-
-def _db_footprint(move: Move) -> tuple:
-    relation = ("rel", move.msg.payload[0])
-    if move.msg.kind == REQ_READ:
-        return (move.msg.ident(),), (relation,)
-    return (move.msg.ident(), relation), ()
-
-
-def _dc_footprint(move: Move) -> tuple:
-    return (move.msg.ident(), STORE), ()
-
-
-def _collect_footprint(move: Move) -> tuple:
-    return (move.msg.ident(), move.agent, STORE), ()
-
-
 MOVE_KINDS = {
-    "deliver": MoveKind(("ident",), Simulation._deliver, _DELIVER_RANK, _deliver_footprint),
-    "send": MoveKind(("agent",), Simulation._client_send, {None: (1,)}, _send_footprint),
-    "recv": MoveKind(("agent", "ident"), Simulation._client_recv, {None: (0,)}, _recv_footprint),
-    "db": MoveKind(("ident",), Simulation._db_step, _STORE_RANK, _db_footprint),
-    "dc": MoveKind(("agent", "ident", "sel"), Simulation._dc_step, _STORE_RANK, _dc_footprint),
-    "collect": MoveKind(("agent", "ident"), Simulation._collect, {None: (3,)},
-                        _collect_footprint),
+    "deliver": MoveKind(("ident",), Simulation._deliver, _DELIVER_RANK),
+    "send": MoveKind(("agent",), Simulation._client_send, {None: (1,)}),
+    "recv": MoveKind(("agent", "ident"), Simulation._client_recv, {None: (0,)}),
+    "db": MoveKind(("ident",), Simulation._db_step, _STORE_RANK),
+    "dc": MoveKind(("agent", "ident", "sel"), Simulation._dc_step, _STORE_RANK),
+    "collect": MoveKind(("agent", "ident"), Simulation._collect, {None: (3,)}),
 }
-
-
-def footprint(move: Move) -> tuple:
-    """The tokens ``move`` writes and the tokens it touches, as two frozensets."""
-    writes, reads = MOVE_KINDS[move.tag].footprint(move)
-    return frozenset(writes), frozenset(writes + reads)
-
-
-def independent(a: tuple, b: tuple) -> bool:
-    """Whether two moves with footprints ``a`` and ``b`` are independent:
-    neither writes a token the other touches.  Two independent moves enabled
-    in one state stay enabled after each other, and both orders reach states
-    with equal ``state_key()`` (``tests/test_independence.py``).  Their
-    events may come in either order, which a state key leaves out."""
-    return a[0].isdisjoint(b[1]) and b[0].isdisjoint(a[1])
 
 
 def run(
@@ -847,7 +795,7 @@ def search_schedules(
     whose trace satisfies the predicate.  The witness is the schedule the
     search executed, so it replays exactly.
 
-    Three reductions cut the search, each after Godefroid (LNCS 1032):
+    Two reductions cut the search, each after Godefroid (LNCS 1032):
 
     - Persistent sets.  ``_expansion`` under its view rule expands only the
       first eager move where a state has one, and every ``deliver``,
@@ -863,15 +811,6 @@ def search_schedules(
       never safe here and still is not: it may miss a witness.  A key
       reached before the round it was stored at is visited afresh, so the
       step limit cuts no state that is met sooner.
-    - Sleep sets.  A state's sleep set holds its parent's sleep set and the
-      moves its parent expanded before the move into it, each kept only if
-      ``independent`` of that move: both orders reach one key, covered
-      below the earlier move.  A sleeping move is not expanded.  Under state
-      caching, each visited key stores the sleep set it was expanded with
-      (Godefroid, Holzmann & Pirottin, "State-space caching revisited",
-      FMSD 7(3), 1995).  A revisit no sooner is cut only if the stored set
-      is a subset of the current one; otherwise it expands the persistent-set
-      moves that slept before but not now, and stores the intersection.
 
     A completed state is keyed like any other and never expanded.  It is
     drained in place, as ``run`` drains it, which runs the invariant checks
@@ -883,23 +822,20 @@ def search_schedules(
     states within budget with no branch cut at the step limit.
     """
     root = Simulation(scenario, model)
-    visited: dict = {}  # search key -> [least round, sleep set] it was expanded with
+    visited: dict = {}  # search key -> least round it was expanded at
     explored = 0
     cut = False  # a branch was skipped at the step limit
-    stack = [(root, {})]  # (state, sleep set as descriptor -> footprint)
+    stack = [root]
     while stack:
-        sim, sleep = stack.pop()
+        sim = stack.pop()
         explored += 1
         if explored > budget:
             return SearchResult(None, None, False, explored)
-        # a new key's entry first reads as not yet expanded; one cut at the
-        # step limit keeps it, so it is visited afresh when reached sooner
-        entry = visited.setdefault(sim.search_key(), [sim.round + 1, {}])
-        first, stored = entry
-        if sim.round >= first and stored.keys() <= sleep.keys():
+        key = sim.search_key()
+        if visited.get(key, sim.round + 1) <= sim.round:
             continue
         if sim.clients_done():
-            entry[:] = sim.round, {}  # never expanded: a later revisit is cut
+            visited[key] = sim.round  # never expanded: a later revisit is cut
             steps = tuple(sim.executed)
             if not sim.drain(step_limit):
                 cut = True
@@ -909,22 +845,15 @@ def search_schedules(
                                     explored)
             continue
         if sim.round >= step_limit:
-            cut = True
+            cut = True  # not stored, so the key is visited afresh when reached sooner
             continue
-        if sim.round < first:
-            moves = [m for m in _expansion(sim, views=True) if m.desc not in sleep]
-        else:
-            moves = [m for m in _expansion(sim, views=True) if m.desc in stored and m.desc not in sleep]
-            sleep = {d: f for d, f in sleep.items() if d in stored}
-        entry[:] = min(first, sim.round), sleep
+        visited[key] = sim.round
+        moves = _expansion(sim, views=True)
         children = []
-        covered = dict(sleep)  # the sleep set plus the moves expanded before
         for i, move in enumerate(moves, start=1):
-            fp = footprint(move)
             child = sim.clone() if i < len(moves) else sim  # nothing reads sim after its last child
             child.apply_round([move])  # one move's updates cannot conflict
-            children.append((child, {d: f for d, f in covered.items() if independent(f, fp)}))
-            covered[move.desc] = fp
+            children.append(child)
         stack.extend(reversed(children))
     return SearchResult(None, None, not cut, explored)
 
@@ -939,10 +868,11 @@ def _expansion(sim: Simulation, views: bool) -> list:
     A ``deliver``, ``send`` or ``recv`` touches only its agent's
     ``pc``/``status``/``outs`` or one message's place (in flight, in a
     mailbox, or dropped at a dead delegate, as the delegate's deletion
-    would drop it): a request's delivery has the footprint ``(ident,)`` and
-    a ``recv`` has ``(agent, ident)``.  No other enabled move touches the
-    same, the moves it enables can only follow it, and nothing disables it,
-    so it stays enabled until it is taken.  So every completed run from the
+    would drop it).  No other enabled move touches the same, so it commutes
+    with each of them: each stays enabled after the other, and both orders
+    reach equal ``search_key()`` (``tests/test_independence.py``).  The
+    moves it enables can only follow it, and nothing disables it, so it
+    stays enabled until it is taken.  So every completed run from the
     state either contains it, and can take it first, or completes without
     it, and the same run after it completes too.  Only a move that emits no
     event can be left out: a completed client has had each of its requests
@@ -957,8 +887,7 @@ def _expansion(sim: Simulation, views: bool) -> list:
     came before it.  Taking the move first keeps that agent's own event
     order and payloads, and shifts only rounds and the order of events
     across agents, which ``search_key()`` and the bundled predicates leave
-    out.  Footprints are the same under both rules, so sleep sets stay sound.
-    Any eager move will do.
+    out.  Any eager move will do.
 
     Candidates are ranked straight from those three groups of
     ``_move_groups()``, and only the move picked is built; the full list,

@@ -1,11 +1,13 @@
-"""The move independence relation and the search key against the engine.
+"""Eager moves and the search key against the engine.
 
-``search_schedules`` does not expand a sleeping move, which is sound only if
-any two moves that ``independent`` accepts commute.  Each case walks up to
-``STATES`` reachable states breadth first, every enabled move expanded.  For
-every pair of moves enabled in one state whose footprints are independent,
-each must stay enabled after the other, and both orders must reach states
-with equal ``search_key()``, and so equal ``state_key()``.
+``search_schedules`` expands only the eager move ``_expansion`` picks
+where a state has one, which is sound only if that move commutes with every
+other move enabled beside it.  Each case walks up to ``STATES`` reachable
+states breadth first, every enabled move expanded.  Where
+``_expansion(sim, views=True)`` picks one ``deliver``, ``send`` or ``recv``
+move, that move must stay enabled after every other enabled move, each of
+those must stay enabled after it, and both orders must reach states with
+equal ``search_key()``, and so equal ``state_key()``.
 
 The search de-duplicates on ``search_key()``, which is sound for a predicate
 that reads each agent's own history only if equal keys mean equal
@@ -13,11 +15,13 @@ per-agent (kind, req, payload) histories.  That is checked over every
 reachable state of a few corpus scenarios.
 """
 
+from typing import Optional
+
 import pytest
 
 from replisim import ALL, ONE, Simulation
 from replisim.policies import local_one
-from replisim.sim import MODELS, footprint, independent
+from replisim.sim import MODELS, _expansion
 
 from corpus import SCENARIOS, walk
 
@@ -25,45 +29,49 @@ STATES = 200
 CORPUS = {scenario.name: scenario for scenario in SCENARIOS}
 
 
-def commuting_pairs(succ: list) -> int:
-    """Check every independent pair of moves among one state's successors;
-    return how many there were."""
-    pairs = 0
-    for i, (a, after_a, enabled_a) in enumerate(succ):
-        for b, after_b, enabled_b in succ[i + 1:]:
-            if not independent(footprint(a), footprint(b)):
-                continue
-            pairs += 1
-            da, db = a.desc, b.desc
-            assert db in enabled_a and da in enabled_b, (da, db)
-            ab, ba = after_a.clone(), after_b.clone()
-            ab.apply_round([enabled_a[db]])
-            ba.apply_round([enabled_b[da]])
-            assert ab.search_key() == ba.search_key(), (da, db)
-    return pairs
+def commuting_pairs(sim, children: list) -> Optional[int]:
+    """Check the eager move ``_expansion`` picks at ``sim`` against every
+    other enabled move; return how many others there were, or None where
+    it picks none."""
+    picked = _expansion(sim, views=True)
+    if len(picked) != 1 or picked[0].tag not in ("deliver", "send", "recv"):
+        return None
+    enabled = {move.desc: (move, child, {m.desc: m for m in child.enumerate_moves(with_selections=True)})
+               for move, child in children}
+    da = picked[0].desc
+    _, after_a, enabled_a = enabled.pop(da)
+    for db, (_, after_b, enabled_b) in enabled.items():
+        assert db in enabled_a and da in enabled_b, (da, db)
+        ab, ba = after_a.clone(), after_b.clone()
+        ab.apply_round([enabled_a[db]])
+        ba.apply_round([enabled_b[da]])
+        assert ab.search_key() == ba.search_key(), (da, db)
+    return len(enabled)
 
 
-def checked_pairs(scenario, model) -> int:
-    """Walk up to ``STATES`` distinct states breadth first and check the
-    independent pairs enabled in each."""
-    pairs = 0
+def checked_pairs(scenario, model) -> tuple:
+    """Walk up to ``STATES`` distinct states breadth first; return how many
+    had an eager move and how many pairs were checked."""
+    states = pairs = 0
     for sim, children in walk(scenario, model, STATES):
-        succ = []
-        for move, child in children:
+        for move, _ in children:
             assert sim.resolve_descriptor(move.desc) == move
-            succ.append((move, child, {m.desc: m for m in child.enumerate_moves(with_selections=True)}))
-        pairs += commuting_pairs(succ)
-    return pairs
+        n = commuting_pairs(sim, children)
+        if n is not None:
+            states += 1
+            pairs += n
+    return states, pairs
 
 
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("policies", ((ONE, ONE), (ALL, ALL)), ids=("ONE-ONE", "ALL-ALL"))
-def test_independent_moves_commute(model, policies):
-    pairs = 0
+def test_eager_moves_commute(model, policies):
+    states = pairs = 0
     for base in SCENARIOS:
-        scenario = base.with_policies(*policies)
-        pairs += checked_pairs(scenario, model)
-    assert pairs > 0
+        s, p = checked_pairs(base.with_policies(*policies), model)
+        states += s
+        pairs += p
+    assert states > 0 and pairs > 0
 
 
 def histories(sim) -> dict:

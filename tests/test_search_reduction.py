@@ -1,15 +1,15 @@
 """``search_schedules`` against ``enumerate_traces`` on a corpus subset.
 
 The search expands one eager move where a state has one, by the view rule,
-de-duplicates on ``search_key`` and keeps sleep sets across revisits.  None
-of that may lose a view: a search whose predicate never holds is exhausted
-and is asked about exactly the per-agent projections (each agent's own
-(kind, req, payload) sequence) of the enumerated traces.  Nor may it change
-its answer: it finds a witness exactly when some enumerated trace
-satisfies the predicate, and reports ``exhausted`` when it finds none.  The
-bundled predicates read only each agent's own payload history, which rank
-compression keeps, so they can be asked of enumerated traces.  Every
-witness replays under ``run`` to the trace the search returned.
+and de-duplicates on ``search_key``.  Neither may lose a view: a search
+whose predicate never holds is exhausted and is asked about exactly the
+per-agent projections (each agent's own (kind, req, payload) sequence) of
+the enumerated traces.  Nor may it change its answer: it finds a witness
+exactly when some enumerated trace satisfies the predicate, and reports
+``exhausted`` when it finds none.  The bundled predicates read only each
+agent's own payload history, which rank compression keeps, so they can be
+asked of enumerated traces.  Every witness replays under ``run`` to the
+trace the search returned.
 
 The search key holds no round, so under ``LOCAL_ONE``, where runs meet in
 one state at two rounds, each key is expanded again when it is reached
@@ -18,7 +18,7 @@ sooner; the step limit stays exact.
 
 import pytest
 
-from replisim import ONE, ALL, enumerate_traces, run, search_schedules
+from replisim import ONE, ALL, Simulation, enumerate_traces, run, search_schedules
 from replisim.policies import local_one
 from replisim.predicates import BUILTIN_PREDICATES
 from replisim.sim import MODELS
@@ -80,3 +80,22 @@ def test_step_limit_is_exact_where_one_state_is_reached_at_two_rounds():
     replay = run(scenario, "cm2", result.witness, step_limit=10)
     assert replay.completed
     assert replay.trace.events == result.trace.events
+
+
+def test_a_completed_state_whose_drain_passes_the_step_limit_is_cut(monkeypatch):
+    # cm2 forwards the write to the other data centre, and under ONE the
+    # client has its ack while the forwarded write is still in flight.
+    scenario = build("w", [("a1", 1, "write x {(0) -> (1)}")]).with_policies(ONE, ONE)
+    found = search_schedules(scenario, "cm2", lambda trace, scenario: True)
+    done = len(found.witness.steps)  # the round the client finishes at
+    drained = []
+    drain = Simulation.drain
+
+    def recorded_drain(sim, step_limit):
+        drained.append(drain(sim, step_limit))
+        return drained[-1]
+
+    monkeypatch.setattr(Simulation, "drain", recorded_drain)
+    result = search_schedules(scenario, "cm2", lambda trace, scenario: True, step_limit=done)
+    assert (result.witness, result.exhausted) == (None, False)
+    assert drained and not any(drained)  # the client finished, its traffic did not
