@@ -1,6 +1,5 @@
-"""Schedule-search outputs against a fixture recorded when the search
-gained its eager-move persistent sets and its ``search_key`` de-duplication,
-and re-recorded when it dropped its sleep sets.
+"""Schedule-search outputs, under its eager-move persistent sets and its
+``search_key`` de-duplication, against a recorded fixture.
 
 ``search_fixture.json`` holds, for each bundled scenario x cm0/cm1/cm2 x
 builtin predicate x step limit (the default, and 9, which cuts most runs)
