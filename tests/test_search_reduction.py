@@ -18,7 +18,7 @@ sooner; the step limit stays exact.
 
 import pytest
 
-from replisim import ONE, ALL, Simulation, enumerate_traces, run, search_schedules
+from replisim import ONE, ALL, enumerate_traces, run, search_schedules
 from replisim.policies import local_one
 from replisim.predicates import BUILTIN_PREDICATES
 from replisim.sim import MODELS
@@ -80,22 +80,3 @@ def test_step_limit_is_exact_where_one_state_is_reached_at_two_rounds():
     replay = run(scenario, "cm2", result.witness, step_limit=10)
     assert replay.completed
     assert replay.trace.events == result.trace.events
-
-
-def test_a_completed_state_whose_drain_passes_the_step_limit_is_cut(monkeypatch):
-    # cm2 forwards the write to the other data centre, and under ONE the
-    # client has its ack while the forwarded write is still in flight.
-    scenario = build("w", [("a1", 1, "write x {(0) -> (1)}")]).with_policies(ONE, ONE)
-    found = search_schedules(scenario, "cm2", lambda trace, scenario: True)
-    done = len(found.witness.steps)  # the round the client finishes at
-    drained = []
-    drain = Simulation.drain
-
-    def recorded_drain(sim, step_limit):
-        drained.append(drain(sim, step_limit))
-        return drained[-1]
-
-    monkeypatch.setattr(Simulation, "drain", recorded_drain)
-    result = search_schedules(scenario, "cm2", lambda trace, scenario: True, step_limit=done)
-    assert (result.witness, result.exhausted) == (None, False)
-    assert drained and not any(drained)  # the client finished, its traffic did not
