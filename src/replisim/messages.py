@@ -64,6 +64,10 @@ def delegate_agent(req: str) -> str:
 
 
 class StepEffect:
+    """A step's update set and sends.  Once returned, an effect is a value:
+    the engine only reads it, and a walk's memo (``Simulation._effect``)
+    shares one effect among the steps with equal inputs."""
+
     __slots__ = ("updates", "sends")
 
     def __init__(self, updates: Optional[dict] = None, sends: Optional[list] = None):

@@ -209,7 +209,7 @@ _KEY_PARTS = (
     lambda s: tuple([s.mailbox[i[3]][i] for i in sorted([i for box in s.mailbox.values() for i in box])]),
     lambda s: tuple([s.delegates[gid].key_part for gid in sorted(s.delegates)]),
 )
-_INFLIGHT, _MAILBOX = 5, 6
+_TICKS, _STORE, _INFLIGHT, _MAILBOX = 3, 4, 5, 6
 # the component each update location's tag changes
 _PART_OF = {"pc": 0, "status": 1, "out": 2, "clock": 3, "flat": 4, "rep": 4, "delegate": 7}
 
@@ -248,6 +248,7 @@ class Simulation:
         self.clients = tuple((a, ("send", a), ("recv", a)) for a in sorted(scenario.programs))
         self.lengths = {a: len(scenario.programs[a]) for a, _, _ in self.clients}
         self._key: list = [None] * len(_KEY_PARTS)  # cached components, None once stale
+        self._memo: Optional[dict] = None  # a walk's step effects (``_effect``), shared by clones
         if self.replicas is not None:
             self._check_invariants(
                 {(rid, j, k) for (rid, j, _, _), copy in self.replicas.data.items() for k in copy}
@@ -273,6 +274,7 @@ class Simulation:
         s.executed = list(self.executed)
         s.clients, s.lengths, s.stores = self.clients, self.lengths, self.stores
         s._key = list(self._key)  # the components are immutable, so shared
+        s._memo = self._memo
         return s
 
     def home_agent(self, client: str) -> str:
@@ -319,8 +321,15 @@ class Simulation:
         if None in key:
             for i, part in enumerate(key):
                 if part is None:
-                    key[i] = _KEY_PARTS[i](self)
+                    self._part(i)
         return tuple(key)
+
+    def _part(self, i: int):
+        """``state_key()``'s component ``i``, cached in ``_key``."""
+        part = self._key[i]
+        if part is None:
+            part = self._key[i] = _KEY_PARTS[i](self)
+        return part
 
     def search_key(self) -> tuple:
         """``search_schedules``' de-duplication key: ``state_key()`` plus
@@ -479,6 +488,25 @@ class Simulation:
     def execute_move(self, move: Move) -> StepEffect:
         return MOVE_KINDS[move.desc[0]].run(self, move)
 
+    def _effect(self, move: Move) -> StepEffect:
+        """``execute_move(move)``, or in a walk (``_memo`` set) the effect of
+        an earlier step with equal inputs.  A ``db`` or ``dc`` step reads its
+        descriptor, its message, the ticks and the store; a ``collect`` its
+        descriptor, its message and its delegate's whole value (``key_part``
+        leaves out ``log``).  The scenario is fixed within a walk, and the
+        engine's own checks in ``apply_round`` still run at every state."""
+        tag = move.desc[0]
+        if self._memo is None or tag in ("deliver", "send", "recv"):  # cheap steps
+            return self.execute_move(move)
+        if tag == "collect":
+            delegate = self.delegates[move.desc[1]]
+            key = move.desc, move.msg, delegate.key_part, delegate.log
+        else:
+            key = move.desc, move.msg, self._part(_TICKS), self._part(_STORE)
+        if (eff := self._memo.get(key)) is None:
+            eff = self._memo[key] = self.execute_move(move)
+        return eff
+
     def _deliver(self, move: Move) -> StepEffect:
         return StepEffect()  # the engine moves the message
 
@@ -538,7 +566,7 @@ class Simulation:
     def apply_round(self, moves: list) -> None:
         if not moves:
             raise ConfigError("a global step needs at least one move")
-        effects = [self.execute_move(m) for m in moves]
+        effects = [self._effect(m) for m in moves]
         # a discarded round leaves the state as it was, so check before
         # anything changes; one move's updates cannot conflict
         merged: dict = effects[0].updates
@@ -822,6 +850,7 @@ def search_schedules(
     states within budget with no branch cut at the step limit.
     """
     root = Simulation(scenario, model)
+    root._memo = {}  # one per walk, shared by its clones
     visited: dict = {}  # search key -> least round it was expanded at
     explored = 0
     cut = False  # a branch was skipped at the step limit
@@ -945,7 +974,9 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
                     nodes.append(m)
         return frozenset(closed)
 
-    root = node(Simulation(scenario, model))
+    first = Simulation(scenario, model)
+    first._memo = {}  # one per walk, shared by its clones
+    root = node(first)
     while stack:
         n, sim = stack.pop()
         moves, seen = _expansion(sim, views=False), len(sim.events)
