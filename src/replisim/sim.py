@@ -844,10 +844,9 @@ def search_schedules(
     drained in place, as ``run`` drains it, which runs the invariant checks
     and can trip the step limit; the predicate sees the drained trace.
     ``explored`` counts the states popped from the stack, revisits included:
-    the root, and one applied move for each other state, made on a clone
-    of its parent or, for the parent's last child, on the parent itself.
-    ``budget`` caps it.  ``exhausted`` is True when the search ran out of
-    states within budget with no branch cut at the step limit.
+    the root, and one of ``_children`` for each other state.  ``budget``
+    caps it.  ``exhausted`` is True when the search ran out of states
+    within budget with no branch cut at the step limit.
     """
     root = Simulation(scenario, model)
     root._memo = {}  # one per walk, shared by its clones
@@ -877,14 +876,19 @@ def search_schedules(
             cut = True  # not stored, so the key is visited afresh when reached sooner
             continue
         visited[key] = sim.round
-        moves = _expansion(sim, views=True)
-        children = []
-        for i, move in enumerate(moves, start=1):
-            child = sim.clone() if i < len(moves) else sim  # nothing reads sim after its last child
-            child.apply_round([move])  # one move's updates cannot conflict
-            children.append(child)
-        stack.extend(reversed(children))
+        stack.extend(reversed(_children(sim, views=True)))
     return SearchResult(None, None, not cut, explored)
+
+
+def _children(sim: Simulation, views: bool) -> list:
+    """The states after each move of ``_expansion(sim, views)``, in its
+    order.  Each is made on a clone of ``sim``, except the last, which is
+    ``sim`` itself: no walk reads a state after its last child."""
+    moves = _expansion(sim, views)
+    children = [sim.clone() for _ in moves[1:]] + [sim] if moves else []
+    for child, move in zip(children, moves):
+        child.apply_round([move])  # one move's updates cannot conflict
+    return children
 
 
 def _expansion(sim: Simulation, views: bool) -> list:
@@ -952,18 +956,6 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
     """
     ids: dict = {}  # state key -> node
     edges: list = [{}]  # node -> {event or None: [node]}
-    stack: list = []  # states still to expand, with their nodes
-
-    def node(sim: Simulation) -> int:
-        if sim.clients_done():
-            return 0
-        n = ids.setdefault(sim.state_key(), len(edges))
-        if n == len(edges):
-            if n > max_states:
-                raise ConfigError(f"trace enumeration exceeded {max_states} states")
-            edges.append({})
-            stack.append((n, sim))
-        return n
 
     def closure(nodes: list) -> frozenset:
         closed = set(nodes)
@@ -976,16 +968,22 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
 
     first = Simulation(scenario, model)
     first._memo = {}  # one per walk, shared by its clones
-    root = node(first)
+    root = 0 if first.clients_done() else 1
+    stack = [(first, None, None)]  # (state, its parent's node, the event of the edge to it)
     while stack:
-        n, sim = stack.pop()
-        moves, seen = _expansion(sim, views=False), len(sim.events)
-        for i, move in enumerate(moves, start=1):
-            child = sim.clone() if i < len(moves) else sim  # nothing reads sim after its last child
-            child.apply_round([move])  # one move's updates cannot conflict
+        sim, parent, event = stack.pop()
+        n = 0 if sim.clients_done() else ids.setdefault(sim.state_key(), len(edges))
+        if parent is not None:
+            edges[parent].setdefault(event, []).append(n)
+        if n < len(edges):
+            continue  # completed, or expanded already
+        if n > max_states:
+            raise ConfigError(f"trace enumeration exceeded {max_states} states")
+        edges.append({})
+        seen = len(sim.events)
+        for child in reversed(_children(sim, views=False)):
             e = child.events[-1] if len(child.events) > seen else None  # one move, at most one event
-            event = e and (e.kind, e.agent, e.req, e.payload)
-            edges[n].setdefault(event, []).append(node(child))
+            stack.append((child, n, e and (e.kind, e.agent, e.req, e.payload)))
 
     @cache
     def transitions(q: frozenset) -> list:

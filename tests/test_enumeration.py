@@ -10,8 +10,8 @@ their number.
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from replisim import (ALL, ONE, ConfigError, Simulation, Trace, TraceEvent, count_traces,
-                      enumerate_traces, load_scenario)
+from replisim import (ALL, ONE, ConfigError, ExplicitSchedule, Simulation, Trace, TraceEvent,
+                      count_traces, enumerate_traces, load_scenario, search_schedules)
 from replisim.policies import local_one
 from replisim.sim import MODELS
 
@@ -118,6 +118,18 @@ def test_long_single_agent_run_is_enumerated_without_recursion():
     program = "; ".join(f"write x {{(0) -> ({i})}}" for i in range(1, 151))
     scenario = build("long_writer", [("a1", 1, program)])
     assert len(enumerate_traces(scenario, "cm2")) == 1
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_walks_from_a_completed_root(model):
+    scenario = build("idle", [("a1", 1, "")])
+    assert enumerate_traces(scenario, model) == {Trace(events=())}
+    assert count_traces(scenario, model) == 1
+    found = search_schedules(scenario, model, lambda trace, scenario: True)
+    assert found.witness == ExplicitSchedule(()) and found.explored == 1
+    assert found.trace.events == ()
+    missed = search_schedules(scenario, model, lambda trace, scenario: False)
+    assert missed.witness is None and missed.exhausted and missed.explored == 1
 
 
 def test_state_cap_still_raises():
