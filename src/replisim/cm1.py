@@ -8,7 +8,6 @@ pairs) and are deterministic given that choice.
 
 from __future__ import annotations
 
-from .cm0 import check_writeset
 from .core import UNDEF, ClusterConfig, ReplicaStore, catch_up, freshest, issue
 from .messages import ACK, ANSWER, Message, StepEffect, dc_agent
 
@@ -24,7 +23,6 @@ def answer_read_req(
     fragment's selected replicas; tombstones are dropped.  A key condition
     folds only the keys it names."""
     rid, cond = msg.payload
-    cond.check_arity(cfg, rid)
     keys = cond.named_keys()
     rows = frozenset(
         (k, v)
@@ -44,11 +42,9 @@ def perform_write_req(
     selections: dict,
 ) -> StepEffect:
     rid, pairs = msg.payload
-    p = dict(pairs)
-    check_writeset(p, cfg, rid)
     t_current, advance = issue(cfg, ticks, d)  # one timestamp per request
     eff = StepEffect(advance)
-    eff.updates.update(replicas.conditional_write(rid, selections, p, t_current))
+    eff.updates.update(replicas.conditional_write(rid, selections, dict(pairs), t_current))
     for d2 in sorted({d2 for group in selections.values() for d2, _ in group}):
         eff.updates.update(catch_up(cfg, ticks, d2, t_current))
     eff.sends.append(Message(ACK, msg.req, dc_agent(d), msg.sender, payload=(rid,)))

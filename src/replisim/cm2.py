@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .cm0 import check_writeset
 from .core import (
     UNDEF,
     ClusterConfig,
@@ -118,10 +117,6 @@ def delegate_external_req(
     is_read = msg.kind == REQ_READ
     rid = msg.payload[0]
     body = msg.payload[1]
-    if is_read:
-        body.check_arity(cfg, rid)
-    else:
-        check_writeset(dict(body), cfg, rid)
     gid = delegate_agent(msg.req)
     delegate = DelegateState(
         gid=gid,

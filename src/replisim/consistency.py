@@ -424,22 +424,26 @@ def is_serial(trace: Trace) -> bool:
 
 def view_equivalent(t1: Trace, t2: Trace) -> bool:
     """Same requests and responses (including identical answer sets), and
-    the same per-agent order; interleaving across agents is free."""
+    the same per-agent order; interleaving across agents is free.  An
+    agent's part is its ``Trace.histories()`` entry without request ids and
+    prints.  Two requests or responses of one agent at one index have no
+    order, and are refused."""
 
-    def per_agent(trace: Trace) -> dict:
-        out: dict = {}
+    def view(trace: Trace) -> dict:
+        seen = set()
         for e in trace.events:
-            if e.kind not in (REQ, RESP):
-                continue
-            out.setdefault(e.agent, []).append((e.idx, e.kind, e.payload))
-        for agent, evs in out.items():
-            idxs = [i for i, _, _ in evs]
-            if len(set(idxs)) != len(idxs):
-                raise IncompleteTraceError(f"agent {agent} has simultaneous events of its own")
-            out[agent] = [(k, p) for _, k, p in sorted(evs, key=lambda ev: ev[0])]
+            if e.kind in (REQ, RESP):
+                if (e.agent, e.idx) in seen:
+                    raise IncompleteTraceError(f"agent {e.agent} has simultaneous events of its own")
+                seen.add((e.agent, e.idx))
+        out = {}
+        for agent, history in trace.histories():
+            own = [(kind, payload) for kind, _, payload in history if kind in (REQ, RESP)]
+            if own:
+                out[agent] = own
         return out
 
-    return per_agent(t1) == per_agent(t2)
+    return view(t1) == view(t2)
 
 
 def check_view_serialisable(trace: Trace, scenario: Scenario, budget: int = 1_000_000) -> Verdict:

@@ -1,15 +1,17 @@
 """Trace predicates for schedule search.
 
 A predicate takes (trace, scenario) and returns True on traces exhibiting
-the behaviour being hunted.  Predicates here read only each agent's own
-payload history, in that agent's order: its requests, their answers and its
-prints.  ``search_schedules`` de-duplicates on ``Simulation.search_key``,
-which fixes exactly that history, and its eager-move reduction keeps each
-agent's own events in their order while it shifts their rounds and their
-order across agents.  So the search finds a witness for these predicates
-whenever some run has one, budget and step limit allowing.  A predicate
-that reads raw step indices or the order of events across agents has no
-such guarantee.
+the behaviour being hunted.  The predicates here read a trace only through
+``Trace.histories()``, each agent's own requests, answers and prints in that
+agent's order, and ``Trace.requests()``, for the condition of a read whose
+answer or print they judge.  ``search_schedules`` de-duplicates on
+``Simulation.search_key``, which fixes exactly those histories, and its
+eager-move reduction keeps each agent's own events in their order while it
+shifts their rounds and their order across agents.  So the search finds a
+witness for a predicate that is a function of ``trace.histories()`` and the
+scenario whenever some run has one, budget and step limit allowing.  A
+predicate that reads step indices or the order of events across agents has
+no such guarantee.
 """
 
 from __future__ import annotations
@@ -19,33 +21,25 @@ from typing import Callable
 
 from .cm0 import db_answer_read
 from .scenario import Scenario
-from .trace import RESP, Trace
+from .trace import PRINT, RESP, Trace
 
 
 def _initial_answer(scenario: Scenario, rid: str, cond) -> frozenset:
     return db_answer_read(scenario.initial, scenario.cfg, rid, cond)
 
 
-def _read_history(trace: Trace, agent: str) -> list:
-    """This agent's read results in order: (rid, cond, rows)."""
-    reqs = trace.requests()
-    out = []
-    for e in sorted(trace.per_agent(agent), key=lambda e: e.idx):
-        if e.kind == RESP and e.payload[0] == "answer":
-            tag, rid, cond = reqs[e.req].payload
-            out.append((rid, cond, e.payload[2]))
-    return out
-
-
 def anomaly_read_stale(trace: Trace, scenario: Scenario) -> bool:
     """Some agent repeats the same read and sees fresh data first, then the
     untouched initial state again."""
-    for agent in trace.agents():
-        history = _read_history(trace, agent)
-        for (r1, c1, rows1), (r2, c2, rows2) in zip(history, history[1:]):
-            if (r1, c1) != (r2, c2):
+    reqs = trace.requests()
+    for _, history in trace.histories():
+        # each answered read as ((rid, cond), rows), in the agent's order
+        reads = [(reqs[req].payload[1:], payload[2]) for kind, req, payload in history
+                 if kind == RESP and payload[0] == "answer"]
+        for (read1, rows1), (read2, rows2) in zip(reads, reads[1:]):
+            if read1 != read2:
                 continue
-            initial = _initial_answer(scenario, r1, c1)
+            initial = _initial_answer(scenario, *read1)
             if rows1 != initial and rows2 == initial:
                 return True
     return False
@@ -54,36 +48,23 @@ def anomaly_read_stale(trace: Trace, scenario: Scenario) -> bool:
 def print_pair(trace: Trace, scenario: Scenario) -> bool:
     """Two agents print mutually inverted views: one saw relation X updated
     but Y still initial, the other saw Y updated but X still initial."""
-    observations = {}
     reqs = trace.requests()
-    for agent in trace.agents():
-        pairs = []
-        for e in sorted(trace.prints(agent), key=lambda e: e.idx):
-            tag, rid, rows = e.payload
-            _, _, cond = reqs[e.req].payload
-            fresh = rows != _initial_answer(scenario, rid, cond)
-            pairs.append((rid, fresh))
-        observations[agent] = pairs
-
-    def saw_then(agent: str, fresh_rid: str, stale_rid: str) -> bool:
-        pairs = observations[agent]
-        for i, (rid_i, fresh_i) in enumerate(pairs):
-            if rid_i != fresh_rid or not fresh_i:
+    inverted: dict = {}  # (x, y) -> agents that printed x updated, then y initial
+    for agent, history in trace.histories():
+        fresh = set()  # the relations this agent has printed updated so far
+        for kind, req, payload in history:
+            if kind != PRINT:
                 continue
-            for rid_j, fresh_j in pairs[i + 1 :]:
-                if rid_j == stale_rid and not fresh_j:
-                    return True
-        return False
-
-    rids = sorted({rid for pairs in observations.values() for rid, _ in pairs})
-    for x in rids:
-        for y in rids:
-            if x == y:
+            _, rid, rows = payload
+            if rows != _initial_answer(scenario, rid, reqs[req].payload[2]):
+                fresh.add(rid)
                 continue
-            for a in observations:
-                for b in observations:
-                    if a != b and saw_then(a, x, y) and saw_then(b, y, x):
-                        return True
+            for x in fresh - {rid}:
+                inverted.setdefault((x, rid), set()).add(agent)
+    for (x, y), agents in inverted.items():
+        others = inverted.get((y, x))
+        if others and len(agents | others) > 1:  # two distinct agents, one from each
+            return True
     return False
 
 

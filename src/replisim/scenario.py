@@ -68,12 +68,18 @@ class Scenario:
         )
 
     def validate_for_model(self, model: str) -> None:
-        """Reject scenarios whose policies can never be satisfied under the
-        given model (requests would hang forever)."""
-        if model == "cm0":
-            return
-        problems = []
-        for rid, rel in sorted(self.cfg.relations.items()):
+        """Reject scenarios with a client step the cluster cannot run, under
+        every model, or whose policies can never be satisfied under the
+        given model (requests would hang forever).  A scenario that does not
+        come from ``parse_scenario`` is checked here, before the engine
+        runs any of its steps."""
+        problems = [
+            (0, f"agent {aid}: {problem}")
+            for aid, program in sorted(self.programs.items())
+            for problem in program_problems(self.cfg, self.homes[aid], program)
+        ]
+        relations = sorted(self.cfg.relations.items()) if model != "cm0" else ()  # cm0 ignores policies
+        for rid, rel in relations:
             for policy, label in ((self.read_policy, "read"), (self.write_policy, "write")):
                 if policy.kind in ("LOCAL_ONE", "LOCAL_QUORUM") and policy.dc not in rel.data_centres:
                     problems.append((0, f"{label} policy {policy} names a data centre outside {rid}"))
@@ -96,6 +102,26 @@ class Scenario:
                             break
         if problems:
             raise ScenarioError(sorted(set(problems)))
+
+
+def program_problems(cfg: ClusterConfig, home: int, program: tuple) -> list:
+    """What keeps each step of a client program at data centre ``home``
+    from running on the cluster, at most one message per step, in order."""
+    problems = []
+    for step in program:
+        if step.rid not in cfg.relations:
+            problems.append(f"unknown relation {step.rid!r}")
+            continue
+        try:
+            if step.kind == "read":
+                step.cond.check_arity(cfg, step.rid)
+            else:
+                check_writeset(dict(step.pairs), cfg, step.rid)
+            if home not in cfg.relation(step.rid).data_centres:
+                raise ConfigError(f"home {home} is not a data centre of relation {step.rid}")
+        except ConfigError as exc:
+            problems.append(str(exc))
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +400,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         except ValueError as exc:
             diags.append((ln_prog, f"agent {aid}: {exc}"))
             continue
-        for step in program:
-            if step.rid not in cfg.relations:
-                diags.append((ln_prog, f"agent {aid}: unknown relation {step.rid!r}"))
-                continue
-            try:
-                if step.kind == "read":
-                    step.cond.check_arity(cfg, step.rid)
-                else:
-                    check_writeset(dict(step.pairs), cfg, step.rid)
-                if home not in cfg.relation(step.rid).data_centres:
-                    raise ConfigError(
-                        f"home {home} is not a data centre of relation {step.rid}"
-                    )
-            except ConfigError as exc:
-                diags.append((ln_prog, f"agent {aid}: {exc}"))
+        for problem in program_problems(cfg, home, program):
+            diags.append((ln_prog, f"agent {aid}: {problem}"))
         programs[aid] = program
         homes[aid] = home
     if diags:

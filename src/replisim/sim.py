@@ -339,7 +339,7 @@ class Simulation:
         answer to any other request, which a predicate may read
         (``anomaly-read-stale`` does).  A client sends its requests one at a
         time, so the program counters, statuses and answers fix every
-        agent's own (kind, req, payload) history.  The answers are keyed by
+        agent's own history, ``Trace.histories()``.  The answers are keyed by
         request, not in the order they were given: only the order of events
         across agents, and the round, are left out."""
         return self.state_key(), tuple(sorted(self.answered.items()))
@@ -833,9 +833,9 @@ def search_schedules(
       reorders only moves that emit no event.
     - State caching.  States are de-duplicated on ``Simulation.search_key``:
       the state plus each request's answer, without the round.  Equal keys
-      mean equal per-agent payload histories, so a predicate that reads only
-      those, as the bundled ones do, answers alike for every run through one
-      key.  A predicate that reads the order of events across agents was
+      mean equal ``Trace.histories()``, so a predicate that is a function
+      of those, as the bundled ones are, answers alike for every run through
+      one key.  A predicate that reads the order of events across agents was
       never safe here and still is not: it may miss a witness.  A key
       reached before the round it was stored at is visited afresh, so the
       step limit cuts no state that is met sooner.

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .cm0 import Condition
 from .core import UNDEF, sorted_pairs, tuple_sort_key
@@ -258,14 +257,16 @@ class Trace:
     def per_agent(self, agent: str) -> tuple:
         return tuple(e for e in self.events if e.agent == agent)
 
-    def agents(self) -> tuple:
-        return tuple(sorted({e.agent for e in self.events}))
-
-    def prints(self, agent: Optional[str] = None) -> tuple:
-        evs = [e for e in self.events if e.kind == PRINT]
-        if agent is not None:
-            evs = [e for e in evs if e.agent == agent]
-        return tuple(evs)
+    def histories(self) -> tuple:
+        """What each agent observes of the run: ``((agent, ((kind, req,
+        payload), ...)), ...)``, agents by name and each agent's own events
+        in index order.  Indices and the order of events across agents are
+        left out.  The sort is stable, so events that share an index keep
+        their order in the trace."""
+        by_agent: dict = {}
+        for e in sorted(self.events, key=lambda e: e.idx):
+            by_agent.setdefault(e.agent, []).append((e.kind, e.req, e.payload))
+        return tuple((agent, tuple(by_agent[agent])) for agent in sorted(by_agent))
 
     def to_text(self) -> str:
         lines = ["# replisim-trace v1"]

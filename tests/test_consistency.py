@@ -157,6 +157,15 @@ def test_view_equivalent_detects_answer_difference():
     assert not view_equivalent(t1, t2)
 
 
+def test_view_equivalent_leaves_out_prints_and_refuses_simultaneous_events():
+    req = ev(1, "REQ", "a1", "a1#0", read_payload())
+    resp = ev(2, "RESP", "a1", "a1#0", answer_payload([]))
+    printed = ev(3, "PRINT", "a1", "a1#0", ("print", "x", frozenset()))
+    assert view_equivalent(Trace((req, resp)), Trace((req, resp, printed)))
+    with pytest.raises(IncompleteTraceError, match="agent a1 has simultaneous events of its own"):
+        view_equivalent(Trace((req, replace(resp, idx=1))), Trace((req, resp)))
+
+
 # ---------------------------------------------------------------------------
 # view compatibility
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ equal ``search_key()``, and so equal ``state_key()``.
 
 The search de-duplicates on ``search_key()``, which is sound for a predicate
 that reads each agent's own history only if equal keys mean equal
-per-agent (kind, req, payload) histories.  That is checked over every
+per-agent histories (``Trace.histories()``).  That is checked over every
 reachable state of a few corpus scenarios.
 """
 
@@ -68,14 +68,6 @@ def test_eager_moves_commute(model, policies):
     assert pairs > 0
 
 
-def histories(sim) -> dict:
-    """Each agent's own (kind, req, payload) events, in order."""
-    out: dict = {}
-    for e in sim.events:
-        out.setdefault(e.agent, []).append((e.kind, e.req, e.payload))
-    return out
-
-
 SEARCH_KEY_CASES = [
     *(pytest.param(name, (ONE, ONE), model, id=f"{name}-{model}")
       for model in MODELS for name in ("w_rr", "r_w_r", "ww_r")),
@@ -91,17 +83,17 @@ def test_equal_search_keys_mean_equal_agent_histories(name, policies, model):
     The key holds no round: under ``LOCAL_ONE`` some key is reached at two
     rounds, and elsewhere none is."""
     root = Simulation(CORPUS[name].with_policies(*policies), model)
-    by_search_key = {root.search_key(): (histories(root), root.round)}
-    by_state_key = {root.state_key(): histories(root)}
+    by_search_key = {root.search_key(): (root.trace().histories(), root.round)}
+    by_state_key = {root.state_key(): root.trace().histories()}
     merged = split = two_rounds = 0
     for _, children in walk(root.scenario, model, key=Simulation.search_key):
         for _, child in children:
-            history = histories(child)
+            history = child.trace().histories()
             key = child.search_key()  # (state_key(), answers)
             split += by_state_key.setdefault(key[0], history) != history
+            merged += key in by_search_key
             first, first_round = by_search_key.setdefault(key, (history, child.round))
             assert first == history, key
-            merged += first is not history
             two_rounds += first_round != child.round
     assert merged > 0
     assert split > 0 or model == "cm0"

@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from replisim import ScenarioError, SeededSchedule, load_scenario, parse_scenario, run
+from replisim import ScenarioError, SeededSchedule, Simulation, load_scenario, parse_scenario, run
 from replisim.policies import ALL, ONE, local_quorum
-from replisim.scenario import bundled_scenarios
+from replisim.scenario import ClientStep, bundled_scenarios
+from replisim.sim import MODELS
 
 from corpus import SCENARIOS
 
@@ -179,6 +181,18 @@ def test_local_quorum_is_judged_over_all_copies_in_cm1_and_local_ones_in_cm2():
         run(scenario, "cm1", SeededSchedule(0))
     result = run(scenario, "cm2", SeededSchedule(0))
     assert result.completed and len(result.trace.events) == 6
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_step_the_cluster_cannot_run_is_refused_before_any_model_runs_it(model):
+    # Built in code, so parse_scenario never saw the step: a write of a
+    # two-atom key into the arity-1 relation x.
+    base = load_scenario("counterexample")
+    step = ClientStep("write", "x", pairs=(((0, 1), (1,)),))
+    scenario = dataclasses.replace(base, programs={**base.programs, "a1": (step,)})
+    with pytest.raises(ScenarioError) as err:
+        Simulation(scenario, model)
+    assert str(err.value) == "agent a1: write key (0, 1) does not match arity 1 of x"
 
 
 def test_all_policy_with_down_node_never_sufficient():

@@ -3,13 +3,12 @@
 The search expands one eager move where a state has one, by the view rule,
 and de-duplicates on ``search_key``.  Neither may lose a view: a search
 whose predicate never holds is exhausted and is asked about exactly the
-per-agent projections (each agent's own (kind, req, payload) sequence) of
-the enumerated traces.  Nor may it change its answer: it finds a witness
-exactly when some enumerated trace satisfies the predicate, and reports
-``exhausted`` when it finds none.  The bundled predicates read only each
-agent's own payload history, which rank compression keeps, so they can be
-asked of enumerated traces.  Every witness replays under ``run`` to the
-trace the search returned.
+per-agent histories (``Trace.histories()``) of the enumerated traces.  Nor
+may it change its answer: it finds a witness exactly when some enumerated
+trace satisfies the predicate, and reports ``exhausted`` when it finds none.
+The bundled predicates read only those histories, which rank compression
+keeps, so they can be asked of enumerated traces.  Every witness replays
+under ``run`` to the trace the search returned.
 
 The search key holds no round, so under ``LOCAL_ONE``, where runs meet in
 one state at two rounds, each key is expanded again when it is reached
@@ -32,11 +31,6 @@ SUBSET = (
 CORPUS = {scenario.name: scenario for scenario in generated_scenarios()}
 
 
-def view(trace) -> tuple:
-    """Each agent's (kind, req, payload) sequence, by agent."""
-    return tuple((a, tuple((e.kind, e.req, e.payload) for e in trace.per_agent(a))) for a in trace.agents())
-
-
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("policies", ((ONE, ONE), (ONE, ALL), (local_one(1), ALL)),
                          ids=("ONE-ONE", "ONE-ALL", "LOCAL_ONE-ALL"))
@@ -48,11 +42,11 @@ def test_search_finds_a_witness_exactly_when_an_enumerated_trace_has_one(model, 
         seen = set()
 
         def record(trace, scenario):
-            seen.add(view(trace))
+            seen.add(trace.histories())
             return False
 
         result = search_schedules(scenario, model, record)
-        assert result.exhausted and seen == {view(trace) for trace in traces}, name
+        assert result.exhausted and seen == {trace.histories() for trace in traces}, name
         for pred_name, predicate in sorted(BUILTIN_PREDICATES.items()):
             case = (name, pred_name)
             result = search_schedules(scenario, model, predicate)
