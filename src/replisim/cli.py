@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: ``run`` (simulate a scenario under a seeded schedule and write
-the trace), ``search`` (hunt a schedule whose trace satisfies a predicate),
-``check`` (decide view compatibility or view serialisability of a trace).
+the trace; without ``--trace`` stdout holds the trace alone and the summary
+goes to stderr), ``search`` (hunt a schedule whose trace satisfies a
+predicate), ``check`` (decide view compatibility or view serialisability of
+a trace).
 
 Exit codes: 0 verdict or trace produced, 2 validation error, 3 budget or
 step limit exhausted, 1 internal error.
@@ -95,12 +97,15 @@ def _cmd_run(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(text)
+        report = sys.stdout
     else:
         sys.stdout.write(text)
+        report = sys.stderr  # stdout holds only the trace, so check can read it
     n_req = len(result.trace.requests())
-    print(f"completed={str(result.completed).lower()} events={len(result.trace.events)} requests={n_req}")
+    print(f"completed={str(result.completed).lower()} events={len(result.trace.events)} requests={n_req}",
+          file=report)
     if not result.completed:
-        print(f"reason={result.reason}")
+        print(f"reason={result.reason}", file=report)
         return EXIT_EXHAUSTED
     return EXIT_OK
 

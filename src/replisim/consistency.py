@@ -70,7 +70,10 @@ class IncompleteTraceError(Exception):
     answered too early, or its REQ and RESP records do not fit together."""
 
 
-@dataclass(frozen=True, eq=False)  # identity: one object per request per check
+# Identity equality: one object per request per check.  Slotted, not frozen,
+# for cheap building and field reads; nothing assigns to one after
+# _request_infos builds it.
+@dataclass(slots=True, eq=False)
 class _ReqInfo:
     req: str
     agent: str  # the REQ event's agent

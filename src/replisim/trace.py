@@ -6,7 +6,9 @@ payload=<term>``; a payload term is written by ``render_payload`` and read
 back by ``parse_payload``.  ``TOKEN_RE`` is the one tokenizer for trace text
 and for scenario values (``scenario.py``): reading a token is the inverse of
 ``render_atom``, so a string atom is quoted and only ``\\`` and ``\"`` are
-escapes, and two atoms or names are kept apart by whitespace or punctuation.
+escapes, an integer is written in ASCII digits (``[0-9]``, never another
+script's), and two atoms or names are kept apart by whitespace or
+punctuation.
 The readers raise ``TraceError`` on any other escape, atoms that touch, an
 unterminated string, unbalanced parentheses, tokens after the term, an
 unknown payload or condition tag, a name where an atom is expected (or the
@@ -20,7 +22,7 @@ whitespace or with ``replisim-trace``, or a value that ends with whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cm0 import Condition
 from .core import UNDEF, sorted_pairs, tuple_sort_key
@@ -79,10 +81,10 @@ def render_payload(payload: tuple) -> str:
 
 # One token of trace or scenario text, the inverse of render_atom: an arrow
 # or other punctuation, a quoted string in which only \\ and \" are escapes,
-# an integer, a name such as x or key-eq, or any other single character,
-# which every reader refuses where it finds it.
+# an integer in ASCII digits, a name such as x or key-eq, or any other single
+# character, which every reader refuses where it finds it.
 TOKEN_RE = re.compile(
-    r'->|[(){};,=]|"(?:[^"\\]|\\["\\])*"|-?\d+'
+    r'->|[(){};,=]|"(?:[^"\\]|\\["\\])*"|-?[0-9]+'
     r"|[A-Za-z_][A-Za-z0-9_/]*(?:-[A-Za-z0-9_]+)*|\S"
 )
 _PUNCT = frozenset(("->", "(", ")", "{", "}", ";", ",", "="))
@@ -110,16 +112,18 @@ def _shown(node) -> str:
 
 
 def read_atom(tok):
-    """The atom a token spells: an integer, or a string with its escapes undone."""
+    """The atom a token spells: an integer in ASCII digits, or a string with
+    its escapes undone."""
     if isinstance(tok, str):
         if tok[0] == '"':
             if len(tok) == 1:
                 raise TraceError('unterminated string, or an escape other than \\\\ and \\"')
             return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-        try:
-            return int(tok)
-        except ValueError:
-            pass
+        if tok.isascii():  # int() would also take other scripts' digits
+            try:
+                return int(tok)
+            except ValueError:
+                pass
     raise TraceError(f"expected an atom, got {_shown(tok)}")
 
 
@@ -216,11 +220,12 @@ def parse_payload(text: str) -> tuple:
 
 REQ, RESP, PRINT = "REQ", "RESP", "PRINT"
 
-_EVENT_RE = re.compile(r"idx=(-?\d+) kind=(\S+) agent=(\S+) req=(\S+) payload=(.*)")
+_EVENT_RE = re.compile(r"idx=(-?[0-9]+) kind=(\S+) agent=(\S+) req=(\S+) payload=(.*)")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+# Both records are tuples: building one sets no attribute, and each hashes
+# and compares as the plain tuple of its fields.
+class TraceEvent(NamedTuple):
     idx: int  # global step index at which the event was issued
     kind: str  # REQ | RESP | PRINT
     agent: str  # requesting agent
@@ -228,14 +233,11 @@ class TraceEvent:
     payload: tuple
 
     def render(self) -> str:
-        return (
-            f"idx={self.idx} kind={self.kind} agent={self.agent} "
-            f"req={self.req} payload={render_payload(self.payload)}"
-        )
+        idx, kind, agent, req, payload = self  # one unpack, not five field reads
+        return f"idx={idx} kind={kind} agent={agent} req={req} payload={render_payload(payload)}"
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     events: tuple
     meta: tuple = ()
 

@@ -41,6 +41,23 @@ def test_run_check_round_trip(tmp_path, capsys):
     assert "verdict=COMPATIBLE" in out
 
 
+def test_run_to_stdout_writes_the_trace_alone(tmp_path, capsys):
+    # `replisim run ... > t.log` then `replisim check ... --trace t.log`
+    code, out, err = run_cli(["run", "counterexample", "--model", "cm2"], capsys)
+    assert code == 0
+    assert Trace.from_text(out).is_complete()
+    assert err == "completed=true events=6 requests=3\n"
+    trace_path = tmp_path / "t.log"
+    trace_path.write_text(out)
+    code, out, _ = run_cli(["check", "counterexample", "compatible", "--trace", str(trace_path)], capsys)
+    assert code == 0
+    assert "verdict=" in out
+    code, out, err = run_cli(["run", "counterexample", "--model", "cm0", "--steps", "0"], capsys)
+    assert code == 3
+    assert Trace.from_text(out).events == ()
+    assert err.splitlines()[1].startswith("reason=")
+
+
 def test_search_finds_anomaly_and_check_rejects_it(tmp_path, capsys):
     trace_path = tmp_path / "w.log"
     code, out, _ = run_cli(
@@ -244,9 +261,9 @@ def test_zero_budget_and_step_limit_stay_legal(capsys):
          "--budget", "0"], capsys)
     assert code == 3
     assert "verdict=NO_WITNESS exhaustive=false" in out
-    code, out, _ = run_cli(["run", "counterexample", "--model", "cm0", "--steps", "0"], capsys)
+    code, _, err = run_cli(["run", "counterexample", "--model", "cm0", "--steps", "0"], capsys)
     assert code == 3
-    assert "completed=false" in out
+    assert "completed=false" in err
 
 
 def test_cli_subprocess_smoke(tmp_path):
@@ -257,4 +274,4 @@ def test_cli_subprocess_smoke(tmp_path):
         timeout=60,
     )
     assert result.returncode == 0
-    assert "completed=true" in result.stdout
+    assert "completed=true" in result.stderr

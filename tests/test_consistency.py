@@ -163,7 +163,7 @@ def test_view_equivalent_leaves_out_prints_and_refuses_simultaneous_events():
     printed = ev(3, "PRINT", "a1", "a1#0", ("print", "x", frozenset()))
     assert view_equivalent(Trace((req, resp)), Trace((req, resp, printed)))
     with pytest.raises(IncompleteTraceError, match="agent a1 has simultaneous events of its own"):
-        view_equivalent(Trace((req, replace(resp, idx=1))), Trace((req, resp)))
+        view_equivalent(Trace((req, resp._replace(idx=1))), Trace((req, resp)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_compatibility_does_not_depend_on_where_indices_start(seed, first):
     s = load_scenario("intro")
     t = run(s, "cm1", SeededSchedule(seed)).trace
     shift = first - t.events[0].idx
-    shifted = Trace(tuple(replace(e, idx=e.idx + shift) for e in t.events))
+    shifted = Trace(tuple(e._replace(idx=e.idx + shift) for e in t.events))
     v, w = check_view_compatible(t, s), check_view_compatible(shifted, s)
     assert (w.kind, w.exhaustive, w.replays, w.waived) == (v.kind, v.exhaustive, v.replays, v.waived)
     assert w.witness == tuple((point + shift, reqs) for point, reqs in v.witness)
@@ -256,6 +256,18 @@ def test_a_response_to_another_agent_is_refused():
     )
     with pytest.raises(IncompleteTraceError, match="request a1#0 of a1 is answered to a2"):
         _request_infos(t)
+
+
+def test_request_records_are_equal_only_to_themselves():
+    t = Trace(
+        (
+            ev(1, "REQ", "a1", "a1#0", read_payload()),
+            ev(2, "RESP", "a1", "a1#0", answer_payload([((0,), (0,))])),
+        )
+    )
+    (first,), (second,) = _request_infos(t), _request_infos(t)
+    assert first == first and first != second and hash(first) != hash(second)
+    assert {first: 1}.get(second) is None
 
 
 def test_serial_trace_is_its_own_witness():

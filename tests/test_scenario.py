@@ -238,6 +238,18 @@ init.x = (0) -> undef
         parse_scenario(text)
 
 
+def test_an_init_value_in_other_digits_is_refused():
+    text = """cluster.datacentres = 1
+cluster.relation.x.arity = 1
+cluster.relation.x.coarity = 1
+policy.read = ONE
+policy.write = ONE
+init.x = (\u0660) -> (\u0660)
+"""
+    with pytest.raises(ScenarioError, match="line 6: expected an atom, got '\u0660'"):
+        parse_scenario(text)
+
+
 def test_missing_scenario_file():
     with pytest.raises(ScenarioError):
         load_scenario("does-not-exist")

@@ -4,9 +4,12 @@ and a writer that never writes what the reader cannot read back.
 ``read_tokens`` takes each token with the whitespace after it from one
 ``findall``; it must still give exactly the tokens and the errors of the
 plain loop over ``TOKEN_RE.finditer`` kept below.  ``Trace.from_text`` parses
-each distinct payload text once per call.
+each distinct payload text once per call.  Integers are ASCII digits only,
+and trace events and traces are tuples of their fields.
 """
 
+import copy
+import pickle
 import re
 import time
 
@@ -190,3 +193,58 @@ def test_a_tab_round_trips():
         meta=(("scenario", "a\tb"),),
     )
     assert Trace.from_text(trace.to_text()) == trace
+
+
+# ---------------------------------------------------------------------------
+# Integers are ASCII digits
+# ---------------------------------------------------------------------------
+
+ARABIC_INDIC_THREE = "٣"
+
+
+@pytest.mark.parametrize("payload", [
+    f"(read x (key-eq ({ARABIC_INDIC_THREE})))",
+    f"(write x (({ARABIC_INDIC_THREE}) (1)))",
+    f"(read x (hash-range {ARABIC_INDIC_THREE}))",
+], ids=("key", "write-key", "fragment"))
+def test_a_payload_integer_in_other_digits_is_refused(payload):
+    with pytest.raises(TraceError, match=re.escape(f"expected an atom, got {ARABIC_INDIC_THREE!r}")):
+        parse_payload(payload)
+
+
+def test_a_quoted_string_of_other_digits_is_a_string():
+    assert parse_payload(f'(read x (key-eq ("{ARABIC_INDIC_THREE}")))')[2] == Condition.key_eq((ARABIC_INDIC_THREE,))
+
+
+def test_an_index_in_other_digits_is_refused():
+    with pytest.raises(TraceError, match="line 1: .*expected idx="):
+        Trace.from_text(f"idx={ARABIC_INDIC_THREE} kind=REQ agent=a1 req=a1#0 payload=(ack x)")
+
+
+# ---------------------------------------------------------------------------
+# TraceEvent and Trace are tuples of their fields
+# ---------------------------------------------------------------------------
+
+EVENT = TraceEvent(4, REQ, "a1", "a1#0", ("read", "x", Condition.key_in([(1,), (0,)])))
+TRACE = Trace(events=(EVENT, TraceEvent(6, RESP, "a1", "a1#0", ("answer", "x", frozenset({((0,), (2,))})))),
+              meta=(("scenario", "s"),))
+
+
+@pytest.mark.parametrize("record", [EVENT, TRACE], ids=("event", "trace"))
+def test_a_record_hashes_and_equals_the_tuple_of_its_fields(record):
+    fields = tuple(getattr(record, name) for name in record._fields)
+    assert hash(record) == hash(fields)  # a frozen dataclass's hash, so set order and digests hold
+    assert record == fields and fields == record
+
+
+@pytest.mark.parametrize("record", [EVENT, TRACE], ids=("event", "trace"))
+def test_a_record_keeps_its_value_through_repr_copy_and_pickle(record):
+    namespace = {"TraceEvent": TraceEvent, "Trace": Trace, "Condition": Condition}
+    assert eval(repr(record), namespace) == record
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record and hash(clone) == hash(record)
+
+
+def test_record_reprs_name_their_fields():
+    assert repr(EVENT).startswith("TraceEvent(idx=4, kind='REQ', agent='a1', req='a1#0', payload=(")
+    assert repr(Trace(events=())) == "Trace(events=(), meta=())"
