@@ -201,17 +201,16 @@ class RunResult:
 # ``Simulation`` caches them in ``_key`` until a round changes them
 _KEY_PARTS = (
     lambda s: tuple(s.pc.values()),
-    lambda s: tuple(s.status.values()),
-    lambda s: tuple(s.outs.values()),
+    lambda s: tuple(s.waiting.values()),
     lambda s: tuple(s.ticks.values()) if s.ticks is not None else (),
     lambda s: s.flat.state_key() if s.model == "cm0" else s.replicas.state_key(),
     lambda s: tuple([s.inflight[i] for i in sorted(s.inflight)]),
     lambda s: tuple([s.mailbox[i[3]][i] for i in sorted([i for box in s.mailbox.values() for i in box])]),
     lambda s: tuple([s.delegates[gid].key_part for gid in sorted(s.delegates)]),
 )
-_TICKS, _STORE, _INFLIGHT, _MAILBOX = 3, 4, 5, 6
+_TICKS, _STORE, _INFLIGHT, _MAILBOX = 2, 3, 4, 5
 # the component each update location's tag changes
-_PART_OF = {"pc": 0, "status": 1, "out": 2, "clock": 3, "flat": 4, "rep": 4, "delegate": 7}
+_PART_OF = {"pc": 0, "waiting": 1, "clock": 2, "flat": 3, "rep": 3, "delegate": 6}
 
 
 class Simulation:
@@ -233,8 +232,7 @@ class Simulation:
             self.ticks = dict.fromkeys(self.cfg.offset_ranks, START_TICK)  # dc -> clock tick
             self.stores = tuple((("dc", dc_agent(d)), dc_agent(d)) for d in self.cfg.all_dcs())
         self.pc = {a: 0 for a in scenario.programs}
-        self.status = {a: ("ready",) for a in scenario.programs}
-        self.outs = {a: () for a in scenario.programs}
+        self.waiting = dict.fromkeys(scenario.programs, False)  # between a request and its reply
         self.delegates: dict = {}  # gid -> DelegateState, live delegates only
         self.inflight: dict = {}  # ident -> Message
         self.mailbox: dict = {}  # agent -> {ident: Message}
@@ -263,8 +261,7 @@ class Simulation:
         s.replicas = self.replicas.clone() if self.replicas is not None else None
         s.ticks = dict(self.ticks) if self.ticks is not None else None
         s.pc = dict(self.pc)
-        s.status = dict(self.status)
-        s.outs = dict(self.outs)
+        s.waiting = dict(self.waiting)
         s.delegates = dict(self.delegates)  # delegates are values, shared
         s.inflight = dict(self.inflight)
         s.mailbox = {a: dict(m) for a, m in self.mailbox.items()}
@@ -287,7 +284,7 @@ class Simulation:
 
     def clients_done(self) -> bool:
         for a, n in self.lengths.items():
-            if self.pc[a] < n or self.status[a] != ("ready",):
+            if self.pc[a] < n or self.waiting[a]:
                 return False
         return True
 
@@ -297,6 +294,11 @@ class Simulation:
     def state_key(self) -> tuple:
         """The state as a tuple of its own hashable values: two states get
         equal keys exactly when they hold the same values.
+
+        A client is its program counter and whether it waits for a reply.
+        The request it waits for is ``agent#(pc-1)``, and while it waits its
+        mailbox holds at most that request's one reply.  What it printed is
+        in the PRINT events only: no step reads it.
 
         The per-agent maps, the ticks and a delegate's counts keep the order
         they were built in (``__init__``, ``CountState.zero``), and steps
@@ -310,7 +312,7 @@ class Simulation:
         fixed by the rest: a request is answered from its RESP until its
         client's ``recv``, while its answer or ack is in flight or in the
         client's mailbox, and after the ``recv`` the client's ``pc`` and
-        ``status`` show it.  Neither is in the key.
+        ``waiting`` show it.  Neither is in the key.
 
         Each component (``_KEY_PARTS``) is cached until ``apply_round``
         changes it, so stored keys share the components a round left alone.
@@ -335,11 +337,11 @@ class Simulation:
         """``search_schedules``' de-duplication key: ``state_key()`` plus
         each answered request's RESP payload, sorted by request id.
 
-        ``state_key`` keeps a printed answer (in ``outs``) but not the
-        answer to any other request, which a predicate may read
-        (``anomaly-read-stale`` does).  A client sends its requests one at a
-        time, so the program counters, statuses and answers fix every
-        agent's own history, ``Trace.histories()``.  The answers are keyed by
+        ``state_key`` keeps no answer a client was given, printed or not,
+        and a predicate may read one (``anomaly-read-stale`` does).  A
+        client sends its requests one at a time, so the program counters,
+        waiting flags and answers fix every agent's own history,
+        ``Trace.histories()``, PRINT events included.  The answers are keyed by
         request, not in the order they were given: only the order of events
         across agents, and the round, are left out."""
         return self.state_key(), tuple(sorted(self.answered.items()))
@@ -353,12 +355,11 @@ class Simulation:
         and a ``send``'s box is ``_SEND_BOX``."""
         groups = [(("deliver",), self.inflight)] if self.inflight else []
         for a, send, recv in self.clients:
-            st = self.status[a]
-            if st[0] == "ready":
-                if self.pc[a] < self.lengths[a]:
-                    groups.append((send, _SEND_BOX))
-            elif (box := self.mailbox.get(a)) and (box := {i: m for i, m in box.items() if i[1] == st[1]}):
-                groups.append((recv, box))
+            if self.waiting[a]:
+                if box := self.mailbox.get(a):  # only the reply it waits for (``state_key``)
+                    groups.append((recv, box))
+            elif self.pc[a] < self.lengths[a]:
+                groups.append((send, _SEND_BOX))
         for prefix, agent in self.stores:
             if box := self.mailbox.get(agent):
                 groups.append((prefix, box))
@@ -518,15 +519,10 @@ class Simulation:
             msg = Message(REQ_READ, req, a, self.home_agent(a), payload=(step.rid, step.cond))
         else:
             msg = Message(REQ_WRITE, req, a, self.home_agent(a), payload=(step.rid, step.pairs))
-        return StepEffect({("pc", a): self.pc[a] + 1, ("status", a): ("waiting", req)}, [msg])
+        return StepEffect({("pc", a): self.pc[a] + 1, ("waiting", a): True}, [msg])
 
     def _client_recv(self, move: Move) -> StepEffect:
-        a = move.agent
-        eff = StepEffect({("status", a): ("ready",)})
-        step = self._printing_step(a, move.msg.req)
-        if step is not None:
-            eff.update(("out", a), self.outs[a] + ((step.rid, move.msg.payload[1]),))
-        return eff
+        return StepEffect({("waiting", move.agent): False})  # a printed answer is in the PRINT event
 
     def _printing_step(self, agent: str, req: str):
         """The read step whose answer ``agent``'s ``recv`` of ``req``'s reply prints, or None."""
@@ -677,10 +673,8 @@ class Simulation:
                 self.ticks[d] = value
             elif tag == "pc":
                 self.pc[loc[1]] = value
-            elif tag == "status":
-                self.status[loc[1]] = value
-            elif tag == "out":
-                self.outs[loc[1]] = value
+            elif tag == "waiting":
+                self.waiting[loc[1]] = value
             elif tag == "delegate":
                 gid = loc[1]
                 if value is None:  # answered: the delegate and its mailbox go
@@ -898,10 +892,9 @@ def _expansion(sim: Simulation, views: bool) -> list:
     of eagerness: the view rule for ``search_schedules``, the trace rule
     for ``_trace_automaton``.
 
-    A ``deliver``, ``send`` or ``recv`` touches only its agent's
-    ``pc``/``status``/``outs`` or one message's place (in flight, in a
-    mailbox, or dropped at a dead delegate, as the delegate's deletion
-    would drop it).  No other enabled move touches the same, so it commutes
+    A ``deliver``, ``send`` or ``recv`` touches only its agent's ``pc`` and
+    ``waiting`` or one message's place (in flight, in a mailbox, or dropped
+    at a dead delegate, as the delegate's deletion would drop it).  No other enabled move touches the same, so it commutes
     with each of them: each stays enabled after the other, and both orders
     reach equal ``search_key()`` (``tests/test_independence.py``).  The
     moves it enables can only follow it, and nothing disables it, so it
@@ -931,7 +924,7 @@ def _expansion(sim: Simulation, views: bool) -> list:
     for prefix, box in groups:
         tag = prefix[0]
         if not views and tag == "recv" and sim._printing_step(prefix[1], next(iter(box))[1]) is not None:
-            continue  # the box holds replies to the one request its client waits for
+            continue  # the box holds only the reply to the request its client waits for
         if tag in ("deliver", "send", "recv"):
             for ident, msg in box.items():
                 if views or tag != "deliver" or msg.kind not in REQUEST_KINDS:
@@ -950,7 +943,8 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
     labelled with its move's event or ``None``, and every completed state is
     node 0.  The key holds no round, so runs that meet one state at two
     rounds share their suffixes, as rank compression makes their traces
-    alike.  Subset construction determinises that graph: a state
+    alike; nor what a client printed, so runs that printed different
+    answers share them too.  Subset construction determinises that graph: a state
     is a set of nodes closed over ``None`` edges, accepting if it holds node
     0, and ``transitions(q)`` lists its (event, state) pairs, built once.
     """

@@ -20,6 +20,7 @@ from replisim import (
     search_schedules,
 )
 from replisim import policies
+from replisim.messages import ACK, ANSWER
 from replisim.predicates import print_pair
 from replisim.sim import MODELS
 from replisim.trace import PRINT, REQ, RESP, TraceError
@@ -112,6 +113,26 @@ def test_client_blocks_between_request_and_response():
         events = [e for e in r.trace.events if e.agent == agent and e.kind in (REQ, RESP)]
         kinds = [e.kind for e in sorted(events, key=lambda e: e.idx)]
         assert kinds == ["REQ", "RESP"] * (len(kinds) // 2)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_client_mailbox_holds_at_most_the_reply_it_waits_for(model):
+    # a recv takes its client's whole mailbox: a ready client has no
+    # message, and a waiting one at most the one reply to a#(pc-1)
+    replies = 0
+    for policy in (ONE, ALL):
+        for base in SCENARIOS:
+            for sim, _ in walk(base.with_policies(policy, policy), model, 100):
+                for a, pc in sim.pc.items():
+                    box = sim.mailbox.get(a, {})
+                    if not sim.waiting[a]:
+                        assert not box, (base.name, sim.executed)
+                        continue
+                    assert len(box) <= 1, (base.name, sim.executed)
+                    for msg in box.values():
+                        assert msg.req == f"{a}#{pc - 1}" and msg.kind in (ANSWER, ACK), msg
+                        replies += 1
+    assert replies > 0
 
 
 def test_zero_request_scenario_gives_empty_trace():

@@ -7,7 +7,8 @@ list only where none of them is eager; under either rule it must still
 pick exactly what the plain rule picks, and at one ``intro`` state the two
 rules must differ as the view rule says.  A ``Simulation`` caches the
 components of its ``state_key()`` until a round changes them; the key must
-still equal one built from scratch, whatever path led to the state.  A
+still equal one built from scratch, whatever path led to the state, and
+it holds no printed answer, which only the PRINT events keep.  A
 ``Message`` caches its hash and a ``DelegateState`` its key part; both must
 equal what their fields give.  ``enumerate_traces`` shares one
 ``TraceEvent`` per position and event among its traces.
@@ -24,7 +25,7 @@ from replisim import (ALL, ONE, ExplicitSchedule, SeededSchedule, Simulation, en
 from replisim.core import Timestamp
 from replisim.messages import FWD, REQ_WRITE, REQUEST_KINDS, Message
 from replisim.policies import local_one
-from replisim.sim import MODELS, _expansion, _search_priority
+from replisim.sim import MODELS, _INFLIGHT, _MAILBOX, _STORE, _expansion, _search_priority
 from replisim.trace import PRINT
 
 from corpus import SCENARIOS, walk
@@ -99,6 +100,31 @@ def test_the_view_rule_makes_request_deliveries_and_printing_recvs_eager():
     assert len(_expansion(sim, views=False)) == len(sim.enumerate_moves(True)) == 4
 
 
+def test_states_that_differ_only_in_what_was_printed_share_a_key():
+    # a3 reads x, and prints it, before or after a1's write of x reaches the
+    # store; after both, only the PRINT events and the answers tell the runs
+    # apart
+    def after(order: tuple) -> Simulation:
+        sim = Simulation(load_scenario("intro"), "cm0")
+        for tag, name in order:  # name: a send's agent, else the message's request
+            [move] = [m for m in sim.enumerate_moves(True)
+                      if m.tag == tag and (m.msg.req if m.msg else m.agent) == name]
+            sim.apply_round([move])
+        return sim
+
+    a3_reads = (("deliver", "a3#0"), ("db", "a3#0"))
+    a1_writes = (("deliver", "a1#0"), ("db", "a1#0"))
+    replies = (("deliver", "a3#0"), ("recv", "a3#0"), ("deliver", "a1#0"), ("recv", "a1#0"))
+    sends = (("send", "a1"), ("send", "a3"))
+    before = after(sends + a3_reads + a1_writes + replies)
+    late = after(sends + a1_writes + a3_reads + replies)
+    [printed_before] = [e.payload for e in before.events if e.kind == PRINT]
+    [printed_late] = [e.payload for e in late.events if e.kind == PRINT]
+    assert printed_before != printed_late
+    assert before.state_key() == late.state_key() == scratch_key(late)
+    assert before.search_key() != late.search_key()  # the answers differ
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_cached_key_equals_a_key_built_from_scratch(model):
     shared = 0
@@ -106,11 +132,11 @@ def test_cached_key_equals_a_key_built_from_scratch(model):
         for sim, children in walk(base.with_policies(ONE, ALL), model, STATES):
             parent = sim.state_key()
             assert parent == scratch_key(sim)
-            assert parent[5:7] == messages_by_ident(sim)
+            assert (parent[_INFLIGHT], parent[_MAILBOX]) == messages_by_ident(sim)
             for move, child in children:  # each child is a clone with one round applied
                 assert child.state_key() == scratch_key(child), (base.name, move.desc)
                 if move.tag in ("deliver", "send", "recv"):  # the store is untouched
-                    assert child.state_key()[4] is parent[4]
+                    assert child.state_key()[_STORE] is parent[_STORE]
                     shared += 1
     assert shared > 0
 
