@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import ClusterConfig, ConfigError, RelationConfig
+from .trace import read_int, read_ints
 
 _KINDS = ("ALL", "ONE", "TWO", "THREE", "QUORUM", "EACH_QUORUM", "LOCAL_ONE", "LOCAL_QUORUM")
 _LOCAL = ("LOCAL_ONE", "LOCAL_QUORUM")
@@ -69,7 +70,8 @@ def parse_policy(text: str) -> Policy:
     """Parse the scenario-file spelling of a policy.
 
     Accepted forms: ALL, ONE, TWO, THREE, QUORUM(n/d), EACH_QUORUM(n/d),
-    LOCAL_ONE(dc), LOCAL_QUORUM(n/d,dc).
+    LOCAL_ONE(dc), LOCAL_QUORUM(n/d,dc), each number an integer as
+    ``trace.read_int`` reads it.
     """
     s = text.strip()
     plain = {"ALL": ALL, "ONE": ONE, "TWO": TWO, "THREE": THREE}
@@ -79,15 +81,13 @@ def parse_policy(text: str) -> Policy:
         raise ConfigError(f"cannot parse policy {text!r}")
     name, args = s[: s.index("(")].upper(), s[s.index("(") + 1 : -1]
     try:
-        if name == "QUORUM":
-            return quorum(Fraction(args.strip()))
-        if name == "EACH_QUORUM":
-            return each_quorum(Fraction(args.strip()))
+        if name in ("QUORUM", "EACH_QUORUM"):
+            return Policy(name, q=Fraction(*read_ints(args.strip(), "/", 2)))
         if name == "LOCAL_ONE":
-            return local_one(int(args.strip()))
+            return local_one(read_int(args.strip()))
         if name == "LOCAL_QUORUM":
             frac, dc = args.split(",")
-            return local_quorum(Fraction(frac.strip()), int(dc.strip()))
+            return local_quorum(Fraction(*read_ints(frac.strip(), "/", 2)), read_int(dc.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse policy {text!r}: {exc}") from None
     raise ConfigError(f"unknown policy {text!r}")

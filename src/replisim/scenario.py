@@ -26,7 +26,7 @@ from .policies import (
     parse_policy,
     sufficient,
 )
-from .trace import checked_write_set, read_atom, read_fragment, read_name, read_tokens
+from .trace import checked_write_set, read_atom, read_fragment, read_int, read_ints, read_name, read_tokens
 
 
 class ScenarioError(Exception):
@@ -270,15 +270,11 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             section = path[0]
             if section == "cluster":
                 if path[1:] == ("datacentres",):
-                    dc_count = int(value)
+                    dc_count = read_int(value)
                 elif path[1:] == ("offsets",):
-                    for part in value.split():
-                        d, r = part.split(":")
-                        offsets[int(d)] = int(r)
+                    offsets.update(read_ints(part, ":", 2) for part in value.split())
                 elif path[1:] == ("down",):
-                    for part in value.split():
-                        d, n = part.split(":")
-                        down.append((int(d), int(n)))
+                    down += [read_ints(part, ":", 2) for part in value.split()]
                 elif len(path) == 4 and path[1] == "relation":
                     rid = path[2]
                     if not _IDENT_RE.match(rid):
@@ -326,18 +322,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 diags.append((ln, f"relation {rid}: unknown field {fname!r}"))
         lineno = min(ln for ln, _ in fields.values())
         try:
-            arity = int(get("arity", "1"))
-            co_arity = int(get("coarity", "1"))
-            hash_bounds = get("hash", "0 255").split()
-            hash_min, hash_max = int(hash_bounds[0]), int(hash_bounds[1])
+            arity = read_int(get("arity", "1"))
+            co_arity = read_int(get("coarity", "1"))
+            hash_min, hash_max = read_ints(get("hash", "0 255"), count=2)
             if "ranges" in fields:
-                ranges = []
-                for part in get("ranges").split():
-                    lo, hi = part.split(":")
-                    ranges.append((int(lo), int(hi)))
-                ranges = tuple(ranges)
+                ranges = tuple(read_ints(part, ":", 2) for part in get("ranges").split())
             else:
-                q = int(get("fragments", "1"))
+                q = read_int(get("fragments", "1"))
                 if q < 1 or q > hash_max - hash_min + 1:
                     raise ValueError("fragments out of range")
                 width, extra = divmod(hash_max - hash_min + 1, q)
@@ -347,9 +338,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                     ranges.append((lo, hi))
                     lo = hi + 1
                 ranges = tuple(ranges)
-            rel_dcs = tuple(sorted(int(x) for x in get("datacentres", " ".join(map(str, dcs))).split()))
-            nodes = int(get("nodes", "1"))
-            replication = int(get("replication", "1"))
+            rel_dcs = tuple(sorted(read_ints(get("datacentres", " ".join(map(str, dcs))))))
+            nodes = read_int(get("nodes", "1"))
+            replication = read_int(get("replication", "1"))
             for d in rel_dcs:
                 if d not in dcs:
                     raise ValueError(f"data centre {d} not declared")
@@ -390,18 +381,18 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if "home" not in fields or "program" not in fields:
             diags.append((ln, f"agent {aid} needs both home and program"))
             continue
-        ln_home, home_text = fields["home"]
-        ln_prog, prog_text = fields["program"]
+        ln, home_text = fields["home"]  # the line of the field being read
         try:
-            home = int(home_text)
+            home = read_int(home_text)
             if home not in dcs:
                 raise ValueError(f"home data centre {home} not declared")
+            ln, prog_text = fields["program"]
             program = _parse_program(prog_text)
         except ValueError as exc:
-            diags.append((ln_prog, f"agent {aid}: {exc}"))
+            diags.append((ln, f"agent {aid}: {exc}"))
             continue
         for problem in program_problems(cfg, home, program):
-            diags.append((ln_prog, f"agent {aid}: {problem}"))
+            diags.append((ln, f"agent {aid}: {problem}"))
         programs[aid] = program
         homes[aid] = home
     if diags:

@@ -279,9 +279,6 @@ class Simulation:
             return DB_AGENT
         return dc_agent(self.scenario.homes[client])
 
-    def req_id(self, client: str, index: int) -> str:
-        return f"{client}#{index}"
-
     def clients_done(self) -> bool:
         for a, n in self.lengths.items():
             if self.pc[a] < n or self.waiting[a]:
@@ -514,11 +511,8 @@ class Simulation:
     def _client_send(self, move: Move) -> StepEffect:
         a = move.agent
         step = self.scenario.programs[a][self.pc[a]]
-        req = self.req_id(a, self.pc[a])
-        if step.kind == "read":
-            msg = Message(REQ_READ, req, a, self.home_agent(a), payload=(step.rid, step.cond))
-        else:
-            msg = Message(REQ_WRITE, req, a, self.home_agent(a), payload=(step.rid, step.pairs))
+        kind, detail = (REQ_READ, step.cond) if step.kind == "read" else (REQ_WRITE, step.pairs)
+        msg = Message(kind, f"{a}#{self.pc[a]}", a, self.home_agent(a), payload=(step.rid, detail))
         return StepEffect({("pc", a): self.pc[a] + 1, ("waiting", a): True}, [msg])
 
     def _client_recv(self, move: Move) -> StepEffect:

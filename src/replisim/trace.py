@@ -22,7 +22,7 @@ whitespace or with ``replisim-trace``, or a value that ends with whitespace.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .cm0 import Condition
 from .core import UNDEF, sorted_pairs, tuple_sort_key
@@ -79,13 +79,14 @@ def render_payload(payload: tuple) -> str:
     raise TraceError(f"cannot render payload {payload!r}")
 
 
+_INT = r"-?[0-9]+"  # read_int's rule
 # One token of trace or scenario text, the inverse of render_atom: an arrow
 # or other punctuation, a quoted string in which only \\ and \" are escapes,
-# an integer in ASCII digits, a name such as x or key-eq, or any other single
-# character, which every reader refuses where it finds it.
+# an integer, a name such as x or key-eq, or any other single character,
+# which every reader refuses where it finds it.
 TOKEN_RE = re.compile(
-    r'->|[(){};,=]|"(?:[^"\\]|\\["\\])*"|-?[0-9]+'
-    r"|[A-Za-z_][A-Za-z0-9_/]*(?:-[A-Za-z0-9_]+)*|\S"
+    r'->|[(){};,=]|"(?:[^"\\]|\\["\\])*"|' + _INT
+    + r"|[A-Za-z_][A-Za-z0-9_/]*(?:-[A-Za-z0-9_]+)*|\S"
 )
 _PUNCT = frozenset(("->", "(", ")", "{", "}", ";", ",", "="))
 # Each token with the whitespace after it, so one findall reads them all.  The
@@ -125,6 +126,24 @@ def read_atom(tok):
             except ValueError:
                 pass
     raise TraceError(f"expected an atom, got {_shown(tok)}")
+
+
+def read_int(text: str) -> int:
+    """An integer as ``TOKEN_RE`` reads one: ASCII digits after an optional
+    ``-``.  Another script's digits, a ``+`` or a ``_`` separator, all of
+    which ``int()`` takes, are refused."""
+    if re.fullmatch(_INT, text) is None:
+        raise TraceError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def read_ints(text: str, sep: Optional[str] = None, count: Optional[int] = None) -> tuple:
+    """The integers (``read_int``) ``text`` holds apart by ``sep``, or by
+    whitespace, and exactly ``count`` of them if it is given."""
+    ints = tuple(read_int(part) for part in text.split(sep))
+    if count is not None and len(ints) != count:
+        raise TraceError(f"expected {count} integers, got {text!r}")
+    return ints
 
 
 def read_name(tok) -> str:

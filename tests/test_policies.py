@@ -262,3 +262,15 @@ def test_parse_policy_spellings():
         parse_policy("QUORUM(3/2)")
     with pytest.raises(ConfigError):
         parse_policy("SOME")
+
+
+def test_policy_arguments_are_integers_in_ascii_digits():
+    # a sign is a leading minus only, and spaces may stand around each argument
+    assert parse_policy("LOCAL_QUORUM( 2/4 , 1 )") == local_quorum(HALF, 1)
+    assert parse_policy("QUORUM(-1/-2)") == quorum(HALF)
+    assert parse_policy("EACH_QUORUM(003/006)") == each_quorum(HALF)
+    for text in ("LOCAL_ONE(\u0661)", "LOCAL_ONE(+1)", "QUORUM(\u0661/\u0662)", "QUORUM(1_0/2_0)",
+                 "EACH_QUORUM(1/\uff12)", "LOCAL_QUORUM(1/2,1_0)", "QUORUM(0.5)", "QUORUM(1)",
+                 "QUORUM(1/2/3)", "QUORUM(1 / 2)", "QUORUM(1/0)"):
+        with pytest.raises(ConfigError, match="cannot parse policy"):
+            parse_policy(text)

@@ -250,6 +250,66 @@ init.x = (\u0660) -> (\u0660)
         parse_scenario(text)
 
 
+_INTEGERS = """cluster.datacentres = 2
+cluster.offsets = 1:1 2:2
+cluster.down = 2:1
+cluster.relation.x.arity = 1
+cluster.relation.x.coarity = 1
+cluster.relation.x.hash = 0 255
+cluster.relation.x.ranges = 0:127 128:255
+cluster.relation.x.datacentres = 1 2
+cluster.relation.x.nodes = 2
+cluster.relation.x.replication = 2
+cluster.relation.y.fragments = 1
+policy.read = LOCAL_ONE(1)
+policy.write = QUORUM(1/2)
+agent.a1.home = 1
+agent.a1.program = read x true
+"""
+
+
+def test_integer_fields_read_as_written():
+    s = parse_scenario(_INTEGERS)
+    assert s.cfg.all_dcs() == (1, 2) and s.cfg.offset_ranks == {1: 1, 2: 2}
+    x = s.cfg.relation("x")
+    assert (x.arity, x.co_arity, x.hash_min, x.hash_max) == (1, 1, 0, 255)
+    assert (x.ranges, x.data_centres, x.nodes, x.replication) == (((0, 127), (128, 255)), (1, 2), 2, 2)
+    assert s.cfg.relation("y").fragments == 1 and s.homes == {"a1": 1}
+    negative = parse_scenario(_INTEGERS.replace("hash = 0 255", "hash = -256 -1").replace(
+        "ranges = 0:127 128:255", "ranges = -256:-129 -128:-1"))
+    assert negative.cfg.relation("x").ranges == ((-256, -129), (-128, -1))
+
+
+@pytest.mark.parametrize("field, written, line, message", [
+    ("cluster.datacentres = 2", "cluster.datacentres = \u0662", 1, "expected an integer, got '\u0662'"),
+    ("cluster.datacentres = 2", "cluster.datacentres = +2", 1, "expected an integer, got '+2'"),
+    ("cluster.offsets = 1:1 2:2", "cluster.offsets = 1:1 2:\u0662", 2, "got '\u0662'"),
+    ("cluster.offsets = 1:1 2:2", "cluster.offsets = 1:1 2", 2, "expected 2 integers, got '2'"),
+    ("cluster.down = 2:1", "cluster.down = 2:1:1", 3, "expected 2 integers, got '2:1:1'"),
+    ("cluster.down = 2:1", "cluster.down = 2:+1", 3, "got '+1'"),
+    ("relation.x.arity = 1", "relation.x.arity = 1_0", 4, "relation x: expected an integer, got '1_0'"),
+    ("relation.x.coarity = 1", "relation.x.coarity = \u0661", 4, "got '\u0661'"),
+    ("relation.x.hash = 0 255", "relation.x.hash = 0 2_55", 4, "got '2_55'"),
+    ("relation.x.hash = 0 255", "relation.x.hash = 0 255 7", 4, "expected 2 integers, got '0 255 7'"),
+    ("relation.x.ranges = 0:127 128:255", "relation.x.ranges = 0:127 128:\u0662", 4, "got '\u0662'"),
+    ("relation.x.datacentres = 1 2", "relation.x.datacentres = 1 +2", 4, "got '+2'"),
+    ("relation.x.nodes = 2", "relation.x.nodes = \uff12", 4, "got '\uff12'"),
+    ("relation.x.replication = 2", "relation.x.replication = 2.0", 4, "got '2.0'"),
+    ("relation.y.fragments = 1", "relation.y.fragments = \u0661", 11, "relation y: expected an integer"),
+    ("policy.read = LOCAL_ONE(1)", "policy.read = LOCAL_ONE(\u0661)", 12, "cannot parse policy"),
+    ("policy.write = QUORUM(1/2)", "policy.write = QUORUM(1_0/2_0)", 13, "got '1_0'"),
+    ("agent.a1.home = 1", "agent.a1.home = \u0661", 14, "agent a1: expected an integer, got '\u0661'"),
+    ("agent.a1.home = 1", "agent.a1.home = +1", 14, "agent a1: expected an integer, got '+1'"),
+])
+def test_integers_in_other_spellings_are_refused_on_their_line(field, written, line, message):
+    # int() would take each of them; a relation's fields report its first line
+    text = _INTEGERS.replace(field, written)
+    assert text != _INTEGERS
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert [ln for ln, msg in err.value.diagnostics if message in msg] == [line], err.value.diagnostics
+
+
 def test_missing_scenario_file():
     with pytest.raises(ScenarioError):
         load_scenario("does-not-exist")
