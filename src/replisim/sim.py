@@ -888,13 +888,14 @@ def _expansion(sim: Simulation, views: bool) -> list:
 
     A ``deliver``, ``send`` or ``recv`` touches only its agent's ``pc`` and
     ``waiting`` or one message's place (in flight, in a mailbox, or dropped
-    at a dead delegate, as the delegate's deletion would drop it).  No other enabled move touches the same, so it commutes
-    with each of them: each stays enabled after the other, and both orders
-    reach equal ``search_key()`` (``tests/test_independence.py``).  The
-    moves it enables can only follow it, and nothing disables it, so it
-    stays enabled until it is taken.  So every completed run from the
-    state either contains it, and can take it first, or completes without
-    it, and the same run after it completes too.  Only a move that emits no
+    at a dead delegate, as the delegate's deletion would drop it).  No
+    other enabled move touches the same, so it commutes with each of them:
+    each stays enabled after the other, and both orders reach equal
+    ``search_key()`` (``tests/test_independence.py``).  The moves it
+    enables can only follow it, and nothing disables it, so it stays
+    enabled until it is taken.  So every completed run from the state
+    either contains it, and can take it first, or completes without it,
+    and the same run after it completes too.  Only a move that emits no
     event can be left out: a completed client has had each of its requests
     delivered and each reply received.
 
