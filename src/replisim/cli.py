@@ -13,7 +13,6 @@ step limit exhausted, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .consistency import IncompleteTraceError, check_view_compatible, check_view_serialisable
@@ -21,7 +20,7 @@ from .core import ConfigError
 from .predicates import load_predicate
 from .scenario import ScenarioError, bundled_scenarios, load_scenario
 from .sim import DEFAULT_STEP_LIMIT, SeededSchedule, run, search_schedules
-from .trace import Trace, TraceError
+from .trace import Trace, TraceError, read_int
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -29,27 +28,17 @@ EXIT_VALIDATION = 2
 EXIT_EXHAUSTED = 3
 
 
-def _not_negative(name: str, value: int) -> int:
-    """A budget or step limit; zero is legal, a negative value is not."""
-    if value < 0:
-        raise ValueError(f"{name} must be 0 or more, not {value}")
-    return value
-
-
-def default_budget() -> int:
-    text = os.environ.get("REPLISIM_BUDGET", "1000000")
+def _number(args, flag: str, least=None) -> int:
+    """The value of ``--flag``, an integer as ``trace.read_int`` reads one,
+    refused below ``least`` if that is given."""
+    text = getattr(args, flag)
     try:
-        budget = int(text)
-    except ValueError:
-        raise ValueError(f"REPLISIM_BUDGET must be an integer, not {text!r}") from None
-    return _not_negative("REPLISIM_BUDGET", budget)
-
-
-def _budget(args) -> int:
-    """``--budget`` if given, else ``REPLISIM_BUDGET``, else 1,000,000."""
-    if args.budget is None:
-        return default_budget()
-    return _not_negative("--budget", args.budget)
+        value = read_int(text)
+    except TraceError as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
+    if least is not None and value < least:
+        raise ValueError(f"--{flag} must be {least} or more, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,9 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a scenario under a seeded schedule")
     p_run.add_argument("scenario", help="scenario file path or bundled name")
     p_run.add_argument("--model", choices=("cm0", "cm1", "cm2"), required=True)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", default="0")
     p_run.add_argument("--trace", metavar="PATH", help="write the trace here instead of stdout")
-    p_run.add_argument("--steps", type=int, default=DEFAULT_STEP_LIMIT, help="global step limit")
+    p_run.add_argument("--steps", default=str(DEFAULT_STEP_LIMIT), help="global step limit")
 
     p_search = sub.add_parser("search", help="search schedules for a trace property")
     p_search.add_argument("scenario")
@@ -75,24 +64,24 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="anomaly-read-stale | print-pair | custom-file:PATH",
     )
-    p_search.add_argument("--budget", type=int, default=None)
+    p_search.add_argument("--budget", default="1000000")
     p_search.add_argument("--trace", metavar="PATH", help="write the witness trace here")
-    p_search.add_argument("--steps", type=int, default=DEFAULT_STEP_LIMIT)
+    p_search.add_argument("--steps", default=str(DEFAULT_STEP_LIMIT))
 
     p_check = sub.add_parser("check", help="check a recorded trace")
     p_check.add_argument("scenario")
     p_check.add_argument("property", choices=("compatible", "serialisable"))
     p_check.add_argument("--trace", metavar="PATH", required=True)
-    p_check.add_argument("--budget", type=int, default=None)
+    p_check.add_argument("--budget", default="1000000")
 
     p_list = sub.add_parser("scenarios", help="list bundled scenarios")
     return parser
 
 
 def _cmd_run(args) -> int:
-    steps = _not_negative("--steps", args.steps)
+    seed, steps = _number(args, "seed"), _number(args, "steps", 0)
     scenario = load_scenario(args.scenario)
-    result = run(scenario, args.model, SeededSchedule(args.seed), step_limit=steps)
+    result = run(scenario, args.model, SeededSchedule(seed), step_limit=steps)
     text = result.trace.to_text()
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -111,7 +100,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    budget, steps = _budget(args), _not_negative("--steps", args.steps)
+    budget, steps = _number(args, "budget", 0), _number(args, "steps", 0)
     scenario = load_scenario(args.scenario)
     predicate = load_predicate(args.predicate)
     result = search_schedules(scenario, args.model, predicate, budget=budget, step_limit=steps)
@@ -129,7 +118,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    budget = _budget(args)
+    budget = _number(args, "budget", 0)
     scenario = load_scenario(args.scenario)
     with open(args.trace, "r", encoding="utf-8") as fh:
         trace = Trace.from_text(fh.read())

@@ -183,6 +183,7 @@ class ClusterConfig:
         self.copies: dict = {}
         self.copy_sets: dict = {}  # (rid, j) -> the same copies as a frozenset, for membership tests
         self.local_groups: dict = {}
+        self._validate()  # before placement, which takes slots modulo each relation's nodes
         for rid, rel in self.relations.items():
             for j in range(1, rel.fragments + 1):
                 placed = []
@@ -198,7 +199,6 @@ class ClusterConfig:
                              if d2 == d and self.alive(d, node))
                     for j in range(1, rel.fragments + 1)
                 }
-        self._validate()
 
     def _validate(self) -> None:
         ranks = list(self.offset_ranks.values())
@@ -209,6 +209,8 @@ class ClusterConfig:
                 raise ConfigError(f"{rid}: arity and co-arity must be >= 1")
             if rel.replication < 1 or rel.replication > rel.nodes:
                 raise ConfigError(f"{rid}: replication must be within 1..nodes")
+            if len(set(rel.data_centres)) != len(rel.data_centres):
+                raise ConfigError(f"{rid}: a data centre is listed twice")
             for d in rel.data_centres:
                 if d not in self.offset_ranks:
                     raise ConfigError(f"{rid}: data centre {d} has no offset rank")
@@ -222,11 +224,6 @@ class ClusterConfig:
                 lo_expected = hi + 1
             if lo_expected != rel.hash_max + 1:
                 raise ConfigError(f"{rid}: ranges do not cover the hash interval")
-            for j in range(1, rel.fragments + 1):
-                for d in rel.data_centres:
-                    n = sum(1 for (d2, _) in self.copies[(rid, j)] if d2 == d)
-                    if n != rel.replication:
-                        raise ConfigError(f"{rid}: fragment {j} misplaced at dc {d}")
 
     def relation(self, rid: str) -> RelationConfig:
         try:

@@ -7,7 +7,7 @@ the package README.  Parsing is strict and diagnostics carry line numbers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -57,15 +57,7 @@ class Scenario:
     initial: FlatStore
 
     def with_policies(self, read: Policy, write: Policy) -> "Scenario":
-        return Scenario(
-            name=self.name,
-            cfg=self.cfg,
-            read_policy=read,
-            write_policy=write,
-            programs=self.programs,
-            homes=self.homes,
-            initial=self.initial,
-        )
+        return replace(self, read_policy=read, write_policy=write)
 
     def validate_for_model(self, model: str) -> None:
         """Reject scenarios with a client step the cluster cannot run, under
@@ -233,10 +225,92 @@ def _parse_program(text: str) -> tuple:
 _IDENT_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
+def _read_pairs(text: str) -> tuple:
+    """Whitespace-separated ``a:b`` pairs of integers."""
+    return tuple(read_ints(part, ":", 2) for part in text.split())
+
+
+def _read_offsets(text: str) -> dict:
+    offsets = {}
+    for d, rank in _read_pairs(text):
+        if d in offsets:
+            raise ValueError(f"data centre {d} has two offset ranks")
+        offsets[d] = rank
+    return offsets
+
+
+def _read_data_centres(text: str) -> tuple:
+    dcs = read_ints(text)
+    if len(set(dcs)) != len(dcs):
+        raise ValueError("a data centre is listed twice")
+    return tuple(sorted(dcs))
+
+
+def _parse_records(text: str) -> tuple:
+    """An ``init`` line's ``(key) -> (value)`` records, commas optional."""
+    ts = _TokenStream(text)
+    records = []
+    while not ts.done():
+        k = _parse_tuple(ts)
+        ts.expect_punct("->")
+        v = _parse_value(ts)
+        if v is UNDEF:
+            raise ValueError("initial records cannot be undef")
+        records.append((k, v))
+        if ts.peek() == ",":
+            ts.next()
+    return tuple(records)
+
+
+# The reader of each field, by section.
+_CLUSTER_FIELDS = {"datacentres": read_int, "offsets": _read_offsets, "down": _read_pairs}
+_RELATION_FIELDS = {
+    "arity": read_int,
+    "coarity": read_int,
+    "hash": lambda text: read_ints(text, count=2),
+    "fragments": read_int,
+    "ranges": _read_pairs,
+    "datacentres": _read_data_centres,
+    "nodes": read_int,
+    "replication": read_int,
+}
+_RELATION_DEFAULTS = {
+    "arity": 1, "coarity": 1, "hash": (0, 255), "fragments": 1, "nodes": 1, "replication": 1,
+}  # and every declared data centre
+_AGENT_FIELDS = {"home": read_int, "program": _parse_program}
+
+
+def _field(path: tuple, values: dict) -> tuple:
+    """Where the value assigned to ``path`` goes: (the dict of its owner's
+    fields, its field, its reader, the prefix of its diagnostics)."""
+    section, rest = path[0], path[1:]
+    if section == "cluster" and len(rest) == 3 and rest[0] == "relation":
+        _, rid, field = rest
+        if not _IDENT_RE.match(rid):
+            raise ValueError(f"relation id {rid!r} must match [a-z][a-z0-9_]*")
+        if field not in _RELATION_FIELDS:
+            raise ValueError(f"relation {rid}: unknown field {field!r}")
+        return values["relations"].setdefault(rid, {}), field, _RELATION_FIELDS[field], f"relation {rid}: "
+    if section == "cluster":
+        if len(rest) != 1 or rest[0] not in _CLUSTER_FIELDS:
+            raise ValueError(f"unknown cluster key {'.'.join(rest)}")
+        return values["cluster"], rest[0], _CLUSTER_FIELDS[rest[0]], ""
+    if section == "policy":
+        if rest not in (("read",), ("write",)):
+            raise ValueError("policy key must be policy.read or policy.write")
+        return values["policies"], rest[0], parse_policy, ""
+    if section == "agent":
+        if len(rest) != 2 or rest[1] not in _AGENT_FIELDS:
+            raise ValueError("agent keys are agent.<id>.home and agent.<id>.program")
+        return values["agents"].setdefault(rest[0], {}), rest[1], _AGENT_FIELDS[rest[1]], f"agent {rest[0]}: "
+    raise ValueError(f"unknown section {section!r}")
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     diags = []
-    assignments = []  # (lineno, key_path, value)
-    seen_keys = set()
+    lines = {}  # key path -> the line that assigns it
+    values = {"cluster": {}, "relations": {}, "policies": {}, "agents": {}}
+    init = []  # (line, relation, records)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -249,174 +323,103 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if any(not p for p in path):
             diags.append((lineno, f"malformed key {key.strip()!r}"))
             continue
-        if path[0] != "init" and path in seen_keys:
+        if path[0] != "init" and path in lines:
             diags.append((lineno, f"duplicate key {'.'.join(path)}"))
             continue
-        seen_keys.add(path)
-        assignments.append((lineno, path, value.strip()))
-    if diags:
-        raise ScenarioError(diags)
-
-    dc_count = None
-    offsets = {}
-    down = []
-    rel_fields = {}
-    policies = {}
-    agents = {}
-    init_lines = []
-
-    for lineno, path, value in assignments:
+        lines[path] = lineno
+        prefix = ""
         try:
-            section = path[0]
-            if section == "cluster":
-                if path[1:] == ("datacentres",):
-                    dc_count = read_int(value)
-                elif path[1:] == ("offsets",):
-                    offsets.update(read_ints(part, ":", 2) for part in value.split())
-                elif path[1:] == ("down",):
-                    down += [read_ints(part, ":", 2) for part in value.split()]
-                elif len(path) == 4 and path[1] == "relation":
-                    rid = path[2]
-                    if not _IDENT_RE.match(rid):
-                        raise ValueError(f"relation id {rid!r} must match [a-z][a-z0-9_]*")
-                    rel_fields.setdefault(rid, {})[path[3]] = (lineno, value)
-                else:
-                    raise ValueError(f"unknown cluster key {'.'.join(path[1:])}")
-            elif section == "policy":
-                if path[1:] not in (("read",), ("write",)):
-                    raise ValueError("policy key must be policy.read or policy.write")
-                policies[path[1]] = parse_policy(value)
-            elif section == "agent":
-                if len(path) != 3 or path[2] not in ("home", "program"):
-                    raise ValueError("agent keys are agent.<id>.home and agent.<id>.program")
-                agents.setdefault(path[1], {})[path[2]] = (lineno, value)
-            elif section == "init":
+            if path[0] == "init":
                 if len(path) != 2:
                     raise ValueError("init keys look like init.<relation>")
-                init_lines.append((lineno, path[1], value))
+                init.append((lineno, path[1], _parse_records(value)))
             else:
-                raise ValueError(f"unknown section {section!r}")
+                fields, field, read, prefix = _field(path, values)
+                fields[field] = read(value.strip())
         except (ValueError, ConfigError) as exc:
-            diags.append((lineno, str(exc)))
+            diags.append((lineno, prefix + str(exc)))
     if diags:
         raise ScenarioError(diags)
+    cluster, agents = values["cluster"], values["agents"]
 
-    if dc_count is None:
+    if "datacentres" not in cluster:
         raise ScenarioError([(0, "cluster.datacentres is required")])
-    dcs = tuple(range(1, dc_count + 1))
-    if not offsets:
-        offsets = {d: d for d in dcs}
+    dcs = tuple(range(1, cluster["datacentres"] + 1))
+    offsets = cluster.get("offsets") or {d: d for d in dcs}
     if sorted(offsets) != list(dcs):
         raise ScenarioError([(0, "cluster.offsets must cover exactly the declared data centres")])
 
-    known_rel_fields = {"arity", "coarity", "hash", "fragments", "ranges", "datacentres", "nodes", "replication"}
     rel_configs = {}
-    for rid, fields in sorted(rel_fields.items()):
-        def get(fname, default=None):
-            if fname in fields:
-                return fields[fname][1]
-            return default
-
-        for fname, (ln, _) in sorted(fields.items()):
-            if fname not in known_rel_fields:
-                diags.append((ln, f"relation {rid}: unknown field {fname!r}"))
-        lineno = min(ln for ln, _ in fields.values())
-        try:
-            arity = read_int(get("arity", "1"))
-            co_arity = read_int(get("coarity", "1"))
-            hash_min, hash_max = read_ints(get("hash", "0 255"), count=2)
-            if "ranges" in fields:
-                ranges = tuple(read_ints(part, ":", 2) for part in get("ranges").split())
-            else:
-                q = read_int(get("fragments", "1"))
-                if q < 1 or q > hash_max - hash_min + 1:
-                    raise ValueError("fragments out of range")
-                width, extra = divmod(hash_max - hash_min + 1, q)
-                ranges, lo = [], hash_min
-                for j in range(q):
-                    hi = lo + width - 1 + (1 if j < extra else 0)
-                    ranges.append((lo, hi))
-                    lo = hi + 1
-                ranges = tuple(ranges)
-            rel_dcs = tuple(sorted(read_ints(get("datacentres", " ".join(map(str, dcs))))))
-            nodes = read_int(get("nodes", "1"))
-            replication = read_int(get("replication", "1"))
-            for d in rel_dcs:
-                if d not in dcs:
-                    raise ValueError(f"data centre {d} not declared")
-            rel_configs[rid] = RelationConfig(
-                rid=rid,
-                arity=arity,
-                co_arity=co_arity,
-                hash_min=hash_min,
-                hash_max=hash_max,
-                ranges=ranges,
-                data_centres=rel_dcs,
-                nodes=nodes,
-                replication=replication,
-            )
-        except (ValueError, IndexError) as exc:
-            diags.append((lineno, f"relation {rid}: {exc}"))
+    for rid, given in sorted(values["relations"].items()):
+        fields = {**_RELATION_DEFAULTS, "datacentres": dcs, **given}
+        line_of = {f: lines[("cluster", "relation", rid, f)] for f in given}
+        hash_min, hash_max = fields["hash"]
+        q, span = fields["fragments"], hash_max - hash_min + 1
+        if "ranges" in given:
+            ranges = given["ranges"]
+            if "fragments" in given:
+                diags.append((line_of["fragments"], f"relation {rid}: give fragments or ranges, not both"))
+        elif 1 <= q <= span:
+            width, extra = divmod(span, q)
+            starts = [hash_min + j * width + min(j, extra) for j in range(q + 1)]
+            ranges = tuple((lo, hi - 1) for lo, hi in zip(starts, starts[1:]))
+        else:
+            diags.append((line_of.get("fragments", line_of.get("hash")), f"relation {rid}: fragments out of range"))
+            continue
+        undeclared = [d for d in fields["datacentres"] if d not in dcs]
+        if undeclared:
+            diags.append((line_of["datacentres"], f"relation {rid}: data centre {undeclared[0]} not declared"))
+            continue
+        rel_configs[rid] = RelationConfig(
+            rid=rid,
+            arity=fields["arity"],
+            co_arity=fields["coarity"],
+            hash_min=hash_min,
+            hash_max=hash_max,
+            ranges=ranges,
+            data_centres=fields["datacentres"],
+            nodes=fields["nodes"],
+            replication=fields["replication"],
+        )
     if diags:
         raise ScenarioError(diags)
     if not rel_configs:
         raise ScenarioError([(0, "at least one cluster.relation.<id> is required")])
 
     try:
-        cfg = ClusterConfig(rel_configs, offsets, down)
+        cfg = ClusterConfig(rel_configs, offsets, cluster.get("down", ()))
     except ConfigError as exc:
         raise ScenarioError([(0, str(exc))]) from None
 
-    read_policy = policies.get("read")
-    write_policy = policies.get("write")
+    read_policy = values["policies"].get("read")
+    write_policy = values["policies"].get("write")
     if read_policy is None or write_policy is None:
         raise ScenarioError([(0, "policy.read and policy.write are required")])
 
     programs, homes = {}, {}
     for aid, fields in sorted(agents.items()):
-        ln = next(iter(fields.values()))[0]
+        line_of = {f: lines[("agent", aid, f)] for f in fields}
         if not _IDENT_RE.match(aid):
-            diags.append((ln, f"agent id {aid!r} must match [a-z][a-z0-9_]*"))
-            continue
-        if "home" not in fields or "program" not in fields:
-            diags.append((ln, f"agent {aid} needs both home and program"))
-            continue
-        ln, home_text = fields["home"]  # the line of the field being read
-        try:
-            home = read_int(home_text)
-            if home not in dcs:
-                raise ValueError(f"home data centre {home} not declared")
-            ln, prog_text = fields["program"]
-            program = _parse_program(prog_text)
-        except ValueError as exc:
-            diags.append((ln, f"agent {aid}: {exc}"))
-            continue
-        for problem in program_problems(cfg, home, program):
-            diags.append((ln, f"agent {aid}: {problem}"))
-        programs[aid] = program
-        homes[aid] = home
+            diags.append((min(line_of.values()), f"agent id {aid!r} must match [a-z][a-z0-9_]*"))
+        elif len(fields) < 2:
+            diags.append((min(line_of.values()), f"agent {aid} needs both home and program"))
+        elif fields["home"] not in dcs:
+            diags.append((line_of["home"], f"agent {aid}: home data centre {fields['home']} not declared"))
+        else:
+            homes[aid], programs[aid] = fields["home"], fields["program"]
+            for problem in program_problems(cfg, homes[aid], programs[aid]):
+                diags.append((line_of["program"], f"agent {aid}: {problem}"))
     if diags:
         raise ScenarioError(diags)
 
     initial = FlatStore()
-    for lineno, rid, value in init_lines:
-        if rid not in cfg.relations:
-            diags.append((lineno, f"unknown relation {rid!r}"))
-            continue
+    for lineno, rid, records in init:
         try:
-            ts = _TokenStream(value)
-            while not ts.done():
-                k = _parse_tuple(ts)
-                ts.expect_punct("->")
-                v = _parse_value(ts)
-                if v is UNDEF:
-                    raise ValueError("initial records cannot be undef")
-                check_writeset({k: v}, cfg, rid)
+            check_writeset(dict(records), cfg, rid)
+            for k, v in records:
                 if initial.get(rid, k) is not UNDEF:
                     raise ValueError(f"duplicate initial record for key {k!r}")
                 initial.set(rid, k, v)
-                if ts.peek() == ",":
-                    ts.next()
         except (ValueError, ConfigError) as exc:
             diags.append((lineno, str(exc)))
     if diags:

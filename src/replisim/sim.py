@@ -518,9 +518,10 @@ class Simulation:
     def _client_recv(self, move: Move) -> StepEffect:
         return StepEffect({("waiting", move.agent): False})  # a printed answer is in the PRINT event
 
-    def _printing_step(self, agent: str, req: str):
-        """The read step whose answer ``agent``'s ``recv`` of ``req``'s reply prints, or None."""
-        step = self.scenario.programs[agent][int(req.split("#", 1)[1])]
+    def _printing_step(self, agent: str):
+        """The read step whose answer the waiting ``agent``'s ``recv`` prints,
+        or None: the step it waits on, before ``pc``."""
+        step = self.scenario.programs[agent][self.pc[agent] - 1]
         return step if step.kind == "read" and step.print_answer else None
 
     def _db_step(self, move: Move) -> StepEffect:
@@ -633,7 +634,7 @@ class Simulation:
         tag, msg = move.desc[0], move.msg
         if tag == "deliver":
             return REQ if msg.kind in REQUEST_KINDS else None
-        return PRINT if tag == "recv" and self._printing_step(move.desc[1], msg.req) is not None else None
+        return PRINT if tag == "recv" and self._printing_step(move.desc[1]) is not None else None
 
     def _event(self, move: Move, sends: list) -> Optional[TraceEvent]:
         """The trace event of a move in this round: its ``_own_event``, or
@@ -918,7 +919,7 @@ def _expansion(sim: Simulation, views: bool) -> list:
     best = None  # (priority, prefix, box, ident) of the eager move that comes first so far
     for prefix, box in groups:
         tag = prefix[0]
-        if not views and tag == "recv" and sim._printing_step(prefix[1], next(iter(box))[1]) is not None:
+        if not views and tag == "recv" and sim._printing_step(prefix[1]) is not None:
             continue  # the box holds only the reply to the request its client waits for
         if tag in ("deliver", "send", "recv"):
             for ident, msg in box.items():

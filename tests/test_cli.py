@@ -212,47 +212,41 @@ def test_scenarios_listing(capsys):
     assert "intro" in out and "counterexample" in out
 
 
-def test_budget_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPLISIM_BUDGET", "3")
-    code, out, _ = run_cli(
-        ["search", "intro", "--model", "cm2", "--predicate", "anomaly-read-stale"], capsys
-    )
-    assert code == 3
-
-
-def test_malformed_budget_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("REPLISIM_BUDGET", "1e5")
-    code, out, err = run_cli(
-        ["search", "counterexample", "--model", "cm0", "--predicate", "anomaly-read-stale"], capsys
-    )
+@pytest.mark.parametrize(
+    "args, named",
+    (
+        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair",
+          "--budget", "-5"], "--budget"),
+        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair",
+          "--steps", "-1"], "--steps"),
+        (["run", "counterexample", "--model", "cm0", "--steps", "-1"], "--steps"),
+        (["check", "counterexample", "compatible", "--trace", "unread.log", "--budget", "-2"],
+         "--budget"),
+    ),
+    ids=("search-budget", "search-steps", "run-steps", "check-budget"),
+)
+def test_negative_budget_or_step_limit_exits_2(args, named, capsys):
+    code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
-    assert "REPLISIM_BUDGET" in err and "'1e5'" in err
+    assert named in err and args[-1] in err
 
 
 @pytest.mark.parametrize(
-    "args, env, named",
+    "args",
     (
-        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair",
-          "--budget", "-5"], None, "--budget"),
-        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair"],
-         "-3", "REPLISIM_BUDGET"),
-        (["search", "counterexample", "--model", "cm0", "--predicate", "print-pair",
-          "--steps", "-1"], None, "--steps"),
-        (["run", "counterexample", "--model", "cm0", "--steps", "-1"], None, "--steps"),
-        (["check", "counterexample", "compatible", "--trace", "unread.log", "--budget", "-2"],
-         None, "--budget"),
+        ["run", "intro", "--model", "cm0", "--seed", "\u0663"],
+        ["run", "intro", "--model", "cm0", "--steps", "1_000"],
+        ["search", "counterexample", "--model", "cm0", "--predicate", "print-pair", "--budget", "+5"],
     ),
-    ids=("search-budget", "budget-env", "search-steps", "run-steps", "check-budget"),
+    ids=("seed-other-digits", "steps-separator", "budget-plus"),
 )
-def test_negative_budget_or_step_limit_exits_2(args, env, named, capsys, monkeypatch):
-    if env is not None:
-        monkeypatch.setenv("REPLISIM_BUDGET", env)
+def test_numbers_in_other_spellings_exit_2(args, capsys):
+    # int() would take each of them; the flags read integers as scenarios do
     code, out, err = run_cli(args, capsys)
-    value = env if env is not None else args[-1]
     assert code == 2
     assert out == ""
-    assert named in err and value in err
+    assert args[-2] in err and repr(args[-1]) in err
 
 
 def test_zero_budget_and_step_limit_stay_legal(capsys):

@@ -316,6 +316,19 @@ def test_replication_beyond_nodes_rejected():
         ClusterConfig({"x": rel}, {1: 1, 2: 2})
 
 
+def test_zero_nodes_rejected_before_placement():
+    # placement takes each fragment's first node modulo the relation's nodes
+    rel = RelationConfig("x", 1, 1, 0, 255, ((0, 255),), (1, 2), 0, 1)
+    with pytest.raises(ConfigError, match="x: replication must be within 1..nodes"):
+        ClusterConfig({"x": rel}, {1: 1, 2: 2})
+
+
+def test_data_centre_listed_twice_rejected():
+    rel = RelationConfig("x", 1, 1, 0, 255, ((0, 255),), (1, 1), 1, 1)
+    with pytest.raises(ConfigError, match="x: a data centre is listed twice"):
+        ClusterConfig({"x": rel}, {1: 1, 2: 2})
+
+
 # ---------------------------------------------------------------------------
 # stores
 # ---------------------------------------------------------------------------

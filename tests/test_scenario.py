@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from replisim import ScenarioError, SeededSchedule, Simulation, load_scenario, parse_scenario, run
+from replisim.cli import main
 from replisim.policies import ALL, ONE, local_quorum
 from replisim.scenario import ClientStep, bundled_scenarios
 from replisim.sim import MODELS
@@ -288,13 +289,13 @@ def test_integer_fields_read_as_written():
     ("cluster.down = 2:1", "cluster.down = 2:1:1", 3, "expected 2 integers, got '2:1:1'"),
     ("cluster.down = 2:1", "cluster.down = 2:+1", 3, "got '+1'"),
     ("relation.x.arity = 1", "relation.x.arity = 1_0", 4, "relation x: expected an integer, got '1_0'"),
-    ("relation.x.coarity = 1", "relation.x.coarity = \u0661", 4, "got '\u0661'"),
-    ("relation.x.hash = 0 255", "relation.x.hash = 0 2_55", 4, "got '2_55'"),
-    ("relation.x.hash = 0 255", "relation.x.hash = 0 255 7", 4, "expected 2 integers, got '0 255 7'"),
-    ("relation.x.ranges = 0:127 128:255", "relation.x.ranges = 0:127 128:\u0662", 4, "got '\u0662'"),
-    ("relation.x.datacentres = 1 2", "relation.x.datacentres = 1 +2", 4, "got '+2'"),
-    ("relation.x.nodes = 2", "relation.x.nodes = \uff12", 4, "got '\uff12'"),
-    ("relation.x.replication = 2", "relation.x.replication = 2.0", 4, "got '2.0'"),
+    ("relation.x.coarity = 1", "relation.x.coarity = \u0661", 5, "got '\u0661'"),
+    ("relation.x.hash = 0 255", "relation.x.hash = 0 2_55", 6, "got '2_55'"),
+    ("relation.x.hash = 0 255", "relation.x.hash = 0 255 7", 6, "expected 2 integers, got '0 255 7'"),
+    ("relation.x.ranges = 0:127 128:255", "relation.x.ranges = 0:127 128:\u0662", 7, "got '\u0662'"),
+    ("relation.x.datacentres = 1 2", "relation.x.datacentres = 1 +2", 8, "got '+2'"),
+    ("relation.x.nodes = 2", "relation.x.nodes = \uff12", 9, "got '\uff12'"),
+    ("relation.x.replication = 2", "relation.x.replication = 2.0", 10, "got '2.0'"),
     ("relation.y.fragments = 1", "relation.y.fragments = \u0661", 11, "relation y: expected an integer"),
     ("policy.read = LOCAL_ONE(1)", "policy.read = LOCAL_ONE(\u0661)", 12, "cannot parse policy"),
     ("policy.write = QUORUM(1/2)", "policy.write = QUORUM(1_0/2_0)", 13, "got '1_0'"),
@@ -302,12 +303,35 @@ def test_integer_fields_read_as_written():
     ("agent.a1.home = 1", "agent.a1.home = +1", 14, "agent a1: expected an integer, got '+1'"),
 ])
 def test_integers_in_other_spellings_are_refused_on_their_line(field, written, line, message):
-    # int() would take each of them; a relation's fields report its first line
+    # int() would take each of them
     text = _INTEGERS.replace(field, written)
     assert text != _INTEGERS
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert [ln for ln, msg in err.value.diagnostics if message in msg] == [line], err.value.diagnostics
+
+
+@pytest.mark.parametrize("field, written, line, message", [
+    ("cluster.offsets = 1:1 2:2", "cluster.offsets = 1:1 2:2 1:3", 2, "data centre 1 has two offset ranks"),
+    ("relation.x.ranges = 0:127 128:255", "relation.x.ranges = 0:127 128:255\ncluster.relation.x.fragments = 2",
+     8, "relation x: give fragments or ranges, not both"),
+    ("relation.x.datacentres = 1 2", "relation.x.datacentres = 1 1", 8, "relation x: a data centre is listed twice"),
+])
+def test_conflicting_fields_are_refused_on_their_line(field, written, line, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_INTEGERS.replace(field, written))
+    assert err.value.diagnostics == [(line, message)]
+
+
+def test_zero_nodes_is_a_diagnostic_not_a_crash(tmp_path, capsys):
+    text = _INTEGERS.replace("relation.x.nodes = 2", "relation.x.nodes = 0")
+    with pytest.raises(ScenarioError, match="x: replication must be within 1..nodes"):
+        parse_scenario(text)
+    path = tmp_path / "zero_nodes.scn"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--model", "cm0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "x: replication must be within 1..nodes" in out.err
 
 
 def test_missing_scenario_file():

@@ -325,6 +325,17 @@ agent.a1.program = write x {(0) -> (1)}; read x key=(0)
     assert len(calls) == 63
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_only_the_reads_marked_print_print(model):
+    # a2's reads print or not step by step, so a PRINT must come from the step its request issued
+    s = build("mixed_prints", [("a1", 1, "write x {(0) -> (1)}"),
+                               ("a2", 2, "read x key=(0); read x key=(0) print; read x key=(0)")])
+    traces = enumerate_traces(s.with_policies(ONE, ONE), model)
+    assert len(traces) > 1
+    for trace in traces:
+        assert [(e.agent, e.req) for e in trace.events if e.kind == PRINT] == [("a2", "a2#1")]
+
+
 def test_conflicting_simultaneous_writes_discard_the_run():
     s = build(
         "conflict",

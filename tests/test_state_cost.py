@@ -57,6 +57,12 @@ def messages_by_ident(sim) -> tuple:
     return tuple(tuple(m for _, m in sorted(items, key=lambda i: i[0])) for items in boxes)
 
 
+def prints(scenario, req: str) -> bool:
+    """Does the step that issued request ``req``, ``agent#index``, print its answer?"""
+    agent, index = req.split("#")
+    return scenario.programs[agent][int(index)].print_answer
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_expansion_picks_what_the_plain_rule_picks(model):
     for policies in ((ONE, ALL), (ONE, ONE), (ALL, ALL), (local_one(1), ALL)):
@@ -68,8 +74,7 @@ def test_expansion_picks_what_the_plain_rule_picks(model):
                 assert _expansion(sim, views=True) == reference_expansion(sim, views=True), sim.executed
                 for move, _ in children:  # the rule: a request's delivery or a printing recv
                     emits = (move.tag == "deliver" and move.msg.kind in REQUEST_KINDS
-                             or move.tag == "recv"
-                             and sim._printing_step(move.agent, move.msg.req) is not None)
+                             or move.tag == "recv" and prints(sim.scenario, move.msg.req))
                     assert (sim._event(move, ()) is not None) == emits, move.desc
                 eager += len(expected) < len(children)
                 full += len(expected) == len(children) > 1
