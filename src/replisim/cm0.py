@@ -5,14 +5,12 @@ that all trace checkers replay against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import UNDEF, ClusterConfig, ConfigError, FlatStore, hash_fragment, sorted_pairs
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """Decidable key filter for read requests.
 
     Kinds: TRUE (every key), KEY_EQ (one key), KEY_IN (a finite key set),

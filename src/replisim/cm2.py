@@ -11,13 +11,13 @@ messages is the only nondeterminism, and the only source of anomalies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from typing import Optional
 
 from .core import (
     UNDEF,
     ClusterConfig,
     ConfigError,
+    Record,
     ReplicaStore,
     Timestamp,
     catch_up,
@@ -39,27 +39,32 @@ from .messages import (
 from .policies import CountState, Policy, sufficient
 
 
-@dataclass(frozen=True)
-class DelegateState:
+class DelegateState(Record):
     """Per-request answer collector, scheduled like any other agent.
 
     A delegate is a value: each ``collect`` step replaces it with its
     successor, and the step that answers deletes it.  So its part of a
     simulation's state key is built once per value, by ``key_part``."""
 
-    gid: str
-    req: str
-    kind: str  # "read" | "write"
-    rid: str
-    requestor: str
-    mediator_dc: int
-    counts: CountState
-    answer: dict = field(default_factory=dict)  # key -> (value, timestamp)
-    log: tuple = ()  # ((sender_dc, xs, triples), ...) for audit checks
+    _fields = ("gid", "req", "kind", "rid", "requestor", "mediator_dc", "counts", "answer", "log")
+    __slots__ = _fields + ("_key_part",)
 
-    @cached_property
+    def __init__(self, gid: str, req: str, kind: str, rid: str, requestor: str, mediator_dc: int,
+                 counts: CountState, answer: Optional[dict] = None, log: tuple = ()):
+        self.gid, self.req, self.rid, self.requestor, self.mediator_dc = gid, req, rid, requestor, mediator_dc
+        self.kind = kind  # "read" | "write"
+        self.counts = counts
+        self.answer = {} if answer is None else answer  # key -> (value, timestamp)
+        self.log = log  # ((sender_dc, xs, triples), ...) for audit checks
+
+    @property
     def key_part(self) -> tuple:
-        return self.gid, tuple(self.counts.by_fragment_dc.values()), frozenset(self.answer.items())
+        try:
+            return self._key_part
+        except AttributeError:
+            part = self.gid, tuple(self.counts.by_fragment_dc.values()), frozenset(self.answer.items())
+            self._key_part = part
+            return part
 
 
 def handle_locally(
@@ -215,5 +220,5 @@ def collect_respond(
             )
         eff.update(("delegate", delegate.gid), None)
     else:
-        eff.update(("delegate", delegate.gid), replace(delegate, counts=counts, answer=merged, log=log))
+        eff.update(("delegate", delegate.gid), delegate._replace(counts=counts, answer=merged, log=log))
     return eff

@@ -22,14 +22,13 @@ shares its parent's store and that store's ``state_key()``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # db_perform_write is not called here: a replay sets compiled write pairs.
 # perfbench/tracing.py patches it by this name, so it stays importable.
 from .cm0 import check_writeset, db_answer_read, db_perform_write, write_pairs
-from .core import UNDEF, ClusterConfig, FlatStore
+from .core import UNDEF, ClusterConfig, FlatStore, Record
 from .scenario import Scenario
 from .trace import REQ, RESP, Trace
 
@@ -39,8 +38,7 @@ SERIALISABLE = "SERIALISABLE"
 NOT_SERIALISABLE = "NOT_SERIALISABLE"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str
     exhaustive: bool
     witness: tuple = ()
@@ -70,23 +68,25 @@ class IncompleteTraceError(Exception):
     answered too early, or its REQ and RESP records do not fit together."""
 
 
-# Identity equality: one object per request per check.  Slotted, not frozen,
-# for cheap building and field reads; nothing assigns to one after
-# _request_infos builds it.
-@dataclass(slots=True, eq=False)
-class _ReqInfo:
-    req: str
-    agent: str  # the REQ event's agent
-    kind: str  # "read" | "write"
-    rid: str
-    body: object  # Condition or write pairs
-    answer: object  # frozenset of rows for reads, None for writes
-    lo: int  # request issued (exclusive window bound)
-    hi: int  # response issued (inclusive window bound)
-    index: int  # position in the (hi, lo, req) order
-    pairs: tuple  # a write's cm0.write_pairs; () for reads
-    queue: int  # the agent's position in name order
-    pos: int  # position in the agent's own order
+# Identity equality: one object per request per check.  Slotted, for cheap
+# building and field reads; nothing assigns to one after _request_infos
+# builds it.
+class _ReqInfo(Record):
+    _fields = ("req", "agent", "kind", "rid", "body", "answer", "lo", "hi", "index", "pairs", "queue", "pos")
+    __slots__ = _fields
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, req: str, agent: str, kind: str, rid: str, body, answer, lo: int, hi: int, index: int,
+                 pairs: tuple, queue: int, pos: int):
+        self.req, self.agent, self.rid = req, agent, rid  # agent: the REQ event's agent
+        self.kind = kind  # "read" | "write"
+        self.body = body  # Condition or write pairs
+        self.answer = answer  # frozenset of rows for reads, None for writes
+        self.lo, self.hi = lo, hi  # request issued (exclusive window bound), response issued (inclusive)
+        self.index = index  # position in the (hi, lo, req) order
+        self.pairs = pairs  # a write's cm0.write_pairs; () for reads
+        self.queue = queue  # the agent's position in name order
+        self.pos = pos  # position in the agent's own order
 
 
 def _request_infos(trace: Trace, cfg: Optional[ClusterConfig] = None) -> list:

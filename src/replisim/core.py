@@ -7,9 +7,8 @@ owned by exactly one simulation instance.  Nothing does I/O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Union
+from operator import attrgetter, itemgetter
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 Atom = Union[int, str]
 KeyTuple = tuple  # tuple of atoms, length = relation arity
@@ -39,7 +38,49 @@ ValueTuple = Union[tuple, _Undef]
 
 
 class ConfigError(Exception):
-    """Invalid cluster configuration or an operation outside its preconditions."""
+    """Invalid cluster configuration or an operation outside its preconditions.
+
+    A check of one relation's layout names the field at fault in ``field``,
+    as (relation id, scenario field name), so a scenario file's diagnostic
+    can carry the line that sets it."""
+
+    def __init__(self, message: str, field: tuple = ()):
+        super().__init__(message)
+        self.field = field
+
+
+class Record:
+    """A slotted value record, built without generated code.
+
+    ``_fields`` names a subclass's fields in constructor order, and its
+    ``__slots__`` holds them plus any cached value.  Nothing assigns to a
+    field after the constructor.  Two records are equal when they are of
+    one class with equal fields (never equal to a plain tuple), a record
+    hashes as the tuple of its fields, and ``repr`` names the fields.  A
+    copy or pickle is rebuilt by the constructor from the fields, so no
+    cache travels with it, and ``_replace(field=...)`` derives a changed
+    copy, as on a named tuple."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)  # record -> the tuple of its fields
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values(self)), **changes))
 
 
 def atom_sort_key(a: Atom) -> tuple:
@@ -136,8 +177,7 @@ def catch_up(cfg: "ClusterConfig", ticks: Mapping[int, int], d: int, t: Timestam
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationConfig:
+class RelationConfig(NamedTuple):
     """Static layout of one replicated relation."""
 
     rid: str
@@ -206,9 +246,11 @@ class ClusterConfig:
             raise ConfigError("offset ranks must be pairwise distinct")
         for rid, rel in self.relations.items():
             if rel.arity < 1 or rel.co_arity < 1:
-                raise ConfigError(f"{rid}: arity and co-arity must be >= 1")
+                raise ConfigError(f"{rid}: arity and co-arity must be >= 1",
+                                  (rid, "arity" if rel.arity < 1 else "coarity"))
             if rel.replication < 1 or rel.replication > rel.nodes:
-                raise ConfigError(f"{rid}: replication must be within 1..nodes")
+                raise ConfigError(f"{rid}: replication must be within 1..nodes",
+                                  (rid, "nodes" if rel.nodes < 1 else "replication"))
             if len(set(rel.data_centres)) != len(rel.data_centres):
                 raise ConfigError(f"{rid}: a data centre is listed twice")
             for d in rel.data_centres:
@@ -219,11 +261,12 @@ class ClusterConfig:
                 if lo != lo_expected or hi < lo:
                     raise ConfigError(
                         f"{rid}: ranges must partition "
-                        f"[{rel.hash_min},{rel.hash_max}] in ascending order"
+                        f"[{rel.hash_min},{rel.hash_max}] in ascending order",
+                        (rid, "ranges"),
                     )
                 lo_expected = hi + 1
             if lo_expected != rel.hash_max + 1:
-                raise ConfigError(f"{rid}: ranges do not cover the hash interval")
+                raise ConfigError(f"{rid}: ranges do not cover the hash interval", (rid, "ranges"))
 
     def relation(self, rid: str) -> RelationConfig:
         try:

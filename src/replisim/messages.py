@@ -12,8 +12,9 @@ sets, moves the messages the steps took and records the trace events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
+
+from .core import Record
 
 # Message kinds
 REQ_READ = "req_read"
@@ -27,29 +28,27 @@ LOCAL_ACK = "local_ack"
 REQUEST_KINDS = (REQ_READ, REQ_WRITE)
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(Record):
     """A message value.  Its hash, ``hash((kind, req, sender, receiver,
     payload))``, is kept in ``_hash`` from first use: every state key a walk
     stores hashes its messages.  A copy or pickle is built from the fields."""
 
-    kind: str
-    req: str  # originating request id, e.g. "a1#0"
-    sender: str
-    receiver: str
-    payload: tuple = ()
-    _hash: int = field(init=False, compare=False, repr=False)
+    _fields = ("kind", "req", "sender", "receiver", "payload")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, kind: str, req: str, sender: str, receiver: str, payload: tuple = ()):
+        self.kind = kind
+        self.req = req  # originating request id, e.g. "a1#0"
+        self.sender = sender
+        self.receiver = receiver
+        self.payload = payload
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.kind, self.req, self.sender, self.receiver, self.payload))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h = hash((self.kind, self.req, self.sender, self.receiver, self.payload))
             return h
-
-    def __reduce__(self):
-        return Message, (self.kind, self.req, self.sender, self.receiver, self.payload)
 
     def ident(self) -> tuple:
         return (self.kind, self.req, self.sender, self.receiver)

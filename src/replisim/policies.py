@@ -12,11 +12,10 @@ when it has heard from enough replicas).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import ClusterConfig, ConfigError, RelationConfig
+from .core import ClusterConfig, ConfigError, Record, RelationConfig
 from .trace import read_int, read_ints
 
 _KINDS = ("ALL", "ONE", "TWO", "THREE", "QUORUM", "EACH_QUORUM", "LOCAL_ONE", "LOCAL_QUORUM")
@@ -24,20 +23,19 @@ _LOCAL = ("LOCAL_ONE", "LOCAL_QUORUM")
 _MIN_CARD = {"ONE": 1, "TWO": 2, "THREE": 3, "LOCAL_ONE": 1}  # least copies taking part
 
 
-@dataclass(frozen=True)
-class Policy:
-    kind: str  # one of _KINDS
-    q: Optional[Fraction] = None
-    dc: Optional[int] = None
+class Policy(Record):
+    _fields = ("kind", "q", "dc")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown policy kind {self.kind}")
-        if self.kind in ("QUORUM", "EACH_QUORUM", "LOCAL_QUORUM"):
-            if self.q is None or not (0 < self.q < 1):
-                raise ConfigError(f"{self.kind} needs a quorum fraction strictly between 0 and 1")
-        if self.kind in _LOCAL and self.dc is None:
-            raise ConfigError(f"{self.kind} needs a data centre")
+    def __init__(self, kind: str, q: Optional[Fraction] = None, dc: Optional[int] = None):
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown policy kind {kind}")
+        if kind in ("QUORUM", "EACH_QUORUM", "LOCAL_QUORUM"):
+            if q is None or not (0 < q < 1):
+                raise ConfigError(f"{kind} needs a quorum fraction strictly between 0 and 1")
+        if kind in _LOCAL and dc is None:
+            raise ConfigError(f"{kind} needs a data centre")
+        self.kind, self.q, self.dc = kind, q, dc  # kind: one of _KINDS
 
     def __str__(self) -> str:
         args = ",".join(str(a) for a in (self.q, self.dc) if a is not None)
@@ -138,8 +136,7 @@ def complies(selection, policy: Policy, cfg: ClusterConfig, rid: str, j: int) ->
     return _enough(policy, rel, by_dc)
 
 
-@dataclass(frozen=True)
-class CountState:
+class CountState(NamedTuple):
     """Responses seen so far, per (fragment, data centre).
 
     A value: ``add`` returns the successor and leaves this one as it is."""

@@ -7,9 +7,8 @@ the package README.  Parsing is strict and diagnostics carry line numbers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cm0 import Condition, check_writeset
 from .core import (
@@ -37,8 +36,7 @@ class ScenarioError(Exception):
         super().__init__("; ".join(f"line {ln}: {msg}" if ln else msg for ln, msg in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class ClientStep:
+class ClientStep(NamedTuple):
     kind: str  # "read" | "write"
     rid: str
     cond: Optional[Condition] = None
@@ -46,8 +44,7 @@ class ClientStep:
     print_answer: bool = False
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     cfg: ClusterConfig
     read_policy: Policy
@@ -57,7 +54,7 @@ class Scenario:
     initial: FlatStore
 
     def with_policies(self, read: Policy, write: Policy) -> "Scenario":
-        return replace(self, read_policy=read, write_policy=write)
+        return self._replace(read_policy=read, write_policy=write)
 
     def validate_for_model(self, model: str) -> None:
         """Reject scenarios with a client step the cluster cannot run, under
@@ -239,6 +236,13 @@ def _read_offsets(text: str) -> dict:
     return offsets
 
 
+def _read_data_centre_count(text: str) -> int:
+    count = read_int(text)
+    if count < 1:
+        raise ValueError("cluster.datacentres must be >= 1")
+    return count
+
+
 def _read_data_centres(text: str) -> tuple:
     dcs = read_ints(text)
     if len(set(dcs)) != len(dcs):
@@ -263,7 +267,7 @@ def _parse_records(text: str) -> tuple:
 
 
 # The reader of each field, by section.
-_CLUSTER_FIELDS = {"datacentres": read_int, "offsets": _read_offsets, "down": _read_pairs}
+_CLUSTER_FIELDS = {"datacentres": _read_data_centre_count, "offsets": _read_offsets, "down": _read_pairs}
 _RELATION_FIELDS = {
     "arity": read_int,
     "coarity": read_int,
@@ -388,8 +392,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
     try:
         cfg = ClusterConfig(rel_configs, offsets, cluster.get("down", ()))
-    except ConfigError as exc:
-        raise ScenarioError([(0, str(exc))]) from None
+    except ConfigError as exc:  # a relation check names the field at fault
+        raise ScenarioError([(lines.get(("cluster", "relation", *exc.field), 0), str(exc))]) from None
+    for d, n in cluster.get("down", ()):
+        if not any(d in rel.data_centres and 1 <= n <= rel.nodes for rel in rel_configs.values()):
+            diags.append((lines[("cluster", "down")], f"down pair {d}:{n} names no node of the cluster"))
+    if diags:
+        raise ScenarioError(diags)
 
     read_policy = values["policies"].get("read")
     write_policy = values["policies"].get("write")

@@ -25,9 +25,8 @@ identified as ``agent#index`` so identities are stable across schedules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import cm1
 from .cm0 import db_answer_read
@@ -73,8 +72,7 @@ class ScheduleError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A move: its descriptor, the tag (deliver | send | recv | db | dc |
     collect) and then the fields ``MOVE_KINDS[tag].fields`` lists, and the
     message it takes, if any.  A ``dc`` move's ``sel`` is ``None`` outside
@@ -125,8 +123,7 @@ def _sel_str(sel: tuple) -> str:
 _FIELDS = {"agent": str, "ident": _ident_str, "sel": _sel_str}
 
 
-@dataclass(frozen=True)
-class MoveKind:
+class MoveKind(NamedTuple):
     """Everything the engine knows about one kind of move."""
 
     fields: tuple  # descriptor fields after the tag, from _FIELDS
@@ -139,8 +136,7 @@ class MoveKind:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeededSchedule:
+class SeededSchedule(NamedTuple):
     seed: int
 
     def rounds(self, sim: "Simulation") -> Iterator[list]:
@@ -156,8 +152,7 @@ class SeededSchedule:
         return f"seed={self.seed}"
 
 
-@dataclass(frozen=True)
-class ExplicitSchedule:
+class ExplicitSchedule(NamedTuple):
     """A sequence of global steps; each step is a tuple of move descriptors
     executed simultaneously (singletons for an interleaving schedule)."""
 
@@ -185,8 +180,7 @@ class ExplicitSchedule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     trace: Trace
     sim: "Simulation"
     completed: bool
@@ -786,8 +780,7 @@ def _meta(scenario: Scenario, model: str, schedule) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     witness: Optional[ExplicitSchedule]
     trace: Optional[Trace]
     exhausted: bool

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,8 +196,7 @@ def test_local_key_reads_answer_as_a_scan(contents, cond, d):
 
 def seen_once(delegate, sender_dc, answer, triples, xs=(1,)):
     """The delegate after one partial answer from ``sender_dc``."""
-    return dataclasses.replace(
-        delegate,
+    return delegate._replace(
         counts=delegate.counts.add(sender_dc, xs),
         answer=answer,
         log=delegate.log + ((sender_dc, xs, triples),),

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -436,8 +435,8 @@ def test_read_lookups_answer_as_a_scan(data, rid, cond):
     want = db_answer_read(flat, cfg, rid, cond)
     scanned = frozenset((k, v) for (r, k), v in data.items() if r == rid and cond.matches(k, cfg, rid))
     assert want == scanned
-    assert _read_memo(cfg)(replace(info, answer=want), flat, flat.state_key())
-    assert not _read_memo(cfg)(replace(info, answer=want | {((9,), (9,))}), flat, flat.state_key())
+    assert _read_memo(cfg)(info._replace(answer=want), flat, flat.state_key())
+    assert not _read_memo(cfg)(info._replace(answer=want | {((9,), (9,))}), flat, flat.state_key())
     assert flat.data == data
 
 

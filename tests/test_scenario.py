@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -190,7 +189,7 @@ def test_a_step_the_cluster_cannot_run_is_refused_before_any_model_runs_it(model
     # two-atom key into the arity-1 relation x.
     base = load_scenario("counterexample")
     step = ClientStep("write", "x", pairs=(((0, 1), (1,)),))
-    scenario = dataclasses.replace(base, programs={**base.programs, "a1": (step,)})
+    scenario = base._replace(programs={**base.programs, "a1": (step,)})
     with pytest.raises(ScenarioError) as err:
         Simulation(scenario, model)
     assert str(err.value) == "agent a1: write key (0, 1) does not match arity 1 of x"
@@ -332,6 +331,45 @@ def test_zero_nodes_is_a_diagnostic_not_a_crash(tmp_path, capsys):
     assert main(["run", str(path), "--model", "cm0"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "x: replication must be within 1..nodes" in out.err
+
+
+@pytest.mark.parametrize("field, written, line, message", [
+    ("cluster.datacentres = 2", "cluster.datacentres = 0", 1, "cluster.datacentres must be >= 1"),
+    ("cluster.datacentres = 2", "cluster.datacentres = -1", 1, "cluster.datacentres must be >= 1"),
+    ("relation.x.arity = 1", "relation.x.arity = 0", 4, "x: arity and co-arity must be >= 1"),
+    ("relation.x.coarity = 1", "relation.x.coarity = -1", 5, "x: arity and co-arity must be >= 1"),
+    ("relation.x.ranges = 0:127 128:255", "relation.x.ranges = 0:127 129:255", 7,
+     "x: ranges must partition [0,255] in ascending order"),
+    ("relation.x.ranges = 0:127 128:255", "relation.x.ranges = 0:127 128:200", 7,
+     "x: ranges do not cover the hash interval"),
+    ("relation.x.nodes = 2", "relation.x.nodes = 0", 9, "x: replication must be within 1..nodes"),
+    ("relation.x.replication = 2", "relation.x.replication = 3", 10, "x: replication must be within 1..nodes"),
+    ("cluster.down = 2:1", "cluster.down = 9:9", 3, "down pair 9:9 names no node of the cluster"),
+    ("cluster.down = 2:1", "cluster.down = 2:1 3:1", 3, "down pair 3:1 names no node of the cluster"),
+    ("cluster.down = 2:1", "cluster.down = 2:3", 3, "down pair 2:3 names no node of the cluster"),
+    ("cluster.down = 2:1", "cluster.down = 2:0", 3, "down pair 2:0 names no node of the cluster"),
+])
+def test_a_layout_outside_the_cluster_is_refused_on_its_line(field, written, line, message, tmp_path, capsys):
+    text = _INTEGERS.replace(field, written)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.diagnostics == [(line, message)]
+    path = tmp_path / "layout.scn"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--model", "cm0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"line {line}: {message}" in out.err
+
+
+def test_a_cluster_without_data_centres_is_refused_under_every_model(tmp_path, capsys):
+    # with no offsets and no agents no other check refuses it, and cm0 would run it to an empty trace
+    path = tmp_path / "no_dcs.scn"
+    path.write_text("cluster.datacentres = 0\ncluster.relation.x.arity = 1\npolicy.read = ONE\npolicy.write = ONE\n",
+                    encoding="utf-8")
+    for model in MODELS:
+        assert main(["run", str(path), "--model", model]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "line 1: cluster.datacentres must be >= 1" in out.err, out.err
 
 
 def test_missing_scenario_file():
