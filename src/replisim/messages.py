@@ -29,12 +29,14 @@ REQUEST_KINDS = (REQ_READ, REQ_WRITE)
 
 
 class Message(Record):
-    """A message value.  Its hash, ``hash((kind, req, sender, receiver,
+    """A message value.  Its ``ident``, (kind, req, sender, receiver), is
+    built once, with the message: the engine keeps every box of messages in
+    ident order.  Its hash, ``hash((kind, req, sender, receiver,
     payload))``, is kept in ``_hash`` from first use: every state key a walk
     stores hashes its messages.  A copy or pickle is built from the fields."""
 
     _fields = ("kind", "req", "sender", "receiver", "payload")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields + ("ident", "_hash")
 
     def __init__(self, kind: str, req: str, sender: str, receiver: str, payload: tuple = ()):
         self.kind = kind
@@ -42,6 +44,7 @@ class Message(Record):
         self.sender = sender
         self.receiver = receiver
         self.payload = payload
+        self.ident = (kind, req, sender, receiver)
 
     def __hash__(self) -> int:
         try:
@@ -49,9 +52,6 @@ class Message(Record):
         except AttributeError:
             self._hash = h = hash((self.kind, self.req, self.sender, self.receiver, self.payload))
             return h
-
-    def ident(self) -> tuple:
-        return (self.kind, self.req, self.sender, self.receiver)
 
 
 def dc_agent(d: int) -> str:

@@ -28,6 +28,9 @@ from .policies import (
 from .trace import checked_write_set, read_atom, read_fragment, read_int, read_ints, read_name, read_tokens
 
 
+CM1_COPIES = 16  # copies of a fragment whose 2^n - 1 subsets cm1 validation may judge
+
+
 class ScenarioError(Exception):
     """Scenario rejected; ``diagnostics`` is a list of (line, message)."""
 
@@ -74,6 +77,10 @@ class Scenario(NamedTuple):
                     problems.append((0, f"{label} policy {policy} names a data centre outside {rid}"))
                     continue
                 for j in range(1, rel.fragments + 1):
+                    if model == "cm1" and len(self.cfg.candidates(rid, j)) > CM1_COPIES:
+                        problems.append((0, f"{rid} fragment {j} has more than {CM1_COPIES} copies; "
+                                            "cm1 judges every subset of them"))
+                        break
                     if model == "cm1":
                         if not enumerate_compliant_selections(self.cfg, rid, j, policy):
                             problems.append(

@@ -25,7 +25,9 @@ identified as ``agent#index`` so identities are stable across schedules.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import cache
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import cm1
@@ -101,6 +103,7 @@ def describe_descriptor(desc: tuple) -> str:
 
 
 _SEND_BOX = {None: None}  # every send group's box, shared and never written
+_NO_EFFECT = StepEffect()  # every delivery's effect, shared: effects are values
 
 
 def _group_move(prefix: tuple, box: dict, ident: Optional[tuple]) -> Move:
@@ -108,6 +111,36 @@ def _group_move(prefix: tuple, box: dict, ident: Optional[tuple]) -> Move:
     if ident is None:
         return Move(prefix)
     return Move(prefix + ((ident, None) if prefix[0] == "dc" else (ident,)), box[ident])
+
+
+# A box of messages (the in-flight map, a mailbox) maps ident -> Message in
+# ident order.  Clones share boxes, so a round replaces a box it changes.
+_IDENT = attrgetter("ident")
+
+
+def _put(box: dict, msg: Message) -> dict:
+    """A new box: ``box`` plus ``msg``, in its ident's place."""
+    if not box or next(reversed(box)) < msg.ident:  # its place is last
+        return {**box, msg.ident: msg}
+    items = list(box.items())
+    items.insert(bisect_left(list(box), msg.ident), (msg.ident, msg))
+    return dict(items)
+
+
+def _take(box: dict, ident: tuple) -> dict:
+    """A new box: ``box`` without the message ``ident``, which it holds."""
+    box = box.copy()
+    del box[ident]
+    return box
+
+
+def _keyed(part: Optional[tuple], msg: Message, add: bool) -> Optional[tuple]:
+    """A cached message part of ``state_key()``, in ident order, with ``msg``
+    inserted (``add``) or removed; a stale part, None, stays None."""
+    if part is None:
+        return None
+    i = bisect_left(part, msg.ident, key=_IDENT)
+    return part[:i] + (msg,) + part[i:] if add else part[:i] + part[i + 1:]
 
 
 def _ident_str(ident: tuple) -> str:
@@ -198,8 +231,8 @@ _KEY_PARTS = (
     lambda s: tuple(s.waiting.values()),
     lambda s: tuple(s.ticks.values()) if s.ticks is not None else (),
     lambda s: s.flat.state_key() if s.model == "cm0" else s.replicas.state_key(),
-    lambda s: tuple([s.inflight[i] for i in sorted(s.inflight)]),
-    lambda s: tuple([s.mailbox[i[3]][i] for i in sorted([i for box in s.mailbox.values() for i in box])]),
+    lambda s: tuple(s.inflight.values()),
+    lambda s: tuple(sorted([m for box in s.mailbox.values() for m in box.values()], key=_IDENT)),
     lambda s: tuple([s.delegates[gid].key_part for gid in sorted(s.delegates)]),
 )
 _TICKS, _STORE, _INFLIGHT, _MAILBOX = 2, 3, 4, 5
@@ -228,8 +261,8 @@ class Simulation:
         self.pc = {a: 0 for a in scenario.programs}
         self.waiting = dict.fromkeys(scenario.programs, False)  # between a request and its reply
         self.delegates: dict = {}  # gid -> DelegateState, live delegates only
-        self.inflight: dict = {}  # ident -> Message
-        self.mailbox: dict = {}  # agent -> {ident: Message}
+        self.inflight: dict = {}  # ident -> Message, a box
+        self.mailbox: dict = {}  # agent -> its box, if not empty
         self.events: list = []
         self.round = 0
         self.answered: dict = {}  # req -> payload of its RESP event
@@ -240,6 +273,7 @@ class Simulation:
         self.clients = tuple((a, ("send", a), ("recv", a)) for a in sorted(scenario.programs))
         self.lengths = {a: len(scenario.programs[a]) for a, _, _ in self.clients}
         self._key: list = [None] * len(_KEY_PARTS)  # cached components, None once stale
+        self._answers: Optional[tuple] = None  # search_key()'s answers, None once stale
         self._memo: Optional[dict] = None  # a walk's step effects (``_effect``), shared by clones
         if self.replicas is not None:
             self._check_invariants(
@@ -249,6 +283,9 @@ class Simulation:
     # -- plumbing ----------------------------------------------------------
 
     def clone(self) -> "Simulation":
+        """A copy that shares every value a round replaces rather than
+        edits: the in-flight map, each mailbox, each delegate and the
+        cached key components.  Only the maps a round edits are copied."""
         s = Simulation.__new__(Simulation)
         s.scenario, s.model, s.cfg = self.scenario, self.model, self.cfg
         s.flat = self.flat.clone() if self.flat is not None else None
@@ -257,14 +294,15 @@ class Simulation:
         s.pc = dict(self.pc)
         s.waiting = dict(self.waiting)
         s.delegates = dict(self.delegates)  # delegates are values, shared
-        s.inflight = dict(self.inflight)
-        s.mailbox = {a: dict(m) for a, m in self.mailbox.items()}
+        s.inflight = self.inflight
+        s.mailbox = dict(self.mailbox)  # the table only: boxes are shared
         s.events = list(self.events)
         s.round = self.round
         s.answered = dict(self.answered)
         s.executed = list(self.executed)
         s.clients, s.lengths, s.stores = self.clients, self.lengths, self.stores
         s._key = list(self._key)  # the components are immutable, so shared
+        s._answers = self._answers
         s._memo = self._memo
         return s
 
@@ -274,10 +312,9 @@ class Simulation:
         return dc_agent(self.scenario.homes[client])
 
     def clients_done(self) -> bool:
-        for a, n in self.lengths.items():
-            if self.pc[a] < n or self.waiting[a]:
-                return False
-        return True
+        """Has every client sent its last request and received its reply?
+        (A ``pc`` never passes its program's length.)"""
+        return self.pc == self.lengths and not any(self.waiting.values())
 
     def trace(self, meta: tuple = ()) -> Trace:
         return Trace(events=tuple(self.events), meta=meta)
@@ -293,7 +330,8 @@ class Simulation:
 
         The per-agent maps, the ticks and a delegate's counts keep the order
         they were built in (``__init__``, ``CountState.zero``), and steps
-        only update existing keys, so they need no sort.  A message's
+        only update existing keys, so they need no sort.  The in-flight map
+        is kept in ident order, so it keys as its messages; a message's
         receiver is part of its ident, so the mailboxes key as one
         ident-sorted tuple.
 
@@ -307,8 +345,12 @@ class Simulation:
 
         Each component (``_KEY_PARTS``) is cached until ``apply_round``
         changes it, so stored keys share the components a round left alone.
-        Code that edits a ``Simulation``'s maps directly must reset ``_key``
-        to all ``None`` afterwards.
+        Once cached, the two message components are not rebuilt:
+        ``apply_round`` inserts or removes each message it moves, by a
+        bisect on its ident.  Code that edits a ``Simulation``'s maps
+        directly must reset ``_key`` to all ``None`` afterwards (and
+        ``_answers`` to ``None`` after editing ``answered``), and must
+        replace a box, never edit it: clones share the boxes.
         """
         key = self._key
         if None in key:
@@ -334,16 +376,19 @@ class Simulation:
         waiting flags and answers fix every agent's own history,
         ``Trace.histories()``, PRINT events included.  The answers are keyed by
         request, not in the order they were given: only the order of events
-        across agents, and the round, are left out."""
-        return self.state_key(), tuple(sorted(self.answered.items()))
+        across agents, and the round, are left out.  They are sorted once,
+        and again only after a round records a RESP."""
+        if self._answers is None:
+            self._answers = tuple(sorted(self.answered.items()))
+        return self.state_key(), self._answers
 
     # -- move enumeration ---------------------------------------------------
 
     def _move_groups(self) -> list:
         """The enabled moves as non-empty groups, in ``enumerate_moves``
         order: ``(prefix, box)`` stands for ``Move(prefix + (ident,),
-        box[ident])`` per ident of ``box`` in sorted order (``_group_move``),
-        and a ``send``'s box is ``_SEND_BOX``."""
+        box[ident])`` per ident of ``box``, in the box's own ident order
+        (``_group_move``), and a ``send``'s box is ``_SEND_BOX``."""
         groups = [(("deliver",), self.inflight)] if self.inflight else []
         for a, send, recv in self.clients:
             if self.waiting[a]:
@@ -364,7 +409,7 @@ class Simulation:
         """Every enabled move; ``_groups`` is this state's ``_move_groups()``, if at hand."""
         moves = []
         for prefix, box in self._move_groups() if _groups is None else _groups:
-            for ident in sorted(box):
+            for ident in box:
                 if prefix[0] == "dc" and self.model == "cm1" and with_selections:
                     msg = box[ident]
                     moves += [Move(prefix + (ident, sel), msg) for sel in self.selection_options(msg)]
@@ -384,7 +429,7 @@ class Simulation:
         i = pick(n)
         for prefix, box in groups:
             if i < len(box):
-                return _group_move(prefix, box, sorted(box)[i])
+                return _group_move(prefix, box, list(box)[i])
             i -= len(box)
         raise IndexError(f"move index {i} past the enabled moves")
 
@@ -500,7 +545,7 @@ class Simulation:
         return eff
 
     def _deliver(self, move: Move) -> StepEffect:
-        return StepEffect()  # the engine moves the message
+        return _NO_EFFECT  # the engine moves the message
 
     def _client_send(self, move: Move) -> StepEffect:
         a = move.agent
@@ -549,6 +594,10 @@ class Simulation:
     # -- applying a global step ----------------------------------------------
 
     def apply_round(self, moves: list) -> None:
+        """Apply one global step.  A one-move round merges nothing; each
+        round replaces every box it changes (clones share them), drops a box
+        it empties and keeps the cached message parts of ``state_key()``
+        current, one moved message at a time."""
         if not moves:
             raise ConfigError("a global step needs at least one move")
         effects = [self._effect(m) for m in moves]
@@ -565,43 +614,46 @@ class Simulation:
                             f"{merged[loc]!r} vs {value!r}"
                         )
                     merged[loc] = value
-            taken = [m.msg.ident() for m in moves if m.msg is not None]
+            taken = [m.msg.ident for m in moves if m.msg is not None]
             if len(set(taken)) < len(taken):
                 raise RunDiscarded(f"round {self.round + 1}: two moves take the same message")
             # e.g. two collects that each complete one delegate: both delete
             # it, so their updates agree, but both send its response
-            sent = [msg.ident() for eff in effects for msg in eff.sends]
+            sent = [msg.ident for eff in effects for msg in eff.sends]
             if len(set(sent)) < len(sent):
                 raise RunDiscarded(f"round {self.round + 1}: two moves send the same message")
         self.round += 1
         self.executed.append(tuple([m.desc for m in moves]))
         # messages: taken ones first, then fresh sends
-        key = self._key
+        key, inflight, mailbox = self._key, self.inflight, self.mailbox
         for move in moves:
             msg = move.msg
             if msg is None:
                 continue
-            ident = msg.ident()
-            key[_MAILBOX] = None
+            ident, receiver = msg.ident, msg.receiver
             if move.desc[0] == "deliver":
-                del self.inflight[ident]
-                key[_INFLIGHT] = None
+                inflight = _take(inflight, ident)
+                key[_INFLIGHT] = _keyed(key[_INFLIGHT], msg, False)
                 # a late message to a deleted delegate is dropped
-                if not msg.receiver.startswith("g!") or msg.receiver in self.delegates:
-                    if (box := self.mailbox.get(msg.receiver)) is None:
-                        box = self.mailbox[msg.receiver] = {}
-                    box[ident] = msg
-            elif (box := self.mailbox.get(msg.receiver)) is None or box.pop(ident, None) is None:
+                if not receiver.startswith("g!") or receiver in self.delegates:
+                    mailbox[receiver] = _put(mailbox.get(receiver, {}), msg)
+                    key[_MAILBOX] = _keyed(key[_MAILBOX], msg, True)
+                continue
+            if ident not in (box := mailbox.get(receiver, ())):
                 raise SimInvariantError(f"consumed message not in mailbox: {msg}")
+            if len(box) > 1:
+                mailbox[receiver] = _take(box, ident)
+            else:
+                del mailbox[receiver]
+            key[_MAILBOX] = _keyed(key[_MAILBOX], msg, False)
         for eff in effects:
             for msg in eff.sends:
-                ident = msg.ident()
-                if ident in self.inflight:
+                if msg.ident in inflight:
                     raise SimInvariantError(f"duplicate in-flight message {msg}")
-                self.inflight[ident] = msg
-                key[_INFLIGHT] = None
-        if merged:  # a delivery writes nothing
-            self._apply_updates(merged)
+                inflight = _put(inflight, msg)
+                key[_INFLIGHT] = _keyed(key[_INFLIGHT], msg, True)
+        self.inflight = inflight
+        written = self._apply_updates(merged) if merged else ()  # a delivery writes nothing
         for move, eff in zip(moves, effects):
             event = self._event(move, eff.sends)
             if event is not None:
@@ -609,6 +661,7 @@ class Simulation:
                     if event.req in self.answered:
                         raise SimInvariantError(f"second response for request {event.req}")
                     self.answered[event.req] = event.payload
+                    self._answers = None
                 self.events.append(event)
         for move in moves:
             desc, msg = move.desc, move.msg
@@ -619,7 +672,7 @@ class Simulation:
                     raise SimInvariantError(
                         f"clock at dc {d} behind {t} after processing its message"
                     )
-        if merged and (written := {(loc[1], loc[2], loc[5]) for loc in merged if loc[0] == "rep"}):
+        if written:
             self._check_invariants(written)
 
     def _own_event(self, move: Move) -> Optional[str]:
@@ -644,8 +697,9 @@ class Simulation:
                 return TraceEvent(self.round, RESP, sent.receiver, sent.req, (sent.kind,) + sent.payload)
         return None
 
-    def _apply_updates(self, merged: dict) -> None:
-        key = self._key
+    def _apply_updates(self, merged: dict) -> set:
+        """Apply an update set; returns the (rid, j, key) of each replica write."""
+        key, written = self._key, set()
         for loc, value in merged.items():
             tag = loc[0]
             if tag == "flat":
@@ -655,6 +709,7 @@ class Simulation:
                 _, rid, j, d, node, k = loc
                 v, t = value
                 self.replicas.store(rid, j, d, node, k, v, t)
+                written.add((rid, j, k))
             elif tag == "clock":
                 _, d = loc
                 if value < self.ticks[d]:
@@ -668,13 +723,14 @@ class Simulation:
                 gid = loc[1]
                 if value is None:  # answered: the delegate and its mailbox go
                     del self.delegates[gid]
-                    self.mailbox.pop(gid, None)
-                    key[_MAILBOX] = None
+                    if self.mailbox.pop(gid, None):
+                        key[_MAILBOX] = None
                 else:
                     self.delegates[gid] = value
             else:  # pragma: no cover
                 raise ConfigError(f"unknown update location {loc!r}")
             key[_PART_OF[tag]] = None
+        return written
 
     def _check_invariants(self, keys: Iterable[tuple]) -> None:
         """Copies of each (rid, j, key) in ``keys`` agree on the value at the
@@ -904,25 +960,32 @@ def _expansion(sim: Simulation, views: bool) -> list:
     across agents, which ``search_key()`` and the bundled predicates leave
     out.  Any eager move will do.
 
-    Candidates are ranked straight from those three groups of
-    ``_move_groups()``, and only the move picked is built; the full list,
-    with its cm1 selections, is built only where none is eager.
+    The first eager move is taken straight from those three groups of
+    ``_move_groups()``, building only that move.  ``_search_priority`` is
+    the move's rank, then its descriptor: its tag, then its agent or ident.
+    The groups list the moves of one tag in descriptor order (clients by
+    name, each box in ident order), so the first eager move in priority
+    order is the first one met with the least (rank, tag): the first
+    eligible ``recv`` in client order, else the first ``send``, else the
+    first ``deliver`` of the lowest rank, as the ``MOVE_KINDS`` ranks stand.
+    The full list, with its cm1 selections, is built only where none is
+    eager.
     """
     groups = sim._move_groups()
-    best = None  # (priority, prefix, box, ident) of the eager move that comes first so far
+    best = None  # ((rank, tag), prefix, box, ident) of the first eager move so far
     for prefix, box in groups:
         tag = prefix[0]
-        if not views and tag == "recv" and sim._printing_step(prefix[1]) is not None:
-            continue  # the box holds only the reply to the request its client waits for
-        if tag in ("deliver", "send", "recv"):
+        # a recv's box holds only the reply to the request its client waits for
+        if tag in ("deliver", "send", "recv") and (views or tag != "recv" or sim._printing_step(prefix[1]) is None):
+            rank = MOVE_KINDS[tag].rank
             for ident, msg in box.items():
                 if views or tag != "deliver" or msg.kind not in REQUEST_KINDS:
-                    priority = _search_priority(prefix if ident is None else prefix + (ident,), msg)
-                    if best is None or priority < best[0]:
-                        best = priority, prefix, box, ident
+                    first = rank.get(msg.kind if msg else None, rank[None]), tag
+                    if best is None or first < best[0]:
+                        best = first, prefix, box, ident
     if best is not None:
         return [_group_move(*best[1:])]
-    return sorted(sim.enumerate_moves(True, _groups=groups), key=lambda m: _search_priority(m.desc, m.msg))
+    return sorted(sim.enumerate_moves(True, _groups=groups), key=lambda m: _search_priority(*m))
 
 
 def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
@@ -966,7 +1029,7 @@ def _trace_automaton(scenario: Scenario, model: str, max_states: int) -> tuple:
         seen = len(sim.events)
         for child in reversed(_children(sim, views=False)):
             e = child.events[-1] if len(child.events) > seen else None  # one move, at most one event
-            stack.append((child, n, e and (e.kind, e.agent, e.req, e.payload)))
+            stack.append((child, n, e and e[1:]))  # the event as (kind, agent, req, payload)
 
     @cache
     def transitions(q: frozenset) -> list:

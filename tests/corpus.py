@@ -23,9 +23,15 @@ cluster.relation.{rid}.replication = {replication}
 """
 
 
-def build(name, agents, relations=("x",), init=("x", "(0) -> (0)"), fragments=1,
-          nodes=1, replication=1, read="ONE", write="ALL"):
-    """agents: iterable of (agent_id, home_dc, program_text)."""
+def build(name, agents, **layout):
+    """agents: iterable of (agent_id, home_dc, program_text); ``layout`` as
+    ``scenario_text`` takes it."""
+    return parse_scenario(scenario_text(agents, **layout), name=name)
+
+
+def scenario_text(agents, relations=("x",), init=("x", "(0) -> (0)"), fragments=1,
+                  nodes=1, replication=1, read="ONE", write="ALL"):
+    """The text ``build`` parses."""
     parts = [_HEADER]
     for rid in relations:
         parts.append(_REL.format(rid=rid, fragments=fragments, nodes=nodes, replication=replication))
@@ -35,16 +41,17 @@ def build(name, agents, relations=("x",), init=("x", "(0) -> (0)"), fragments=1,
     if init is not None:
         rid, records = init
         parts.append(f"init.{rid} = {records}\n")
-    return parse_scenario("".join(parts), name=name)
+    return "".join(parts)
 
 
-def generated_scenarios():
-    """At least 20 scenarios; each is returned with placeholder policies that
-    callers override per policy combination."""
+def generated_scenarios(make=build):
+    """At least 20 scenarios, each ``make(name, agents, **layout)``: by
+    default a ``Scenario`` with placeholder policies that callers override
+    per policy combination."""
     out = []
 
     def add(name, agents, **kw):
-        out.append(build(name, agents, **kw))
+        out.append(make(name, agents, **kw))
 
     # write racing a double read, from both sides of the cluster
     add("w_rr", [("a1", 1, "write x {(0) -> (1)}"), ("a2", 2, "read x key=(0); read x key=(0)")])

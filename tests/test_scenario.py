@@ -1,14 +1,18 @@
+import ast
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from replisim import ScenarioError, SeededSchedule, Simulation, load_scenario, parse_scenario, run
+from replisim import (ConfigError, ScenarioError, SeededSchedule, Simulation, load_scenario, parse_scenario,
+                      run)
 from replisim.cli import main
 from replisim.policies import ALL, ONE, local_quorum
-from replisim.scenario import ClientStep, bundled_scenarios
+from replisim.scenario import CM1_COPIES, ClientStep, bundled_scenarios
 from replisim.sim import MODELS
 
-from corpus import SCENARIOS
+from corpus import SCENARIOS, generated_scenarios, scenario_text
 
 
 def test_bundled_names():
@@ -375,3 +379,79 @@ def test_a_cluster_without_data_centres_is_refused_under_every_model(tmp_path, c
 def test_missing_scenario_file():
     with pytest.raises(ScenarioError):
         load_scenario("does-not-exist")
+
+
+def test_a_fragment_with_more_copies_than_cm1_can_judge_is_refused():
+    # a relation without a datacentres field spans every data centre; under
+    # cm1 validation judged all 2^1000 - 1 subsets of its copies and ran out
+    # of memory
+    s = parse_scenario("cluster.datacentres = 1000\ncluster.relation.x.arity = 1\n"
+                       "cluster.relation.x.coarity = 1\npolicy.read = ONE\npolicy.write = ONE\n")
+    with pytest.raises(ScenarioError) as err:
+        Simulation(s, "cm1")
+    assert err.value.diagnostics == [(0, f"x fragment 1 has more than {CM1_COPIES} copies; "
+                                         "cm1 judges every subset of them")]
+    assert run(s, "cm2", SeededSchedule(0)).completed
+
+
+# Whole-file checks, the only diagnostics parse_scenario reports on line 0
+WHOLE_FILE = ("cluster.datacentres is required", "cluster.offsets must cover", "at least one cluster.relation",
+              "policy.read and policy.write are required", "offset ranks must be pairwise distinct")
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """``text`` with one line changed: a value replaced by one of a fixed
+    list, the line deleted or doubled, an id made bad, or junk appended."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    line, op = lines[i], rng.randrange(5)
+    if op == 0 and "=" in line:
+        field, _, value = line.partition("=")
+        words = value.split() or [""]
+        words[rng.randrange(len(words))] = rng.choice(("0", "-1", "1000", "", "\u0662"))
+        lines[i] = f"{field}= {' '.join(words)}"
+    elif op == 1:
+        del lines[i]
+    elif op == 2:
+        lines.insert(i, line)
+    elif op == 3 and "." in line:
+        parts = line.split(".")
+        parts[1] = rng.choice(("x y", "", "9", "x!"))
+        lines[i] = ".".join(parts)
+    else:
+        lines[i] = line + rng.choice((" junk", " =", " (", " }"))
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_scenarios_parse_or_are_refused_on_their_lines():
+    # every mutant of the bundled scenarios, the corpus texts and this
+    # file's texts parses, or is refused with a ScenarioError whose lines
+    # are lines of the text (line 0 only for a whole-file check); a parsed
+    # one is refused by a model's Simulation or runs seed 0 to completion
+    texts = [resources.files("replisim").joinpath("scenarios", f"{name}.scn").read_text(encoding="utf-8")
+             for name in bundled_scenarios()]
+    texts += generated_scenarios(lambda name, agents, **layout: scenario_text(agents, **layout))
+    with open(__file__, encoding="utf-8") as f:
+        texts += [node.value for node in ast.walk(ast.parse(f.read()))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.startswith("cluster.") and "\n" in node.value]
+    rng = random.Random(37)
+    parsed = 0
+    for _ in range(1500):
+        text = _mutant(rng.choice(texts), rng)
+        try:
+            scenario = parse_scenario(text, name="mutant")
+        except ScenarioError as err:
+            lines = text.splitlines()
+            for line, message in err.diagnostics:
+                assert (0 < line <= len(lines) and lines[line - 1].strip()
+                        or line == 0 and message.startswith(WHOLE_FILE)), (line, message, text)
+            continue
+        parsed += 1
+        for model in MODELS:
+            try:
+                Simulation(scenario, model)
+            except (ScenarioError, ConfigError):
+                continue
+            assert run(scenario, model, SeededSchedule(0)).completed, (model, text)
+    assert len(texts) > 40 and parsed > 100

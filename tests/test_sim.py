@@ -713,6 +713,33 @@ def test_clones_share_delegates_safely():
     assert [e.kind for e in sim.events[-1:]] == [RESP]
 
 
+def test_a_round_delivering_two_messages_to_one_mailbox_keeps_it_in_ident_order():
+    # both local acks reach a1's write delegate in one round, listed in
+    # descending ident order and then the other way: equal keys and traces,
+    # and the delegate's box in ident order
+    acks = [("deliver", ("local_ack", "a1#0", d, "g!a1#0")) for d in ("d2", "d1")]
+    states = []
+    for step in (acks, acks[::-1]):
+        sim = Simulation(load_scenario("counterexample"), "cm2")
+        for desc in [
+            ("send", "a1"),
+            ("deliver", ("req_write", "a1#0", "a1", "d1")),
+            ("dc", "d1", ("req_write", "a1#0", "a1", "d1"), None),
+            ("deliver", ("fwd", "a1#0", "d1", "d2")),
+            ("dc", "d2", ("fwd", "a1#0", "d1", "d2"), None),
+        ]:
+            sim.apply_round([sim.resolve_descriptor(desc)])
+        sim.state_key()  # cached, so the round inserts each ack into the key's mailbox part
+        sim.apply_round([sim.resolve_descriptor(desc) for desc in step])
+        assert [ident[2] for ident in sim.mailbox["g!a1#0"]] == ["d1", "d2"] and not sim.inflight
+        states.append(sim)
+    first, second = states
+    fresh = second.clone()
+    fresh._key = [None] * len(fresh._key)
+    assert first.state_key() == second.state_key() == fresh.state_key()
+    assert first.trace().to_text() == second.trace().to_text()
+
+
 def test_two_collects_on_one_delegate_discard_the_run():
     # Each ack alone leaves the write delegate waiting under ALL; with read
     # policy ONE each local answer alone completes the read delegate.  Either

@@ -8,7 +8,9 @@ pick exactly what the plain rule picks, and at one ``intro`` state the two
 rules must differ as the view rule says.  A ``Simulation`` caches the
 components of its ``state_key()`` until a round changes them; the key must
 still equal one built from scratch, whatever path led to the state, and
-it holds no printed answer, which only the PRINT events keep.  A
+it holds no printed answer, which only the PRINT events keep.  Clones
+share the in-flight map and the mailboxes, so a round on one must leave
+every other's boxes as they were, each in ident order.  A
 ``Message`` caches its hash and a ``DelegateState`` its key part; both must
 equal what their fields give.  ``enumerate_traces`` shares one
 ``TraceEvent`` per position and event among its traces.
@@ -183,6 +185,31 @@ def test_cached_key_after_multi_move_rounds(model):
         sim.apply_round(next(rounds))
         assert sim.state_key() == scratch_key(sim), sim.executed
     assert sim.state_key() == builder.state_key()
+
+
+def in_ident_order(sim) -> bool:
+    """Are the in-flight map and every mailbox kept in ident order, with no empty box?"""
+    boxes = [sim.inflight, *sim.mailbox.values()]
+    return all(list(box) == sorted(box) for box in boxes) and all(sim.mailbox.values())
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_round_on_a_clone_leaves_the_shared_boxes_alone(model):
+    # clones share the in-flight map and the mailboxes, and a round replaces
+    # each box it changes.  A walked state's key was built before any round
+    # on a clone of it, so its boxes still hold exactly the messages of its
+    # key after them all.  Each child's message parts, updated one message
+    # at a time, equal parts built from scratch
+    children = 0
+    for policies in ((ONE, ALL), (ONE, ONE), (ALL, ALL)):
+        for base in SCENARIOS:
+            for sim, moved in walk(base.with_policies(*policies), model, STATES):
+                key = sim.state_key()
+                assert messages_by_ident(sim) == (key[_INFLIGHT], key[_MAILBOX]) and in_ident_order(sim)
+                for move, child in moved:
+                    assert in_ident_order(child) and child.state_key() == scratch_key(child), move.desc
+                    children += 1
+    assert children > 0
 
 
 def _fields(m: Message) -> tuple:
