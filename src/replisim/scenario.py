@@ -29,6 +29,7 @@ from .trace import checked_write_set, read_atom, read_fragment, read_int, read_i
 
 
 CM1_COPIES = 16  # copies of a fragment whose 2^n - 1 subsets cm1 validation may judge
+MAX_DATA_CENTRES = 1000  # data centres a cluster may declare: the parser builds each one
 
 
 class ScenarioError(Exception):
@@ -247,6 +248,8 @@ def _read_data_centre_count(text: str) -> int:
     count = read_int(text)
     if count < 1:
         raise ValueError("cluster.datacentres must be >= 1")
+    if count > MAX_DATA_CENTRES:
+        raise ValueError(f"cluster.datacentres must be <= {MAX_DATA_CENTRES}")
     return count
 
 

@@ -102,45 +102,33 @@ def describe_descriptor(desc: tuple) -> str:
     return f"{desc[0]}[{'|'.join(parts)}]"
 
 
-_SEND_BOX = {None: None}  # every send group's box, shared and never written
+_SEND_BOX = (None,)  # every send group's box: one move, which takes no message
 _NO_EFFECT = StepEffect()  # every delivery's effect, shared: effects are values
 
 
-def _group_move(prefix: tuple, box: dict, ident: Optional[tuple]) -> Move:
-    """The move of ``ident`` in a ``Simulation._move_groups`` group (a send's is None)."""
-    if ident is None:
+def _group_move(prefix: tuple, msg: Optional[Message]) -> Move:
+    """The move of ``msg`` in a ``Simulation._move_groups`` group (a send's is None)."""
+    if msg is None:
         return Move(prefix)
-    return Move(prefix + ((ident, None) if prefix[0] == "dc" else (ident,)), box[ident])
+    return Move(prefix + ((msg.ident, None) if prefix[0] == "dc" else (msg.ident,)), msg)
 
 
-# A box of messages (the in-flight map, a mailbox) maps ident -> Message in
-# ident order.  Clones share boxes, so a round replaces a box it changes.
+# A box of messages (the in-flight messages, a mailbox, the mailbox part of
+# ``state_key()``) is a tuple of messages in ident order
 _IDENT = attrgetter("ident")
 
 
-def _put(box: dict, msg: Message) -> dict:
-    """A new box: ``box`` plus ``msg``, in its ident's place."""
-    if not box or next(reversed(box)) < msg.ident:  # its place is last
-        return {**box, msg.ident: msg}
-    items = list(box.items())
-    items.insert(bisect_left(list(box), msg.ident), (msg.ident, msg))
-    return dict(items)
-
-
-def _take(box: dict, ident: tuple) -> dict:
-    """A new box: ``box`` without the message ``ident``, which it holds."""
-    box = box.copy()
-    del box[ident]
-    return box
-
-
-def _keyed(part: Optional[tuple], msg: Message, add: bool) -> Optional[tuple]:
-    """A cached message part of ``state_key()``, in ident order, with ``msg``
-    inserted (``add``) or removed; a stale part, None, stays None."""
-    if part is None:
+def _moved(box: Optional[tuple], msg: Message, add: bool) -> Optional[tuple]:
+    """``box`` with ``msg`` inserted (``add``) or removed, by a bisect on its
+    ident; a stale key part, None, stays None.  A box holds one message
+    per ident, and only a message it holds can leave it."""
+    if box is None:
         return None
-    i = bisect_left(part, msg.ident, key=_IDENT)
-    return part[:i] + (msg,) + part[i:] if add else part[:i] + part[i + 1:]
+    i = bisect_left(box, msg.ident, key=_IDENT)
+    held = i < len(box) and box[i].ident == msg.ident
+    if held == add:
+        raise SimInvariantError(f"{'duplicate' if add else 'missing'} message {msg}")
+    return box[:i] + (msg,) + box[i:] if add else box[:i] + box[i + 1:]
 
 
 def _ident_str(ident: tuple) -> str:
@@ -231,8 +219,8 @@ _KEY_PARTS = (
     lambda s: tuple(s.waiting.values()),
     lambda s: tuple(s.ticks.values()) if s.ticks is not None else (),
     lambda s: s.flat.state_key() if s.model == "cm0" else s.replicas.state_key(),
-    lambda s: tuple(s.inflight.values()),
-    lambda s: tuple(sorted([m for box in s.mailbox.values() for m in box.values()], key=_IDENT)),
+    lambda s: s.inflight,
+    lambda s: tuple(sorted([m for box in s.mailbox.values() for m in box], key=_IDENT)),
     lambda s: tuple([s.delegates[gid].key_part for gid in sorted(s.delegates)]),
 )
 _TICKS, _STORE, _INFLIGHT, _MAILBOX = 2, 3, 4, 5
@@ -261,7 +249,7 @@ class Simulation:
         self.pc = {a: 0 for a in scenario.programs}
         self.waiting = dict.fromkeys(scenario.programs, False)  # between a request and its reply
         self.delegates: dict = {}  # gid -> DelegateState, live delegates only
-        self.inflight: dict = {}  # ident -> Message, a box
+        self.inflight: tuple = ()  # the messages in flight, a box
         self.mailbox: dict = {}  # agent -> its box, if not empty
         self.events: list = []
         self.round = 0
@@ -284,8 +272,8 @@ class Simulation:
 
     def clone(self) -> "Simulation":
         """A copy that shares every value a round replaces rather than
-        edits: the in-flight map, each mailbox, each delegate and the
-        cached key components.  Only the maps a round edits are copied."""
+        edits: the boxes of messages, each delegate and the cached key
+        components.  Only the maps a round edits are copied."""
         s = Simulation.__new__(Simulation)
         s.scenario, s.model, s.cfg = self.scenario, self.model, self.cfg
         s.flat = self.flat.clone() if self.flat is not None else None
@@ -295,7 +283,7 @@ class Simulation:
         s.waiting = dict(self.waiting)
         s.delegates = dict(self.delegates)  # delegates are values, shared
         s.inflight = self.inflight
-        s.mailbox = dict(self.mailbox)  # the table only: boxes are shared
+        s.mailbox = dict(self.mailbox)
         s.events = list(self.events)
         s.round = self.round
         s.answered = dict(self.answered)
@@ -330,10 +318,10 @@ class Simulation:
 
         The per-agent maps, the ticks and a delegate's counts keep the order
         they were built in (``__init__``, ``CountState.zero``), and steps
-        only update existing keys, so they need no sort.  The in-flight map
-        is kept in ident order, so it keys as its messages; a message's
-        receiver is part of its ident, so the mailboxes key as one
-        ident-sorted tuple.
+        only update existing keys, so they need no sort.  Each box of
+        messages is a tuple in ident order, so the in-flight box is its own
+        component; a message's receiver is part of its ident, so the
+        mailboxes key as one ident-ordered tuple.
 
         ``round`` is how many steps a run took to reach the state, a fact
         about the run: under ``LOCAL_ONE`` two runs meet in one state one
@@ -345,12 +333,11 @@ class Simulation:
 
         Each component (``_KEY_PARTS``) is cached until ``apply_round``
         changes it, so stored keys share the components a round left alone.
-        Once cached, the two message components are not rebuilt:
-        ``apply_round`` inserts or removes each message it moves, by a
-        bisect on its ident.  Code that edits a ``Simulation``'s maps
-        directly must reset ``_key`` to all ``None`` afterwards (and
-        ``_answers`` to ``None`` after editing ``answered``), and must
-        replace a box, never edit it: clones share the boxes.
+        Once cached, the mailbox component is not rebuilt: ``apply_round``
+        inserts or removes each message it moves, as in the boxes.  Code
+        that changes a ``Simulation``'s maps or boxes directly must reset
+        ``_key`` to all ``None`` afterwards (and ``_answers`` to ``None``
+        after editing ``answered``).
         """
         key = self._key
         if None in key:
@@ -386,9 +373,9 @@ class Simulation:
 
     def _move_groups(self) -> list:
         """The enabled moves as non-empty groups, in ``enumerate_moves``
-        order: ``(prefix, box)`` stands for ``Move(prefix + (ident,),
-        box[ident])`` per ident of ``box``, in the box's own ident order
-        (``_group_move``), and a ``send``'s box is ``_SEND_BOX``."""
+        order: ``(prefix, box)`` stands for ``Move(prefix + (msg.ident,),
+        msg)`` per message of ``box``, in ident order (``_group_move``),
+        and a ``send``'s box is ``_SEND_BOX``."""
         groups = [(("deliver",), self.inflight)] if self.inflight else []
         for a, send, recv in self.clients:
             if self.waiting[a]:
@@ -409,12 +396,11 @@ class Simulation:
         """Every enabled move; ``_groups`` is this state's ``_move_groups()``, if at hand."""
         moves = []
         for prefix, box in self._move_groups() if _groups is None else _groups:
-            for ident in box:
+            for msg in box:
                 if prefix[0] == "dc" and self.model == "cm1" and with_selections:
-                    msg = box[ident]
-                    moves += [Move(prefix + (ident, sel), msg) for sel in self.selection_options(msg)]
+                    moves += [Move(prefix + (msg.ident, sel), msg) for sel in self.selection_options(msg)]
                 else:
-                    moves.append(_group_move(prefix, box, ident))
+                    moves.append(_group_move(prefix, msg))
         return moves
 
     def _pick_move(self, pick: Callable[[int], int]) -> Optional[Move]:
@@ -429,7 +415,7 @@ class Simulation:
         i = pick(n)
         for prefix, box in groups:
             if i < len(box):
-                return _group_move(prefix, box, list(box)[i])
+                return _group_move(prefix, box[i])
             i -= len(box)
         raise IndexError(f"move index {i} past the enabled moves")
 
@@ -484,12 +470,10 @@ class Simulation:
             raise ScheduleError(f"unknown move descriptor {desc!r}")
         sel = desc[3] if desc[0] == "dc" else None
         name = desc if sel is None else desc[:3] + (None,)
-        for prefix, box in self._move_groups():  # the group the name starts with, if enabled
-            ident = name[len(prefix)] if len(name) > len(prefix) else None
-            if name[:len(prefix)] == prefix and ident in list(box):  # a bad ident may not hash
-                move = _group_move(prefix, box, ident)
-                break
-        else:
+        moves = (_group_move(prefix, msg) for prefix, box in self._move_groups()
+                 if name[:len(prefix)] == prefix for msg in box)
+        move = next((m for m in moves if m.desc == name), None)  # compared: a bad ident may not hash
+        if move is None:
             raise ScheduleError(
                 f"move {describe_descriptor(desc)} is not enabled at round {self.round}"
             )
@@ -595,9 +579,9 @@ class Simulation:
 
     def apply_round(self, moves: list) -> None:
         """Apply one global step.  A one-move round merges nothing; each
-        round replaces every box it changes (clones share them), drops a box
-        it empties and keeps the cached message parts of ``state_key()``
-        current, one moved message at a time."""
+        round moves messages one at a time (``_moved``), drops a mailbox it
+        empties and keeps the cached mailbox part of ``state_key()``
+        current as it goes."""
         if not moves:
             raise ConfigError("a global step needs at least one move")
         effects = [self._effect(m) for m in moves]
@@ -630,29 +614,23 @@ class Simulation:
             msg = move.msg
             if msg is None:
                 continue
-            ident, receiver = msg.ident, msg.receiver
+            receiver = msg.receiver
             if move.desc[0] == "deliver":
-                inflight = _take(inflight, ident)
-                key[_INFLIGHT] = _keyed(key[_INFLIGHT], msg, False)
+                inflight = _moved(inflight, msg, False)
                 # a late message to a deleted delegate is dropped
                 if not receiver.startswith("g!") or receiver in self.delegates:
-                    mailbox[receiver] = _put(mailbox.get(receiver, {}), msg)
-                    key[_MAILBOX] = _keyed(key[_MAILBOX], msg, True)
+                    mailbox[receiver] = _moved(mailbox.get(receiver, ()), msg, True)
+                    key[_MAILBOX] = _moved(key[_MAILBOX], msg, True)
                 continue
-            if ident not in (box := mailbox.get(receiver, ())):
-                raise SimInvariantError(f"consumed message not in mailbox: {msg}")
-            if len(box) > 1:
-                mailbox[receiver] = _take(box, ident)
+            if box := _moved(mailbox.get(receiver, ()), msg, False):
+                mailbox[receiver] = box
             else:
                 del mailbox[receiver]
-            key[_MAILBOX] = _keyed(key[_MAILBOX], msg, False)
+            key[_MAILBOX] = _moved(key[_MAILBOX], msg, False)
         for eff in effects:
             for msg in eff.sends:
-                if msg.ident in inflight:
-                    raise SimInvariantError(f"duplicate in-flight message {msg}")
-                inflight = _put(inflight, msg)
-                key[_INFLIGHT] = _keyed(key[_INFLIGHT], msg, True)
-        self.inflight = inflight
+                inflight = _moved(inflight, msg, True)
+        self.inflight = key[_INFLIGHT] = inflight
         written = self._apply_updates(merged) if merged else ()  # a delivery writes nothing
         for move, eff in zip(moves, effects):
             event = self._event(move, eff.sends)
@@ -972,17 +950,17 @@ def _expansion(sim: Simulation, views: bool) -> list:
     eager.
     """
     groups = sim._move_groups()
-    best = None  # ((rank, tag), prefix, box, ident) of the first eager move so far
+    best = None  # ((rank, tag), prefix, msg) of the first eager move so far
     for prefix, box in groups:
         tag = prefix[0]
         # a recv's box holds only the reply to the request its client waits for
         if tag in ("deliver", "send", "recv") and (views or tag != "recv" or sim._printing_step(prefix[1]) is None):
             rank = MOVE_KINDS[tag].rank
-            for ident, msg in box.items():
+            for msg in box:
                 if views or tag != "deliver" or msg.kind not in REQUEST_KINDS:
                     first = rank.get(msg.kind if msg else None, rank[None]), tag
                     if best is None or first < best[0]:
-                        best = first, prefix, box, ident
+                        best = first, prefix, msg
     if best is not None:
         return [_group_move(*best[1:])]
     return sorted(sim.enumerate_moves(True, _groups=groups), key=lambda m: _search_priority(*m))

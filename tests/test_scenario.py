@@ -340,6 +340,8 @@ def test_zero_nodes_is_a_diagnostic_not_a_crash(tmp_path, capsys):
 @pytest.mark.parametrize("field, written, line, message", [
     ("cluster.datacentres = 2", "cluster.datacentres = 0", 1, "cluster.datacentres must be >= 1"),
     ("cluster.datacentres = 2", "cluster.datacentres = -1", 1, "cluster.datacentres must be >= 1"),
+    # the parser builds every declared data centre: 10^9 of them ran out of memory
+    ("cluster.datacentres = 2", "cluster.datacentres = 1001", 1, "cluster.datacentres must be <= 1000"),
     ("relation.x.arity = 1", "relation.x.arity = 0", 4, "x: arity and co-arity must be >= 1"),
     ("relation.x.coarity = 1", "relation.x.coarity = -1", 5, "x: arity and co-arity must be >= 1"),
     ("relation.x.ranges = 0:127 128:255", "relation.x.ranges = 0:127 129:255", 7,

@@ -11,6 +11,7 @@ from replisim import (
     ScenarioError,
     ScheduleError,
     SeededSchedule,
+    SimInvariantError,
     Simulation,
     Trace,
     enumerate_traces,
@@ -124,12 +125,12 @@ def test_a_client_mailbox_holds_at_most_the_reply_it_waits_for(model):
         for base in SCENARIOS:
             for sim, _ in walk(base.with_policies(policy, policy), model, 100):
                 for a, pc in sim.pc.items():
-                    box = sim.mailbox.get(a, {})
+                    box = sim.mailbox.get(a, ())
                     if not sim.waiting[a]:
                         assert not box, (base.name, sim.executed)
                         continue
                     assert len(box) <= 1, (base.name, sim.executed)
-                    for msg in box.values():
+                    for msg in box:
                         assert msg.req == f"{a}#{pc - 1}" and msg.kind in (ANSWER, ACK), msg
                         replies += 1
     assert replies > 0
@@ -629,6 +630,56 @@ def test_clock_guards_fire_on_planted_faults(monkeypatch):
         sim.apply_round([sim.resolve_descriptor(("dc", "d2", ("fwd", "a1#0", "d1", "d2"), None))])
 
 
+_SEND_A1 = ("send", "a1")
+_DELIVER_A1 = ("deliver", ("req_write", "a1#0", "a1", "d1"))
+
+
+def _counterexample_after(model: str, descs: list) -> Simulation:
+    sim = Simulation(load_scenario("counterexample"), model)
+    for desc in descs:
+        sim.apply_round([sim.resolve_descriptor(desc)])
+    return sim
+
+
+def test_a_message_sent_while_its_ident_is_in_flight_breaks_an_invariant():
+    # White-box: a1's request is in flight; rewound to before its send, a1
+    # sends a request with the same ident
+    sim = _counterexample_after("cm2", [_SEND_A1])
+    sim.pc["a1"], sim.waiting["a1"] = 0, False
+    sim._key = [None] * len(sim._key)
+    send = sim.resolve_descriptor(_SEND_A1)
+    with pytest.raises(SimInvariantError):
+        sim.apply_round([send])
+
+
+@pytest.mark.parametrize("before, desc", [
+    ([_SEND_A1], _DELIVER_A1),
+    ([_SEND_A1, _DELIVER_A1], ("dc", "d1", ("req_write", "a1#0", "a1", "d1"), None)),
+], ids=["in-flight", "mailbox"])
+def test_a_move_whose_message_is_not_in_its_box_breaks_an_invariant(before, desc):
+    # a move resolved at one state and applied again after it took its
+    # message: the message is no longer in its box
+    sim = _counterexample_after("cm2", before)
+    move = sim.resolve_descriptor(desc)
+    sim.apply_round([move])
+    with pytest.raises(SimInvariantError):
+        sim.apply_round([move])
+
+
+def test_a_second_response_for_one_request_breaks_an_invariant():
+    # White-box: the db has answered a1's write; its request is put back in
+    # the db's mailbox and the ack taken out of flight, so the db step runs
+    # again and answers the request a second time
+    sim = _counterexample_after("cm0", [_SEND_A1, ("deliver", ("req_write", "a1#0", "a1", "db"))])
+    db = sim.resolve_descriptor(("db", ("req_write", "a1#0", "a1", "db")))
+    sim.apply_round([db])
+    assert "a1#0" in sim.answered and [m.kind for m in sim.inflight] == [ACK]
+    sim.mailbox["db"], sim.inflight = (db.msg,), ()
+    sim._key = [None] * len(sim._key)
+    with pytest.raises(SimInvariantError):
+        sim.apply_round([sim.resolve_descriptor(db.desc)])
+
+
 def test_local_and_each_quorum_policies_run_end_to_end():
     s = build(
         "localpol",
@@ -731,7 +782,7 @@ def test_a_round_delivering_two_messages_to_one_mailbox_keeps_it_in_ident_order(
             sim.apply_round([sim.resolve_descriptor(desc)])
         sim.state_key()  # cached, so the round inserts each ack into the key's mailbox part
         sim.apply_round([sim.resolve_descriptor(desc) for desc in step])
-        assert [ident[2] for ident in sim.mailbox["g!a1#0"]] == ["d1", "d2"] and not sim.inflight
+        assert [msg.sender for msg in sim.mailbox["g!a1#0"]] == ["d1", "d2"] and not sim.inflight
         states.append(sim)
     first, second = states
     fresh = second.clone()

@@ -54,8 +54,8 @@ def scratch_key(sim) -> tuple:
 
 def messages_by_ident(sim) -> tuple:
     """The in-flight and the mailbox messages, each sorted by ident."""
-    boxes = (sim.inflight.items(), (i for box in sim.mailbox.values() for i in box.items()))
-    return tuple(tuple(m for _, m in sorted(items, key=lambda i: i[0])) for items in boxes)
+    boxes = (sim.inflight, [m for box in sim.mailbox.values() for m in box])
+    return tuple(tuple(sorted(box, key=lambda m: m.ident)) for box in boxes)
 
 
 def prints(scenario, req: str) -> bool:
@@ -188,9 +188,10 @@ def test_cached_key_after_multi_move_rounds(model):
 
 
 def in_ident_order(sim) -> bool:
-    """Are the in-flight map and every mailbox kept in ident order, with no empty box?"""
+    """Are the in-flight box and every mailbox kept in ident order, with no empty box?"""
     boxes = [sim.inflight, *sim.mailbox.values()]
-    return all(list(box) == sorted(box) for box in boxes) and all(sim.mailbox.values())
+    idents = [[m.ident for m in box] for box in boxes]
+    return all(i == sorted(i) for i in idents) and all(sim.mailbox.values())
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -222,7 +223,7 @@ def test_message_hash_is_the_hash_of_its_fields():
         for model in MODELS:
             for sim, _ in walk(base.with_policies(ONE, ALL), model, STATES):
                 boxes = [sim.inflight] + list(sim.mailbox.values())
-                for m in (m for box in boxes for m in box.values()):
+                for m in (m for box in boxes for m in box):
                     assert hash(m) == hash(_fields(m)) and hash(m) == hash(m), m
                     messages += 1
     assert messages > 0
