@@ -274,9 +274,6 @@ class ClusterConfig:
         except KeyError:
             raise ConfigError(f"unknown relation {rid!r}") from None
 
-    def is_copy(self, rid: str, j: int, d: int, node: int) -> bool:
-        return (d, node) in self.copy_sets.get((rid, j), ())
-
     def candidates(self, rid: str, j: int) -> tuple:
         """All (dc, node) pairs holding a replica of fragment ``j``."""
         return self.copies[(rid, j)]
@@ -334,7 +331,7 @@ def hash_fragment(cfg: ClusterConfig, rid: str, k: tuple) -> int:
         j = cfg.fragment_memo.get((rid, k))
     except TypeError:  # an unhashable key is not remembered; the fold judges it
         return _hash_fragment(cfg, rid, k)
-    if j is None or not all(map(_PLAIN_ATOM_TYPES.__contains__, map(type, k))):
+    if j is None or not _PLAIN_ATOM_TYPES.issuperset(map(type, k)):
         j = cfg.fragment_memo[(rid, k)] = _hash_fragment(cfg, rid, k)
     return j
 
@@ -355,6 +352,9 @@ def _hash_fragment(cfg: ClusterConfig, rid: str, k: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
+_ABSENT = (UNDEF, NEG_INF)  # what an absent key reads as
+
+
 class ReplicaStore:
     """Family of replica maps: (rid, j, dc, node) -> {key: (value, timestamp)}.
 
@@ -373,27 +373,23 @@ class ReplicaStore:
         return s
 
     def _check_loc(self, rid: str, j: int, d: int, node: int) -> None:
-        if not self.cfg.is_copy(rid, j, d, node):
+        if (d, node) not in self.cfg.copy_sets.get((rid, j), ()):
             raise ConfigError(f"({d},{node}) holds no replica of {rid}/{j}")
 
     def lookup(self, rid: str, j: int, d: int, node: int, k: tuple):
         self._check_loc(rid, j, d, node)
         if hash_fragment(self.cfg, rid, k) != j:
             raise ConfigError(f"key {k!r} does not hash into fragment {j} of {rid}")
-        return self.data.get((rid, j, d, node), {}).get(k, (UNDEF, NEG_INF))
-
-    def peek(self, rid: str, j: int, d: int, node: int, k: tuple):
-        """Like lookup but without precondition checks (engine internal)."""
-        return self.data.get((rid, j, d, node), {}).get(k, (UNDEF, NEG_INF))
+        return self.data.get((rid, j, d, node), {}).get(k, _ABSENT)
 
     def store(self, rid: str, j: int, d: int, node: int, k: tuple, v, t: Timestamp) -> None:
         self._check_loc(rid, j, d, node)
         if hash_fragment(self.cfg, rid, k) != j:
             raise ConfigError(f"key {k!r} does not hash into fragment {j} of {rid}")
-        old_v, old_t = self.peek(rid, j, d, node, k)
-        if t < old_t:
+        copy = self.data.setdefault((rid, j, d, node), {})
+        if t < copy.get(k, _ABSENT)[1]:
             raise ConfigError(f"timestamp regression at {(rid, j, d, node, k)}")
-        self.data.setdefault((rid, j, d, node), {})[k] = (v, t)
+        copy[k] = (v, t)
 
     def copies(self, rid: str, j: int, group: Iterable[tuple]) -> list:
         """The maps key -> (value, timestamp) of the (dc, node) copies in
@@ -410,7 +406,7 @@ class ReplicaStore:
             for j, group in groups.items()
             for d, node in sorted(group)
             for k, jk in fragment.items()
-            if jk == j and self.peek(rid, j, d, node, k)[1] < t
+            if jk == j and self.data.get((rid, j, d, node), {}).get(k, _ABSENT)[1] < t
         }
 
     def state_key(self) -> frozenset:
@@ -469,14 +465,19 @@ def seed_replicas(cfg: ClusterConfig, flat: FlatStore) -> ReplicaStore:
 
     The seeding timestamp is tick 1 at the lowest-offset data centre, below
     any timestamp a clock issues (clocks start at ``START_TICK``), so all
-    replicas agree on the initial state.
+    replicas agree on the initial state.  Each fragment's seeded rows are
+    built once, in the flat store's order, and each of its copies gets its
+    own dict of them; copies are placed fragment by fragment, in the order
+    the flat store first meets each fragment.
     """
     store = ReplicaStore(cfg)
     d0 = cfg.lowest_offset_dc()
     t0 = Timestamp(1, d0, cfg.offset_ranks[d0])
+    rows: dict = {}  # (rid, j) -> {k: (v, t0)}
     for (rid, k), v in flat.data.items():
-        j = hash_fragment(cfg, rid, k)
-        # a new store, copies of the key's own fragment: nothing to check
-        for (d, node) in cfg.candidates(rid, j):
-            store.data.setdefault((rid, j, d, node), {})[k] = (v, t0)
+        rows.setdefault((rid, hash_fragment(cfg, rid, k)), {})[k] = (v, t0)
+    # a new store, copies of each key's own fragment: nothing to check
+    for (rid, j), seeded in rows.items():
+        for d, node in cfg.candidates(rid, j):
+            store.data[(rid, j, d, node)] = dict(seeded)
     return store

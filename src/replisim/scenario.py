@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from importlib import resources
+from math import prod
 from typing import NamedTuple, Optional
 
 from .cm0 import Condition, check_writeset
@@ -30,6 +31,7 @@ from .trace import checked_write_set, read_atom, read_fragment, read_int, read_i
 
 CM1_COPIES = 16  # copies of a fragment whose 2^n - 1 subsets cm1 validation may judge
 MAX_DATA_CENTRES = 1000  # data centres a cluster may declare: the parser builds each one
+MAX_COPIES = 10_000  # copies a relation may place (fragments x data centres x replication): each is built
 
 
 class ScenarioError(Exception):
@@ -368,6 +370,12 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         fields = {**_RELATION_DEFAULTS, "datacentres": dcs, **given}
         line_of = {f: lines[("cluster", "relation", rid, f)] for f in given}
         hash_min, hash_max = fields["hash"]
+        sizes = {"ranges" if "ranges" in given else "fragments": len(given.get("ranges", ())) or fields["fragments"],
+                 "datacentres": len(fields["datacentres"]), "replication": fields["replication"]}
+        if min(sizes.values()) > 0 and prod(sizes.values()) > MAX_COPIES:  # on the largest size's line
+            field = max((f for f in sizes if f in given), key=sizes.get)
+            diags.append((line_of[field], f"relation {rid}: more than {MAX_COPIES} copies"))
+            continue
         q, span = fields["fragments"], hash_max - hash_min + 1
         if "ranges" in given:
             ranges = given["ranges"]

@@ -108,9 +108,8 @@ _NO_EFFECT = StepEffect()  # every delivery's effect, shared: effects are values
 
 def _group_move(prefix: tuple, msg: Optional[Message]) -> Move:
     """The move of ``msg`` in a ``Simulation._move_groups`` group (a send's is None)."""
-    if msg is None:
-        return Move(prefix)
-    return Move(prefix + ((msg.ident, None) if prefix[0] == "dc" else (msg.ident,)), msg)
+    desc = prefix if msg is None else prefix + ((msg.ident, None) if prefix[0] == "dc" else (msg.ident,))
+    return tuple.__new__(Move, (desc, msg))  # a named tuple's own constructor is a Python function
 
 
 # A box of messages (the in-flight messages, a mailbox, the mailbox part of
@@ -118,12 +117,10 @@ def _group_move(prefix: tuple, msg: Optional[Message]) -> Move:
 _IDENT = attrgetter("ident")
 
 
-def _moved(box: Optional[tuple], msg: Message, add: bool) -> Optional[tuple]:
+def _moved(box: tuple, msg: Message, add: bool) -> tuple:
     """``box`` with ``msg`` inserted (``add``) or removed, by a bisect on its
-    ident; a stale key part, None, stays None.  A box holds one message
-    per ident, and only a message it holds can leave it."""
-    if box is None:
-        return None
+    ident.  A box holds one message per ident, and only a message it holds
+    can leave it."""
     i = bisect_left(box, msg.ident, key=_IDENT)
     held = i < len(box) and box[i].ident == msg.ident
     if held == add:
@@ -165,7 +162,7 @@ class SeededSchedule(NamedTuple):
         draws its selections from it too.  Stops when no move is enabled."""
         rng = random.Random(self.seed)
         while move := sim._pick_move(rng.randrange):
-            if move.tag == "dc" and sim.model == "cm1":
+            if move.desc[0] == "dc" and sim.model == "cm1":
                 move = sim.attach_selections(move, rng)
             yield [move]
 
@@ -371,31 +368,55 @@ class Simulation:
 
     # -- move enumeration ---------------------------------------------------
 
-    def _move_groups(self) -> list:
-        """The enabled moves as non-empty groups, in ``enumerate_moves``
-        order: ``(prefix, box)`` stands for ``Move(prefix + (msg.ident,),
-        msg)`` per message of ``box``, in ident order (``_group_move``),
-        and a ``send``'s box is ``_SEND_BOX``."""
-        groups = [(("deliver",), self.inflight)] if self.inflight else []
+    def _move_groups(self, i: int = -1) -> tuple:
+        """``(groups, j)``: the enabled moves' non-empty groups in
+        ``enumerate_moves`` order up to the one that holds move ``i``, and
+        that move's place ``j`` in it; for a negative ``i``, or one past the
+        last move, every group and ``j = -1``.  This is the one statement of
+        the move order, and it stops at the group it was asked for.
+
+        The groups are the in-flight messages; per client, in name order,
+        its ``send``, or else the ``recv`` of the reply it waits for (a
+        client that does not wait has no mailbox); then each store's
+        mailbox, and each live delegate's in gid order.  ``(prefix, box)``
+        stands for ``Move(prefix + (msg.ident,), msg)`` per message of
+        ``box``, in ident order (``_group_move``), and a ``send``'s box is
+        ``_SEND_BOX``."""
+        groups: list = []
+        if box := self.inflight:
+            groups.append((("deliver",), box))
+            if 0 <= i < len(box):
+                return groups, i
+            i -= len(box)
+        mailbox, waiting = self.mailbox, self.waiting
         for a, send, recv in self.clients:
-            if self.waiting[a]:
-                if box := self.mailbox.get(a):  # only the reply it waits for (``state_key``)
-                    groups.append((recv, box))
-            elif self.pc[a] < self.lengths[a]:
-                groups.append((send, _SEND_BOX))
-        for prefix, agent in self.stores:
-            if box := self.mailbox.get(agent):
+            if not waiting[a] and self.pc[a] < self.lengths[a]:
+                prefix, box = send, _SEND_BOX
+            else:  # a client that does not wait has no mailbox
+                prefix, box = recv, mailbox.get(a)
+            if box:
                 groups.append((prefix, box))
-        if self.delegates:
-            for gid in sorted(self.delegates):
-                if box := self.mailbox.get(gid):
-                    groups.append((("collect", gid), box))
-        return groups
+                if 0 <= i < len(box):
+                    return groups, i
+                i -= len(box)
+        for prefix, agent in self.stores:
+            if box := mailbox.get(agent):
+                groups.append((prefix, box))
+                if 0 <= i < len(box):
+                    return groups, i
+                i -= len(box)
+        for gid in sorted(self.delegates):
+            if box := mailbox.get(gid):
+                groups.append((("collect", gid), box))
+                if 0 <= i < len(box):
+                    return groups, i
+                i -= len(box)
+        return groups, -1
 
     def enumerate_moves(self, with_selections: bool, _groups: Optional[list] = None) -> list:
-        """Every enabled move; ``_groups`` is this state's ``_move_groups()``, if at hand."""
+        """Every enabled move; ``_groups`` is this state's list of groups (``_move_groups``), if at hand."""
         moves = []
-        for prefix, box in self._move_groups() if _groups is None else _groups:
+        for prefix, box in self._move_groups()[0] if _groups is None else _groups:
             for msg in box:
                 if prefix[0] == "dc" and self.model == "cm1" and with_selections:
                     moves += [Move(prefix + (msg.ident, sel), msg) for sel in self.selection_options(msg)]
@@ -405,19 +426,23 @@ class Simulation:
 
     def _pick_move(self, pick: Callable[[int], int]) -> Optional[Move]:
         """``enumerate_moves(with_selections=False)[pick(n)]`` for the ``n``
-        enabled moves, building only that move; ``None`` when ``n`` is 0."""
-        groups = self._move_groups()
-        n = 0
-        for _, box in groups:
-            n += len(box)
+        enabled moves, building only that move; ``None`` when ``n`` is 0.
+
+        ``n`` is counted from the boxes: every message in flight or in a
+        mailbox is one enabled move, since a client's mailbox holds a reply
+        only while it waits and only live delegates keep mailboxes, and
+        each client that can send is one more.  The groups are then walked
+        only as far as the drawn move."""
+        n = len(self.inflight) + sum(map(len, self.mailbox.values()))
+        for a, _, _ in self.clients:
+            n += not self.waiting[a] and self.pc[a] < self.lengths[a]
         if not n:
             return None
-        i = pick(n)
-        for prefix, box in groups:
-            if i < len(box):
-                return _group_move(prefix, box[i])
-            i -= len(box)
-        raise IndexError(f"move index {i} past the enabled moves")
+        groups, j = self._move_groups(pick(n))
+        if j < 0:
+            raise SimInvariantError(f"fewer than the {n} enabled moves counted from the boxes")
+        prefix, box = groups[-1]
+        return _group_move(prefix, box[j])
 
     def _policy_for(self, kind: str):
         return self.scenario.read_policy if kind == REQ_READ else self.scenario.write_policy
@@ -470,7 +495,7 @@ class Simulation:
             raise ScheduleError(f"unknown move descriptor {desc!r}")
         sel = desc[3] if desc[0] == "dc" else None
         name = desc if sel is None else desc[:3] + (None,)
-        moves = (_group_move(prefix, msg) for prefix, box in self._move_groups()
+        moves = (_group_move(prefix, msg) for prefix, box in self._move_groups()[0]
                  if name[:len(prefix)] == prefix for msg in box)
         move = next((m for m in moves if m.desc == name), None)  # compared: a bad ident may not hash
         if move is None:
@@ -510,14 +535,14 @@ class Simulation:
         return MOVE_KINDS[move.desc[0]].run(self, move)
 
     def _effect(self, move: Move) -> StepEffect:
-        """``execute_move(move)``, or in a walk (``_memo`` set) the effect of
+        """In a walk (``_memo`` set), ``execute_move(move)`` or the effect of
         an earlier step with equal inputs.  A ``db`` or ``dc`` step reads its
         descriptor, its message, the ticks and the store; a ``collect`` its
         descriptor, its message and its delegate's whole value (``key_part``
         leaves out ``log``).  The scenario is fixed within a walk, and the
         engine's own checks in ``apply_round`` still run at every state."""
         tag = move.desc[0]
-        if self._memo is None or tag in ("deliver", "send", "recv"):  # cheap steps
+        if tag in ("deliver", "send", "recv"):  # cheap steps
             return self.execute_move(move)
         if tag == "collect":
             delegate = self.delegates[move.desc[1]]
@@ -584,7 +609,7 @@ class Simulation:
         current as it goes."""
         if not moves:
             raise ConfigError("a global step needs at least one move")
-        effects = [self._effect(m) for m in moves]
+        effects = [self.execute_move(m) if self._memo is None else self._effect(m) for m in moves]
         # a discarded round leaves the state as it was, so check before
         # anything changes; one move's updates cannot conflict
         merged: dict = effects[0].updates
@@ -620,13 +645,15 @@ class Simulation:
                 # a late message to a deleted delegate is dropped
                 if not receiver.startswith("g!") or receiver in self.delegates:
                     mailbox[receiver] = _moved(mailbox.get(receiver, ()), msg, True)
-                    key[_MAILBOX] = _moved(key[_MAILBOX], msg, True)
+                    if key[_MAILBOX] is not None:
+                        key[_MAILBOX] = _moved(key[_MAILBOX], msg, True)
                 continue
             if box := _moved(mailbox.get(receiver, ()), msg, False):
                 mailbox[receiver] = box
             else:
                 del mailbox[receiver]
-            key[_MAILBOX] = _moved(key[_MAILBOX], msg, False)
+            if key[_MAILBOX] is not None:
+                key[_MAILBOX] = _moved(key[_MAILBOX], msg, False)
         for eff in effects:
             for msg in eff.sends:
                 inflight = _moved(inflight, msg, True)
@@ -641,7 +668,6 @@ class Simulation:
                     self.answered[event.req] = event.payload
                     self._answers = None
                 self.events.append(event)
-        for move in moves:
             desc, msg = move.desc, move.msg
             if desc[0] == "dc" and msg.kind == FWD and msg.payload[0] == REQ_WRITE:
                 # the message-passing clock condition holds after a forwarded write
@@ -653,23 +679,19 @@ class Simulation:
         if written:
             self._check_invariants(written)
 
-    def _own_event(self, move: Move) -> Optional[str]:
-        """The event kind ``move`` emits whatever it sends: REQ for a request's
-        delivery, PRINT for a ``recv`` that completes a printing read."""
+    def _event(self, move: Move, sends: list) -> Optional[TraceEvent]:
+        """The trace event of a move in this round: REQ for a request's
+        delivery, PRINT for a ``recv`` that completes a printing read,
+        whatever they send, or else RESP when the step sends a client its
+        answer or ack."""
         tag, msg = move.desc[0], move.msg
         if tag == "deliver":
-            return REQ if msg.kind in REQUEST_KINDS else None
-        return PRINT if tag == "recv" and self._printing_step(move.desc[1]) is not None else None
-
-    def _event(self, move: Move, sends: list) -> Optional[TraceEvent]:
-        """The trace event of a move in this round: its ``_own_event``, or
-        else RESP when the step sends a client its answer or ack."""
-        msg, own = move.msg, self._own_event(move)
-        if own == REQ:
-            op = "read" if msg.kind == REQ_READ else "write"
-            return TraceEvent(self.round, REQ, msg.sender, msg.req, (op,) + msg.payload)
-        if own == PRINT:
-            return TraceEvent(self.round, PRINT, move.agent, msg.req, ("print",) + msg.payload)
+            if msg.kind in REQUEST_KINDS:
+                op = "read" if msg.kind == REQ_READ else "write"
+                return TraceEvent(self.round, REQ, msg.sender, msg.req, (op,) + msg.payload)
+            return None  # a delivery sends nothing
+        if tag == "recv" and self._printing_step(move.desc[1]) is not None:
+            return TraceEvent(self.round, PRINT, move.desc[1], msg.req, ("print",) + msg.payload)
         for sent in sends:
             if sent.kind in (ANSWER, ACK):
                 return TraceEvent(self.round, RESP, sent.receiver, sent.req, (sent.kind,) + sent.payload)
@@ -715,11 +737,11 @@ class Simulation:
         key's maximal timestamp.  Only ``rep`` updates change a replica, so
         a round needs to check only the keys it wrote.  Each key's copies
         are read directly and folded as ``core.freshest`` folds them."""
+        data, copies = self.replicas.data, self.cfg.copies
         for rid, j, k in keys:
             best = None
-            for d, node in self.cfg.candidates(rid, j):
-                vt = self.replicas.data.get((rid, j, d, node), {}).get(k)
-                if vt is None:
+            for d, node in copies[(rid, j)]:
+                if (vt := data.get((rid, j, d, node), {}).get(k)) is None:
                     continue
                 if best is None or best[1] < vt[1]:
                     best = vt
@@ -736,13 +758,11 @@ class Simulation:
         step in canonical order.  Effects of the drained moves are
         order-insensitive (conditional timestamped writes and clock joins),
         so this keeps runs deterministic."""
-        while True:
-            move = self._pick_move(lambda n: 0)
-            if move is None:
-                return True
+        while move := self._pick_move(lambda n: 0):
             if self.round >= step_limit:
                 return False
             self.apply_round([move])
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +948,7 @@ def _expansion(sim: Simulation, views: bool) -> list:
     delivered and each reply received.
 
     Under the trace rule only such a move that emits no event is eager
-    (none of them sends an answer or ack, so ``_own_event`` decides), and
+    (none of them sends an answer or ack, so ``_event`` with no sends decides), and
     taking it first keeps every run's events in their order.  Under the
     view rule every such move is eager.  The event a request's delivery
     (REQ) or a printing ``recv`` (PRINT) emits belongs to its own agent,
@@ -949,7 +969,7 @@ def _expansion(sim: Simulation, views: bool) -> list:
     The full list, with its cm1 selections, is built only where none is
     eager.
     """
-    groups = sim._move_groups()
+    groups = sim._move_groups()[0]
     best = None  # ((rank, tag), prefix, msg) of the first eager move so far
     for prefix, box in groups:
         tag = prefix[0]

@@ -9,7 +9,7 @@ from replisim import (ConfigError, ScenarioError, SeededSchedule, Simulation, lo
                       run)
 from replisim.cli import main
 from replisim.policies import ALL, ONE, local_quorum
-from replisim.scenario import CM1_COPIES, ClientStep, bundled_scenarios
+from replisim.scenario import CM1_COPIES, MAX_COPIES, ClientStep, bundled_scenarios
 from replisim.sim import MODELS
 
 from corpus import SCENARIOS, generated_scenarios, scenario_text
@@ -365,6 +365,63 @@ def test_a_layout_outside_the_cluster_is_refused_on_its_line(field, written, lin
     assert main(["run", str(path), "--model", "cm0"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and f"line {line}: {message}" in out.err
+
+
+# Two 7-line files whose relation would place 10^8 and 10^7 copies: the
+# parser built each fragment's hash range, and ClusterConfig each copy,
+# until memory ran out
+_MANY_FRAGMENTS = """cluster.datacentres = 1
+cluster.relation.x.hash = 0 1000000000
+cluster.relation.x.fragments = 100000000
+policy.read = ONE
+policy.write = ONE
+agent.a.home = 1
+agent.a.program = read x true
+"""
+_MANY_REPLICAS = """cluster.datacentres = 1
+cluster.relation.x.nodes = 10000000
+cluster.relation.x.replication = 10000000
+policy.read = ONE
+policy.write = ONE
+agent.a.home = 1
+agent.a.program = read x true
+"""
+
+
+@pytest.mark.parametrize("text", [_MANY_FRAGMENTS, _MANY_REPLICAS], ids=["fragments", "replication"])
+def test_a_relation_with_too_many_copies_is_refused_on_its_line(text, tmp_path, capsys):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.diagnostics == [(3, f"relation x: more than {MAX_COPIES} copies")]
+    path = tmp_path / "many_copies.scn"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", str(path), "--model", "cm0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"line 3: relation x: more than {MAX_COPIES} copies" in out.err
+
+
+def _layout(fragments: int, dcs: int, replication: int) -> str:
+    return (f"cluster.datacentres = {dcs}\n"
+            f"cluster.relation.x.hash = 0 {MAX_COPIES}\n"
+            f"cluster.relation.x.fragments = {fragments}\n"
+            f"cluster.relation.x.datacentres = {' '.join(map(str, range(1, dcs + 1)))}\n"
+            f"cluster.relation.x.nodes = {replication}\n"
+            f"cluster.relation.x.replication = {replication}\n"
+            "policy.read = ONE\npolicy.write = ONE\n")
+
+
+@pytest.mark.parametrize("within, beyond, line", [
+    ((2500, 2, 2), (2501, 2, 2), 3),
+    ((2, 2, 2500), (2, 2, 2501), 6),
+    ((10, 1000, 1), (11, 1000, 1), 4),
+])
+def test_copies_are_bounded_by_fragments_times_data_centres_times_replicas(within, beyond, line):
+    # a layout of MAX_COPIES copies parses; one beyond it is refused on the
+    # line of the largest size the file sets
+    assert len(parse_scenario(_layout(*within)).cfg.copies) == within[0]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(_layout(*beyond))
+    assert err.value.diagnostics == [(line, f"relation x: more than {MAX_COPIES} copies")]
 
 
 def test_a_cluster_without_data_centres_is_refused_under_every_model(tmp_path, capsys):

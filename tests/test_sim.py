@@ -20,7 +20,9 @@ from replisim import (
     run,
     search_schedules,
 )
+import replisim.sim as engine
 from replisim import policies
+from replisim.core import ReplicaStore, Timestamp, hash_fragment, seed_replicas
 from replisim.messages import ACK, ANSWER
 from replisim.predicates import print_pair
 from replisim.sim import MODELS
@@ -64,29 +66,129 @@ def test_seeded_runs_draw_as_from_the_move_list(model):
                 assert got.schedule_steps == want.schedule_steps
 
 
+def run_shaped(keys: int, requests: int = 6, seed: int = 0):
+    """A store shaped like the benchmark's seeded-run workload: 3 data
+    centres, relations x and y of 2 fragments each, 2 nodes x replication 2
+    in every data centre, ``keys`` seeded keys split between the relations,
+    and four clients homed at 1, 2, 3 and 1 that alternate writes and
+    reads of seeded keys."""
+    rng = random.Random(seed)
+    per = keys // 2
+    lines = ["cluster.datacentres = 3"]
+    for rid in "xy":
+        lines += [f"cluster.relation.{rid}.{field}" for field in (
+            "arity = 1", "coarity = 1", "fragments = 2", "nodes = 2", "replication = 2")]
+    lines += ["policy.read = ONE", "policy.write = ALL"]
+    for i, home in enumerate((1, 2, 3, 1), start=1):
+        steps = []
+        for n in range(requests):
+            rid, k = rng.choice("xy"), rng.randrange(per)
+            steps.append(f"write {rid} {{({k}) -> ({rng.randrange(10**6)})}}" if (i + n) % 2 == 0
+                         else f"read {rid} key=({k})")
+        lines += [f"agent.a{i}.home = {home}", f"agent.a{i}.program = {'; '.join(steps)}"]
+    for rid in "xy":
+        lines.append(f"init.{rid} = " + ", ".join(f"({k}) -> ({k})" for k in range(per)))
+    return parse_scenario("\n".join(lines) + "\n", name=f"run_shaped_{keys}")
+
+
+def seed_per_key(cfg, flat) -> ReplicaStore:
+    """The per-key loop ``core.seed_replicas`` replaced: each record onto
+    each copy of its key's fragment, at the seeding timestamp."""
+    store = ReplicaStore(cfg)
+    d0 = cfg.lowest_offset_dc()
+    t0 = Timestamp(1, d0, cfg.offset_ranks[d0])
+    for (rid, k), v in flat.data.items():
+        j = hash_fragment(cfg, rid, k)
+        for d, node in cfg.candidates(rid, j):
+            store.data.setdefault((rid, j, d, node), {})[k] = (v, t0)
+    return store
+
+
+def test_seeding_places_the_rows_of_the_per_key_loop():
+    # the same copies in the same order, each with its keys in the same
+    # order, and each copy its own dict: rounds write one copy at a time
+    scenarios = SCENARIOS + [run_shaped(256)]
+    assert any(len(s.initial.data) == 256 for s in scenarios)
+    for scenario in scenarios:
+        got = seed_replicas(scenario.cfg, scenario.initial).data
+        want = seed_per_key(scenario.cfg, scenario.initial).data
+        assert [(loc, list(copy.items())) for loc, copy in got.items()] == \
+               [(loc, list(copy.items())) for loc, copy in want.items()], scenario.name
+        assert len({id(copy) for copy in got.values()}) == len(got)
+
+
+@pytest.mark.parametrize("model", ["cm1", "cm2"])
+def test_a_simulation_checks_its_seeded_copies(model, monkeypatch):
+    # Simulation.__init__ runs the replica invariant on the seeded store:
+    # one copy seeded with another value at the seeding timestamp is refused
+    def seed_one_copy_wrongly(cfg, flat):
+        store = seed_replicas(cfg, flat)
+        copy = store.data[next(iter(store.data))]
+        k, (_, t) = next(iter(copy.items()))
+        copy[k] = ((-1,), t)
+        return store
+
+    scenario = run_shaped(256)
+    Simulation(scenario, model)
+    monkeypatch.setattr(engine, "seed_replicas", seed_one_copy_wrongly)
+    with pytest.raises(SimInvariantError):
+        Simulation(scenario, model)
+
+
+def check_draws(sim) -> int:
+    """At ``sim``, the draw counts ``len(enumerate_moves(False))`` moves,
+    index i draws that list's move i for every i, and ``drain`` takes
+    index 0.  Returns the number of moves checked."""
+    moves = sim.enumerate_moves(with_selections=False)
+    counted = []
+
+    def draw(i):
+        def pick(n):
+            counted.append(n)
+            return i
+        return sim._pick_move(pick)
+
+    assert [draw(i) for i in range(len(moves))] == moves
+    assert counted == [len(moves)] * len(moves)
+    if not moves:
+        assert sim._pick_move(counted.append) is None and not counted  # nothing to draw from
+    if moves and not (sim.model == "cm1" and moves[0].tag == "dc"):  # a cm1 dc step needs selections
+        drained = sim.clone()
+        drained.drain(sim.round + 1)  # one move at most
+        assert drained.executed[sim.round:] == [(moves[0].desc,)]
+    return len(moves)
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_drawn_and_drained_moves_are_those_of_the_move_list(model):
-    # In every state, index i draws enumerate_moves(False)[i], and drain
-    # takes the first listed move.
+    # In every state of the corpus walks, under three policy pairs, the
+    # draw's count is the length of enumerate_moves(False), index i draws
+    # its move i, and drain takes its first move.
     checked = 0
-    for base in SCENARIOS:
-        for sim, _ in walk(base.with_policies(ONE, ALL), model, 60):
-            moves = sim.enumerate_moves(with_selections=False)
-
-            def draw(i):
-                def pick(n):
-                    assert n == len(moves)
-                    return i
-                return sim._pick_move(pick)
-
-            assert [draw(i) for i in range(len(moves))] == moves
-            checked += len(moves)
-            if model == "cm1" and moves and moves[0].tag == "dc":
-                continue  # needs selections; a drain, after every answer, meets no dc step
-            drained = sim.clone()
-            drained.drain(sim.round + 1)  # one move at most
-            assert drained.executed[sim.round:] == ([(moves[0].desc,)] if moves else [])
+    for pair in ((ONE, ONE), (ONE, ALL), (ALL, ALL)):
+        for base in SCENARIOS:
+            for sim, _ in walk(base.with_policies(*pair), model, 60):
+                checked += check_draws(sim)
     assert checked > 0
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_draws_along_seeded_runs_of_a_run_shaped_store(model):
+    # The same at every state of seeded runs, drain included, over a store
+    # shaped like the benchmark's run workload; the runs are those of a
+    # draw from the full list.
+    scenario = run_shaped(64)
+    for seed in range(2):
+        sim = Simulation(scenario, model)
+        rounds = SeededSchedule(seed).rounds(sim)
+        while not sim.clients_done():
+            check_draws(sim)
+            sim.apply_round(next(rounds))
+        while check_draws(sim):
+            sim.drain(sim.round + 1)
+        want = run(scenario, model, ListSchedule(seed))
+        assert sim.trace(want.trace.meta).to_text() == want.trace.to_text()
+        assert tuple(sim.executed[:len(want.schedule_steps)]) == want.schedule_steps
 
 
 def test_different_seeds_can_differ():

@@ -4,12 +4,15 @@
     python3 tools/pairs.py PARENT CHANGE --workload explore --seed 3 \\
         --seconds 5 --pairs 10
 
-Runs ``perfbench/run.py`` (``--trace 0``) once in PARENT, then once in
-CHANGE, and repeats that ``--pairs`` times, so both sides meet the same
-swings of the host's speed.  Each run is a child process started in its
+Runs ``perfbench/run.py`` (``--trace 0``) once in each checkout per pair,
+``--pairs`` times, so both sides meet the same swings of the host's speed.
+The side that runs first alternates: PARENT first in odd pairs, CHANGE
+first in even ones, so neither side always runs on a host the other has
+just warmed or slowed.  Each run is a child process started in its
 checkout, which imports the program from that checkout's ``src/``.  For
 each end-to-end metric it prints the median of each side, the parent's
-quartiles and the number of pairs the change won (ties count as lost).
+quartiles and the number of pairs the change won (ties count as lost),
+then every run's value, side by side in pair order.
 Which way is better is read from the change's ``BENCHMARK.json``; a metric
 it does not list counts lower as better.  It prints a table and bounds
 nothing: the exit status is 0 unless a run fails or reports an output that
@@ -64,7 +67,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": [], "change": []}
     for i in range(args.pairs):
-        for side in sides:
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             sides[side].append(run_once(getattr(args, side), args.workload, args.seed, args.seconds))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     better = directions(args.change)
@@ -79,6 +82,11 @@ def main(argv=None) -> int:
         delta = f"{(ma - mb) / mb:+.1%}" if mb else "-"
         lo, hi = quartiles(before)
         print(f"{name:<16}{mb:>12.5g}{ma:>12.5g}{delta:>9}  {f'{lo:.5g}-{hi:.5g}':<24}{won}/{args.pairs}")
+    print("every run, in pair order (parent first in pairs 1, 3, ...):")
+    for name in sides["parent"][0]["metrics"]:
+        for side, runs in sides.items():
+            values = " ".join(f"{r['metrics'][name]['value']:.5g}" for r in runs)
+            print(f"{name if side == 'parent' else '':<16}{side:<8}{values}")
     failed = {side: sum(r["failed"] for r in runs) for side, runs in sides.items()}
     print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
     return 0
